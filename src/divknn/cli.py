@@ -170,6 +170,8 @@ def cmd_run(args) -> int:
         raise UsageError("--p must lie in (-inf, 1]")
     if not eta > 0:
         raise UsageError("--eta must be > 0")
+    if threads < 1:
+        raise UsageError("--threads must be >= 1")
 
     data = read_vectors(args.base)
     queries = read_vectors(args.queries)

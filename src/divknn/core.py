@@ -17,11 +17,12 @@ nonnegative utility. Everything accumulates in 64-bit floats.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 SIMILARITY_KINDS = ("one-plus-cosine", "reciprocal-euclidean", "dot-product")
 
@@ -82,11 +83,13 @@ class VectorSet:
 class AttributeTable:
     """Attribute assignments ``atb(v)`` over [0, c) plus inverted lists D_l.
 
-    ``atb`` holds one sorted id tuple per vector; ``inverted[l]`` is the
-    ascending array of vector ids carrying attribute l. ``classes``, when
-    present, partitions [0, c) into disjoint attribute classes; in
-    one-per-class mode every vector carries exactly one attribute from each
-    class.
+    Stored in CSR form: the attributes of vector v are
+    ``indices[indptr[v]:indptr[v + 1]]``, ascending (``atb`` gives the same
+    sets as one id tuple per vector). ``inverted[l]`` is the ascending array
+    of vector ids carrying attribute l. ``classes``, when present,
+    partitions [0, c) into disjoint attribute classes; in one-per-class mode
+    every vector carries exactly one attribute from each class. ``atb`` may
+    be given as id sequences or as a 2-D array with one row per vector.
     """
 
     def __init__(self, atb: Sequence[Sequence[int]], c: int,
@@ -94,23 +97,37 @@ class AttributeTable:
         if c < 1:
             raise ValueError("attribute count c must be >= 1")
         self.c = int(c)
-        self.atb: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(int(a) for a in row)) for row in atb
-        )
-        for i, row in enumerate(self.atb):
-            if len(row) == 0:
-                raise ValueError(f"vector {i} has no attributes")
-            if len(set(row)) != len(row):
-                raise ValueError(f"vector {i} has duplicate attributes")
-            if row[0] < 0 or row[-1] >= self.c:
-                raise ValueError(f"vector {i} has attribute id outside [0, {self.c})")
-        inv: list[list[int]] = [[] for _ in range(self.c)]
-        for i, row in enumerate(self.atb):
-            for a in row:
-                inv[a].append(i)
-        self.inverted: tuple[np.ndarray, ...] = tuple(
-            np.asarray(ids, dtype=np.intp) for ids in inv
-        )
+        if isinstance(atb, np.ndarray) and atb.ndim == 2:
+            lengths = np.full(atb.shape[0], atb.shape[1], dtype=np.intp)
+            flat = atb.astype(np.intp).ravel()
+        else:
+            lengths = np.fromiter(map(len, atb), dtype=np.intp)
+            flat = np.fromiter(itertools.chain.from_iterable(atb),
+                               dtype=np.intp, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        if np.any(lengths == 0):
+            raise ValueError(f"vector {np.argmin(lengths)} has no attributes")
+        outside = (flat < 0) | (flat >= self.c)
+        if outside.any():
+            raise ValueError(f"vector {rows[np.argmax(outside)]} has "
+                             f"attribute id outside [0, {self.c})")
+        # sorts each row; rows given in order cost one linear pass
+        flat = flat[np.argsort(rows * self.c + flat, kind="stable")]
+        dup = (flat[1:] == flat[:-1]) & (rows[1:] == rows[:-1])
+        if dup.any():
+            raise ValueError(f"vector {rows[np.argmax(dup)]} has duplicate "
+                             "attributes")
+        self.indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.indices = flat
+        # a stable sort by attribute keeps each list's ids ascending; keys of
+        # the narrowest unsigned type let numpy use radix sort
+        members = rows[np.argsort(flat.astype(np.min_scalar_type(self.c)),
+                                  kind="stable")]
+        for arr in (self.indptr, self.indices, members):
+            arr.setflags(write=False)
+        self.inverted: tuple[np.ndarray, ...] = tuple(np.split(
+            members, np.cumsum(np.bincount(flat, minlength=self.c))[:-1]))
         self.classes: Optional[tuple[np.ndarray, ...]] = None
         if classes is not None:
             cls = tuple(np.asarray(sorted(int(a) for a in grp), dtype=np.intp)
@@ -119,23 +136,35 @@ class AttributeTable:
             if len(flat) != self.c or len(np.unique(flat)) != self.c:
                 raise ValueError("classes must partition [0, c)")
             self.classes = cls
-        # fast path for the single-attribute setting
-        if all(len(row) == 1 for row in self.atb):
-            self._labels = np.asarray([row[0] for row in self.atb], dtype=np.intp)
-            self._labels.setflags(write=False)
-        else:
-            self._labels = None
+        # single-attribute setting: the label array is ``indices`` itself
+        self._labels = self.indices if np.all(lengths == 1) else None
 
     @classmethod
     def from_labels(cls, labels, c: int,
                     classes: Optional[Sequence[Sequence[int]]] = None) -> "AttributeTable":
         """Build a single-attribute table from one label per vector."""
         labels = np.asarray(labels, dtype=np.intp)
-        return cls([(int(a),) for a in labels], c, classes=classes)
+        return cls(labels[:, None], c, classes=classes)
 
     @property
     def n(self) -> int:
-        return len(self.atb)
+        return len(self.indptr) - 1
+
+    @functools.cached_property
+    def atb(self) -> tuple[tuple[int, ...], ...]:
+        """One ascending attribute-id tuple per vector, built on first use."""
+        flat, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    def gather(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """CSR entries of vectors ``ids``: how many attributes each carries,
+        and their attribute ids concatenated in the order of ``ids``."""
+        ids = np.asarray(ids, dtype=np.intp)
+        lo = self.indptr[ids]
+        lengths = self.indptr[ids + 1] - lo
+        starts = np.cumsum(lengths) - lengths
+        entries = np.repeat(lo - starts, lengths) + np.arange(lengths.sum())
+        return lengths, self.indices[entries]
 
     @property
     def is_single(self) -> bool:
@@ -320,12 +349,9 @@ def utilities(q, ids: Sequence[int], data: VectorSet, attrs: AttributeTable,
     if idx.min() < 0 or idx.max() >= data.n:
         raise ValueError("selection contains an invalid vector id")
     sims = fn.batch_ids(q, data, idx)
-    if attrs.is_single:
-        np.add.at(u, attrs.labels[idx], sims)
-    else:
-        for i, s in zip(idx, sims):
-            for a in attrs.atb[i]:
-                u[a] += s
+    # unbuffered and in entry order, so each u[l] sums in selection order
+    lengths, attr = attrs.gather(idx)
+    np.add.at(u, attr, np.repeat(sims, lengths))
     return u
 
 
@@ -334,7 +360,7 @@ def welfare(util: np.ndarray, params: WelfareParams) -> float:
 
     p = 0 gives the geometric mean prod(u_l + eta)^(1/c), evaluated in
     log-space; p != 0 gives ((1/c) sum (u_l + eta)^p)^(1/p), evaluated via
-    logsumexp so that large |p| neither overflows nor underflows.
+    a shifted log-sum-exp so that large |p| neither overflows nor underflows.
     """
     u = np.asarray(util, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
@@ -344,8 +370,10 @@ def welfare(util: np.ndarray, params: WelfareParams) -> float:
     w = np.log(u + params.eta)
     if params.is_nash:
         return float(np.exp(w.mean()))
-    p = params.p
-    return float(np.exp((logsumexp(p * w) - np.log(u.size)) / p))
+    # log-mean-exp shifted by its largest term: no overflow or underflow
+    z = params.p * w
+    top = z.max()
+    return float(np.exp((top + np.log(np.mean(np.exp(z - top)))) / params.p))
 
 
 def log_nsw(util: np.ndarray, eta: float) -> float:

@@ -181,15 +181,12 @@ def cluster_attrs(data: VectorSet, c: int, seed: int,
     if m < 1 or data.d % m != 0:
         raise ValueError("d must be divisible by chunks")
     width = data.d // m
-    atb = [[] for _ in range(data.n)]
-    classes = []
+    columns = []
     for i in range(m):
         sl = np.ascontiguousarray(data.data[:, i * width:(i + 1) * width])
-        labels = _lloyd(sl, c, np.random.default_rng([seed, i]))
-        for v in range(data.n):
-            atb[v].append(i * c + int(labels[v]))
-        classes.append(range(i * c, (i + 1) * c))
-    return AttributeTable(atb, c=c * m, classes=classes)
+        columns.append(i * c + _lloyd(sl, c, np.random.default_rng([seed, i])))
+    return AttributeTable(np.column_stack(columns), c=c * m,
+                          classes=[range(i * c, (i + 1) * c) for i in range(m)])
 
 
 PROB_ATTR_COUNT = 20
@@ -264,6 +261,8 @@ def read_attrs(path: str) -> AttributeTable:
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected vector_id,attr_id[,...]")
             vid = int(parts[0])
+            if vid < 0:
+                raise ValueError(f"{path}:{lineno}: negative vector id {vid}")
             if vid in rows:
                 raise ValueError(f"{path}:{lineno}: duplicate vector id {vid}")
             ats = tuple(int(a) for a in parts[1:])

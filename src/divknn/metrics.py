@@ -35,11 +35,7 @@ class MetricsReport:
 def attribute_counts(ids: Sequence[int], attrs: AttributeTable) -> np.ndarray:
     """Histogram |S intersect D_l| over all attributes; a multi-attribute
     vector counts once per attribute it carries."""
-    counts = np.zeros(attrs.c, dtype=np.intp)
-    for v in ids:
-        for a in attrs.atb[int(v)]:
-            counts[a] += 1
-    return counts
+    return np.bincount(attrs.gather(list(ids))[1], minlength=attrs.c)
 
 
 def approx_ratio(ids: Sequence[int], q, k: int, data: VectorSet,

@@ -12,10 +12,9 @@ objective; only the attributes of v move, so the score is a sum over atb(v):
 * p in (0,1]: marginal of sum_l (u_l + eta)^p, maximized.
 * p < 0:      the same marginal, minimized (largest decrease wins).
 
-The default execution uses lazy re-evaluation: cached marginals are upper
-bounds on current ones (gains only shrink as the selection grows), so a
-max-heap of stale scores can skip most recomputation. ``lazy=False`` forces
-the naive full rescan; both orders of evaluation produce identical output.
+Every round evaluates every remaining candidate's marginal exactly, in one
+batch over the pool's (candidate, attribute) entries; there is no lazy heap
+of stale upper bounds. Ties go to the earliest candidate in pool order.
 
 ``multi_div_ann`` is the hard-capped baseline: greedy by similarity, skipping
 any candidate that would lift some attribute above k' picks. It may stall
@@ -25,7 +24,6 @@ general); the result is then truncated rather than an error.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,72 +81,46 @@ def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
     return CandidatePool(ids=ids[order], sims=cand_sims[order], source=source)
 
 
-def _marginal(u: np.ndarray, atb_row, s: float, eta: float, p: float,
-              nash: bool) -> float:
-    ul = u[list(atb_row)]
-    if nash:
-        return float(np.sum(np.log(ul + eta + s) - np.log(ul + eta)))
-    return float(np.sum(np.power(ul + eta + s, p) - np.power(ul + eta, p)))
-
-
-def _greedy_pool(q, k: int, pool: CandidatePool, attrs: AttributeTable,
-                 eta: float, p: float, nash: bool,
-                 lazy: bool = True) -> tuple[list[int], np.ndarray, bool]:
+def _greedy_pool(k: int, pool: CandidatePool, attrs: AttributeTable,
+                 eta: float, p: float,
+                 nash: bool) -> tuple[list[int], np.ndarray, bool]:
     """Shared greedy engine; returns (chosen ids, utilities, truncated)."""
     if len(pool) == 0:
         raise ValueError("empty candidate pool")
     sign = 1.0 if (nash or p > 0) else -1.0  # maximize sign * marginal
+    # one entry per (candidate, attribute) pair, candidates in pool order
+    lengths, attr = attrs.gather(pool.ids)
+    starts = np.cumsum(lengths) - lengths
+    s = np.repeat(pool.sims, lengths)
     u = np.zeros(attrs.c, dtype=np.float64)
+    taken = np.zeros(len(pool), dtype=bool)
     chosen: list[int] = []
-    m = len(pool)
-    kk = min(k, m)
-
-    if lazy:
-        # Heap entries: (-cached_gain, pool_index, stamp). Cached gains only
-        # shrink as the selection grows, so they are upper bounds; an entry
-        # is trusted only when its stamp matches the current selection size,
-        # otherwise it is refreshed and reinserted. Equal fresh gains pop in
-        # pool order, matching the naive scan exactly.
-        heap = [(-(sign * _marginal(u, attrs.atb[pool.ids[i]],
-                                    float(pool.sims[i]), eta, p, nash)), i, 0)
-                for i in range(m)]
-        heapq.heapify(heap)
-        for _ in range(kk):
-            state = len(chosen)
-            while True:
-                _, i, stamp = heapq.heappop(heap)
-                if stamp == state:
-                    break
-                g = sign * _marginal(u, attrs.atb[pool.ids[i]],
-                                     float(pool.sims[i]), eta, p, nash)
-                heapq.heappush(heap, (-g, i, state))
-            v = int(pool.ids[i])
-            chosen.append(v)
-            s = float(pool.sims[i])
-            for a in attrs.atb[v]:
-                u[a] += s
-    else:
-        remaining = list(range(m))
-        for _ in range(kk):
-            best_pos, best_gain = 0, -np.inf
-            for pos, i in enumerate(remaining):
-                g = sign * _marginal(u, attrs.atb[pool.ids[i]],
-                                     float(pool.sims[i]), eta, p, nash)
-                if g > best_gain:
-                    best_pos, best_gain = pos, g
-            i = remaining.pop(best_pos)
-            v = int(pool.ids[i])
-            chosen.append(v)
-            s = float(pool.sims[i])
-            for a in attrs.atb[v]:
-                u[a] += s
+    kk = min(k, len(pool))
+    for _ in range(kk):
+        # the same values as (u[attr] + eta) + s and f(u[attr] + eta), with
+        # f evaluated once per attribute rather than once per entry
+        ue = u + eta
+        if nash:
+            g = np.log(ue[attr] + s) - np.log(ue)[attr]
+        else:
+            g = np.power(ue[attr] + s, p) - np.power(ue, p)[attr]
+        key = sign * np.add.reduceat(g, starts)
+        # argmax takes the first of equal keys, i.e. the lowest pool index;
+        # a NaN marginal (inf - inf) never wins, and when no candidate left
+        # scores above -inf the first one left is taken
+        key[taken | np.isnan(key)] = -np.inf
+        i = int(np.argmax(key))
+        if key[i] == -np.inf:
+            i = int(np.argmin(taken))
+        taken[i] = True
+        chosen.append(int(pool.ids[i]))
+        u[attr[starts[i]:starts[i] + lengths[i]]] += pool.sims[i]
     return chosen, u, kk < k
 
 
 def multi_nash_ann(q, k: int, eta: float, data: VectorSet,
                    attrs: AttributeTable, fn: SimilarityFn,
-                   pool: CandidatePool | None = None,
-                   lazy: bool = True) -> Selection:
+                   pool: CandidatePool | None = None) -> Selection:
     """Greedy log-Nash-welfare maximization over a pool (or all of P).
 
     The (1 - 1/e) guarantee on log Nash welfare holds for eta = 1 over the
@@ -159,8 +131,8 @@ def multi_nash_ann(q, k: int, eta: float, data: VectorSet,
         raise ValueError("k must be >= 1")
     if pool is None:
         pool = full_scan_pool(q, data, fn)
-    chosen, u, truncated = _greedy_pool(q, k, pool, attrs, eta=eta, p=0.0,
-                                        nash=True, lazy=lazy)
+    chosen, u, truncated = _greedy_pool(k, pool, attrs, eta=eta, p=0.0,
+                                        nash=True)
     params = WelfareParams(p=0.0, eta=eta)
     return Selection(ids=tuple(chosen), utilities=u,
                      objective=welfare(u, params), truncated=truncated,
@@ -169,20 +141,18 @@ def multi_nash_ann(q, k: int, eta: float, data: VectorSet,
 
 def multi_p_mean_ann(q, k: int, params: WelfareParams, data: VectorSet,
                      attrs: AttributeTable, fn: SimilarityFn,
-                     pool: CandidatePool | None = None,
-                     lazy: bool = True) -> Selection:
+                     pool: CandidatePool | None = None) -> Selection:
     """Greedy p-mean heuristic over a pool: maximize the per-round change of
     sum (u_l + eta)^p for p > 0, minimize it for p < 0. p = 0 dispatches to
     :func:`multi_nash_ann`. No approximation guarantee is asserted."""
     if params.is_nash:
-        return multi_nash_ann(q, k, params.eta, data, attrs, fn, pool=pool,
-                              lazy=lazy)
+        return multi_nash_ann(q, k, params.eta, data, attrs, fn, pool=pool)
     if k < 1:
         raise ValueError("k must be >= 1")
     if pool is None:
         pool = full_scan_pool(q, data, fn)
-    chosen, u, truncated = _greedy_pool(q, k, pool, attrs, eta=params.eta,
-                                        p=params.p, nash=False, lazy=lazy)
+    chosen, u, truncated = _greedy_pool(k, pool, attrs, eta=params.eta,
+                                        p=params.p, nash=False)
     return Selection(ids=tuple(chosen), utilities=u,
                      objective=welfare(u, params), truncated=truncated,
                      source=pool.source)
@@ -211,7 +181,7 @@ def multi_div_ann(q, k: int, kprime: int, data: VectorSet,
         if len(chosen) == k:
             break
         v = int(pool.ids[i])
-        row = attrs.atb[v]
+        row = attrs.indices[attrs.indptr[v]:attrs.indptr[v + 1]].tolist()
         if all(counts[a] < kprime for a in row):
             chosen.append(v)
             s = float(pool.sims[i])

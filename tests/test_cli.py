@@ -109,6 +109,16 @@ def test_run_incompatible_flags(dataset, tmp_path):
     assert main(common + ["--algo", "nash"]) == 2                     # no k
 
 
+def test_run_threads_below_one_is_usage_error(dataset, tmp_path):
+    base, queries, attrs = dataset
+    out = tmp_path / "t.csv"
+    for threads in ("0", "-3"):
+        assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                     attrs, "--algo", "ann", "--k", "3", "--threads",
+                     threads, "--out", str(out)]) == 2
+    assert not out.exists()  # rejected before any query ran
+
+
 def test_run_all_algorithms_produce_csv(dataset, tmp_path):
     base, queries, attrs = dataset
     cases = [

@@ -201,6 +201,18 @@ def test_welfare_harmonic_mean():
                    WelfareParams(p=-1.0, eta=1.0)) == pytest.approx(8.0 / 3.0)
 
 
+def test_welfare_large_p_matches_scipy_logsumexp():
+    from scipy.special import logsumexp
+    u = np.array([0.0, 1e-300, 3e-9, 0.5, 7.0, 4e5, 2e12, 9e150])
+    for eta in (1e-3, 1.0):
+        w = np.log(u + eta)
+        for p in (-1000.0, -1e6, 0.5):
+            got = welfare(u, WelfareParams(p=p, eta=eta))
+            ref = np.exp((logsumexp(p * w) - np.log(u.size)) / p)
+            assert math.isfinite(got)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_welfare_errors():
     with pytest.raises(ValueError):
         WelfareParams(p=0.0, eta=0.0)

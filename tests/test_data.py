@@ -238,6 +238,10 @@ def test_attrs_file_duplicate_and_range_errors(tmp_path):
     rng_.write_text("#c=2\n0,2\n")
     with pytest.raises(ValueError, match="outside"):
         read_attrs(str(rng_))
+    neg = tmp_path / "neg.txt"
+    neg.write_text("#c=3\n0,1\n-1,2\n")
+    with pytest.raises(ValueError, match=r"neg\.txt:3: negative vector id"):
+        read_attrs(str(neg))
     hdrless = tmp_path / "hdr.txt"
     hdrless.write_text("0,1\n")
     with pytest.raises(ValueError, match="header"):

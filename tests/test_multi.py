@@ -49,20 +49,81 @@ def test_greedy_bound_small_instances():
         assert greedy_log <= opt_log + 1e-9
 
 
+def _scalar_greedy(k, pool, attrs, eta, p):
+    """Reference greedy: each round rescans every remaining candidate and
+    scores it one at a time; strict improvement keeps the first best."""
+    nash = p == 0.0
+    sign = 1.0 if (nash or p > 0) else -1.0
+    u = np.zeros(attrs.c)
+    remaining = list(range(len(pool)))
+    chosen = []
+    for _ in range(min(k, len(pool))):
+        best_pos, best_gain = 0, -np.inf
+        for pos, i in enumerate(remaining):
+            ul = u[list(attrs.atb[pool.ids[i]])]
+            s = float(pool.sims[i])
+            if nash:
+                g = np.sum(np.log(ul + eta + s) - np.log(ul + eta))
+            else:
+                g = np.sum(np.power(ul + eta + s, p) - np.power(ul + eta, p))
+            if sign * float(g) > best_gain:
+                best_pos, best_gain = pos, sign * float(g)
+        i = remaining.pop(best_pos)
+        chosen.append(int(pool.ids[i]))
+        for a in attrs.atb[pool.ids[i]]:
+            u[a] += float(pool.sims[i])
+    return tuple(chosen), u
+
+
+def _assert_engine_matches_scalar(q, k, data, attrs, fn, eta, p, pool=None):
+    params = WelfareParams(p=p, eta=eta)
+    sel = multi_p_mean_ann(q, k, params, data, attrs, fn, pool=pool)
+    if pool is None:
+        pool = full_scan_pool(q, data, fn)
+    ids, u = _scalar_greedy(k, pool, attrs, eta, p)
+    assert sel.ids == ids
+    assert sel.utilities.tobytes() == u.tobytes()
+
+
 def test_lazy_equals_naive():
+    # the vectorized engine against the scalar reference: same ids, and
+    # bit-identical utilities
     rng = np.random.default_rng(32)
     for _ in range(40):
         q, data, attrs, fn, k = random_multi_instance(rng)
-        a = multi_nash_ann(q, k, eta=1.0, data=data, attrs=attrs, fn=fn,
-                           lazy=True)
-        b = multi_nash_ann(q, k, eta=1.0, data=data, attrs=attrs, fn=fn,
-                           lazy=False)
-        assert a.ids == b.ids
-        p = float(rng.choice([-2.0, 0.5]))
-        params = WelfareParams(p=p, eta=1.0)
-        c = multi_p_mean_ann(q, k, params, data, attrs, fn, lazy=True)
-        d = multi_p_mean_ann(q, k, params, data, attrs, fn, lazy=False)
-        assert c.ids == d.ids
+        for p in (0.0, -2.0, 0.5):
+            _assert_engine_matches_scalar(q, k, data, attrs, fn, 1.0, p)
+
+
+def test_engine_ties_and_pools_match_scalar():
+    # equal similarities and equal attribute sets: ties go to the lowest
+    # pool index. At eta = 1e-3 and p = -200, (u + eta)^p overflows, so the
+    # marginals are infinite, and NaN (inf - inf) where a similarity is 0
+    data = VectorSet([[2.0], [1.0], [2.0], [1.0], [2.0], [0.0], [-1.0],
+                      [2.0]])
+    attrs = AttributeTable([[0], [1], [0], [1], [0, 1], [2], [2], [0, 1]],
+                           c=3)
+    fn = SimilarityFn("dot-product")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eta, p in ((1.0, 0.0), (1.0, -2.0), (1.0, 0.5), (1e-3, -200.0)):
+            for k in (1, 3, 8):
+                _assert_engine_matches_scalar([1.0], k, data, attrs, fn, eta,
+                                              p)
+    # round 1: 4 and 7 tie, 4 comes first; round 3: 0 and 2 tie
+    sel = multi_nash_ann([1.0], 3, 1.0, data, attrs, fn)
+    assert sel.ids == (4, 7, 0)
+    # a larger table, over its full pool and over a top-50 pool
+    rng = np.random.default_rng(40)
+    data = VectorSet(rng.normal(size=(300, 5)))
+    attrs = AttributeTable([rng.choice(12, size=rng.integers(1, 5),
+                                       replace=False) for _ in range(300)],
+                           c=12)
+    fn = SimilarityFn("one-plus-cosine")
+    q = rng.normal(size=5)
+    for pool in (None, full_scan_pool(q, data, fn, limit=50)):
+        for p in (0.0, -2.0, 0.5):
+            _assert_engine_matches_scalar(q, 12, data, attrs, fn, 0.5, p,
+                                          pool=pool)
 
 
 def test_single_attribute_coincides_with_stream_greedy():
