@@ -88,8 +88,7 @@ class AttributeTable:
     sets as one id tuple per vector). ``inverted[l]`` is the ascending array
     of vector ids carrying attribute l. ``classes``, when present,
     partitions [0, c) into disjoint attribute classes; in one-per-class mode
-    every vector carries exactly one attribute from each class. ``atb`` may
-    be given as id sequences or as a 2-D array with one row per vector.
+    every vector carries exactly one attribute from each class.
     """
 
     def __init__(self, atb: Sequence[Sequence[int]], c: int,
@@ -97,13 +96,9 @@ class AttributeTable:
         if c < 1:
             raise ValueError("attribute count c must be >= 1")
         self.c = int(c)
-        if isinstance(atb, np.ndarray) and atb.ndim == 2:
-            lengths = np.full(atb.shape[0], atb.shape[1], dtype=np.intp)
-            flat = atb.astype(np.intp).ravel()
-        else:
-            lengths = np.fromiter(map(len, atb), dtype=np.intp)
-            flat = np.fromiter(itertools.chain.from_iterable(atb),
-                               dtype=np.intp, count=int(lengths.sum()))
+        lengths = np.fromiter(map(len, atb), dtype=np.intp)
+        flat = np.fromiter(itertools.chain.from_iterable(atb),
+                           dtype=np.intp, count=int(lengths.sum()))
         rows = np.repeat(np.arange(len(lengths)), lengths)
         if np.any(lengths == 0):
             raise ValueError(f"vector {np.argmin(lengths)} has no attributes")
@@ -144,7 +139,7 @@ class AttributeTable:
                     classes: Optional[Sequence[Sequence[int]]] = None) -> "AttributeTable":
         """Build a single-attribute table from one label per vector."""
         labels = np.asarray(labels, dtype=np.intp)
-        return cls(labels[:, None], c, classes=classes)
+        return cls(labels[:, None].tolist(), c, classes=classes)
 
     @property
     def n(self) -> int:
@@ -370,9 +365,13 @@ def welfare(util: np.ndarray, params: WelfareParams) -> float:
     w = np.log(u + params.eta)
     if params.is_nash:
         return float(np.exp(w.mean()))
-    # log-mean-exp shifted by its largest term: no overflow or underflow
+    # log-mean-exp shifted by its largest term: no overflow or underflow.
+    # An infinite largest term means some u_l is inf (p > 0) or all are
+    # (p < 0); either way M_p is inf, and shifting by it would give NaN.
     z = params.p * w
     top = z.max()
+    if np.isinf(top):
+        return np.inf
     return float(np.exp((top + np.log(np.mean(np.exp(z - top)))) / params.p))
 
 

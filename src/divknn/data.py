@@ -185,7 +185,7 @@ def cluster_attrs(data: VectorSet, c: int, seed: int,
     for i in range(m):
         sl = np.ascontiguousarray(data.data[:, i * width:(i + 1) * width])
         columns.append(i * c + _lloyd(sl, c, np.random.default_rng([seed, i])))
-    return AttributeTable(np.column_stack(columns), c=c * m,
+    return AttributeTable(np.column_stack(columns).tolist(), c=c * m,
                           classes=[range(i * c, (i + 1) * c) for i in range(m)])
 
 

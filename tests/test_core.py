@@ -213,6 +213,17 @@ def test_welfare_large_p_matches_scipy_logsumexp():
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_welfare_infinite_utilities_match_scipy_logsumexp():
+    from scipy.special import logsumexp
+    for u in (np.array([0.0, 2.0, np.inf]), np.array([np.inf, np.inf])):
+        w = np.log(u + 1.0)
+        for p in (0.5, -2.0):
+            got = welfare(u, WelfareParams(p=p, eta=1.0))
+            ref = np.exp((logsumexp(p * w) - np.log(u.size)) / p)
+            assert not math.isnan(got)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_welfare_errors():
     with pytest.raises(ValueError):
         WelfareParams(p=0.0, eta=0.0)
