@@ -11,8 +11,7 @@ dataset ingestion, and a benchmark CLI.
 """
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
-                   WelfareParams, finish_selection, log_nsw, similarity,
-                   utilities, welfare)
+                   WelfareParams, log_nsw, similarity, utilities, welfare)
 from .oracle import (AlphaOracleConfig, AlphaScanOracle, ExactScanOracle,
                      RankedList, alpha_topk, exact_topk)
 from .solvers import GreedyStats, nash_ann, p_mean_ann
@@ -24,17 +23,16 @@ from .reference import (ErspInstance, brute_force_opt, ersp_reduction,
 from .metrics import (MetricsReport, approx_ratio, attribute_counts,
                       compute_report, distinct_count, entropy,
                       inverse_simpson, recall)
-from .data import (DatasetBundle, PRESETS, Preset, cluster_attrs, prob_attrs,
-                   read_attrs, read_bvecs, read_fvecs, read_ivecs,
-                   read_vectors, split_dataset, write_attrs, write_bvecs,
-                   write_fvecs, write_ivecs)
+from .data import (PRESETS, Preset, cluster_attrs, prob_attrs, read_attrs,
+                   read_bvecs, read_fvecs, read_ivecs, read_vectors,
+                   split_dataset, write_attrs, write_bvecs, write_fvecs,
+                   write_ivecs)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributeTable", "Selection", "SimilarityFn", "VectorSet",
-    "WelfareParams", "finish_selection", "log_nsw", "similarity",
-    "utilities", "welfare",
+    "WelfareParams", "log_nsw", "similarity", "utilities", "welfare",
     "AlphaOracleConfig", "AlphaScanOracle", "ExactScanOracle", "RankedList",
     "alpha_topk", "exact_topk",
     "GreedyStats", "nash_ann", "p_mean_ann",
@@ -45,7 +43,7 @@ __all__ = [
     "packing_exists", "random_ersp",
     "MetricsReport", "approx_ratio", "attribute_counts", "compute_report",
     "distinct_count", "entropy", "inverse_simpson", "recall",
-    "DatasetBundle", "PRESETS", "Preset", "cluster_attrs", "prob_attrs",
+    "PRESETS", "Preset", "cluster_attrs", "prob_attrs",
     "read_attrs", "read_bvecs", "read_fvecs", "read_ivecs", "read_vectors",
     "split_dataset", "write_attrs", "write_bvecs", "write_fvecs",
     "write_ivecs",

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, utilities, welfare)
 from .multi import CandidatePool, full_scan_pool
-from .oracle import ExactScanOracle
+from .oracle import ExactScanOracle, rank
 from .solvers import GreedyStats, greedy_select
 
 
@@ -37,13 +37,11 @@ def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
     ids = [int(i) for i in pool.ids[:k]]
     truncated = len(ids) < k
     if attrs is None:
-        return Selection(ids=tuple(ids), truncated=truncated,
-                         source=pool.source)
+        return Selection(ids=tuple(ids), truncated=truncated)
     params = params or WelfareParams()
     u = utilities(q, ids, data, attrs, fn)
     return Selection(ids=tuple(ids), utilities=u,
-                     objective=welfare(u, params), truncated=truncated,
-                     source=pool.source)
+                     objective=welfare(u, params), truncated=truncated)
 
 
 def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
@@ -56,21 +54,13 @@ def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
         raise ValueError("k and kprime must be >= 1")
     if oracle is None:
         oracle = ExactScanOracle(data, attrs, fn)
-    capped_ids = []
-    capped_sims = []
-    for a in range(attrs.c):
-        ranked = oracle(q, a, kprime)
-        capped_ids.append(ranked.ids)
-        capped_sims.append(ranked.sims)
-    ids = np.concatenate(capped_ids) if capped_ids else np.empty(0, np.intp)
-    sims = np.concatenate(capped_sims) if capped_sims else np.empty(0)
-    order = np.lexsort((ids, -sims))[:k]
-    chosen = [int(i) for i in ids[order]]
+    capped = [oracle(q, a, kprime) for a in range(attrs.c)]
+    ids = np.concatenate([r.ids for r in capped])
+    chosen = ids[rank(np.concatenate([r.sims for r in capped]), ids, k)]
     params = params or WelfareParams()
     u = utilities(q, chosen, data, attrs, fn)
-    return Selection(ids=tuple(chosen), utilities=u,
-                     objective=welfare(u, params),
-                     truncated=len(chosen) < k, source="full-scan")
+    return Selection(ids=tuple(chosen.tolist()), utilities=u,
+                     objective=welfare(u, params), truncated=len(chosen) < k)
 
 
 def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
@@ -88,7 +78,7 @@ def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
         raise ValueError("k must be >= 1")
     if L < k:
         raise ValueError("pool size L must be >= k")
-    pool = full_scan_pool(q, data, fn, limit=L, source="union-oracle")
+    pool = full_scan_pool(q, data, fn, limit=L)
     labels = attrs.labels[pool.ids]
     # group the pool by attribute in one stable pass; within an attribute
     # the pool order (similarity descending) is preserved. Keys of the
@@ -101,5 +91,4 @@ def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
     chosen, u, truncated = greedy_select(pool.ids[order], pool.sims[order],
                                          bounds, k, params, stats)
     return Selection(ids=tuple(chosen), utilities=u,
-                     objective=welfare(u, params), truncated=truncated,
-                     source="union-oracle")
+                     objective=welfare(u, params), truncated=truncated)

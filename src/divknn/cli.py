@@ -9,7 +9,9 @@ Three subcommands:
   verify      run the randomized property suites and exit nonzero on any
               violation
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
+or invalid data (a malformed attribute file, or a zero query under
+one-plus-cosine, which aborts the whole batch).
 
 ``run`` resolves its settings with precedence flags > config file > preset
 defaults. Config files are ``key=value`` lines with ``#`` comments; keys

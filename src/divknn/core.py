@@ -177,21 +177,6 @@ class AttributeTable:
             raise ValueError("operation requires a single-attribute table "
                              "(every vector must carry exactly one attribute)")
 
-    def one_per_class(self) -> bool:
-        """True when classes are present and each vector has exactly one
-        attribute per class."""
-        if self.classes is None:
-            return False
-        cls_of = np.empty(self.c, dtype=np.intp)
-        for ci, grp in enumerate(self.classes):
-            cls_of[grp] = ci
-        m = len(self.classes)
-        for row in self.atb:
-            hit = np.bincount(cls_of[list(row)], minlength=m)
-            if not (hit == 1).all():
-                return False
-        return True
-
     def __repr__(self) -> str:
         mode = "single" if self.is_single else "multi"
         return f"AttributeTable(n={self.n}, c={self.c}, {mode})"
@@ -314,15 +299,12 @@ class Selection:
     per-attribute utilities, and the configured welfare value.
 
     ``truncated`` is set when fewer than k vectors could be selected.
-    ``source`` tags how candidates were obtained ("full-scan" or
-    "union-oracle").
     """
 
     ids: tuple[int, ...]
     utilities: Optional[np.ndarray] = None
     objective: Optional[float] = None
     truncated: bool = False
-    source: str = "full-scan"
 
     def __post_init__(self) -> None:
         if len(set(self.ids)) != len(self.ids):
@@ -384,13 +366,3 @@ def log_nsw(util: np.ndarray, eta: float) -> float:
         raise ValueError("eta must be > 0")
     return float(np.mean(np.log(u + eta)))
 
-
-def finish_selection(q, ids: Sequence[int], data: VectorSet,
-                     attrs: AttributeTable, fn: SimilarityFn,
-                     params: WelfareParams, truncated: bool = False,
-                     source: str = "full-scan") -> Selection:
-    """Build a Selection, recomputing utilities and objective from scratch."""
-    u = utilities(q, ids, data, attrs, fn)
-    return Selection(ids=tuple(int(i) for i in ids), utilities=u,
-                     objective=welfare(u, params), truncated=truncated,
-                     source=source)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AttributeTable, SimilarityFn, VectorSet
+from .core import AttributeTable, VectorSet
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def split_dataset(data: VectorSet, seed: int) -> tuple[VectorSet, VectorSet]:
 # attribute file format
 # ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"^#c=(\d+)(?:;classes=([\d+]+))?$")
+_HEADER_RE = re.compile(r"^#c=(\d+)(?:;classes=(\d+(?:\+\d+)*))?$")
 
 
 def write_attrs(path: str, attrs: AttributeTable) -> None:
@@ -260,12 +260,15 @@ def read_attrs(path: str) -> AttributeTable:
             parts = line.split(",")
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected vector_id,attr_id[,...]")
-            vid = int(parts[0])
+            try:
+                vid, ats = int(parts[0]), tuple(map(int, parts[1:]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: ids must be integers, "
+                                 f"got {line!r}") from None
             if vid < 0:
                 raise ValueError(f"{path}:{lineno}: negative vector id {vid}")
             if vid in rows:
                 raise ValueError(f"{path}:{lineno}: duplicate vector id {vid}")
-            ats = tuple(int(a) for a in parts[1:])
             for a in ats:
                 if a < 0 or a >= c:
                     raise ValueError(f"{path}:{lineno}: attribute id {a} "
@@ -280,7 +283,11 @@ def read_attrs(path: str) -> AttributeTable:
     if missing:
         raise ValueError(f"{path}: missing attribute row for vector id "
                          f"{missing[0]}")
-    return AttributeTable([rows[i] for i in range(n)], c=c, classes=classes)
+    try:
+        return AttributeTable([rows[i] for i in range(n)], c=c,
+                              classes=classes)
+    except ValueError as e:  # duplicate attributes, classes not a partition
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -289,44 +296,19 @@ def read_attrs(path: str) -> AttributeTable:
 
 @dataclass(frozen=True)
 class Preset:
-    """Per-dataset defaults: similarity kind, smoothing, and the smoothing
-    used when sweeping the welfare exponent."""
+    """Per-dataset defaults: similarity kind, smoothing and, for
+    reciprocal-euclidean, the offset delta."""
 
     similarity: str
     eta: float
     delta: Optional[float] = None
-    sweep_eta: Optional[float] = None
-
-    def make_similarity(self, delta: Optional[float] = None) -> SimilarityFn:
-        d = delta if delta is not None else (self.delta or 0.0)
-        return SimilarityFn(self.similarity, delta=d)
 
 
 PRESETS: dict[str, Preset] = {
     "amazon": Preset("one-plus-cosine", eta=50.0),
-    "arxiv": Preset("reciprocal-euclidean", eta=0.01, delta=0.01,
-                    sweep_eta=0.0001),
-    "sift-clus": Preset("reciprocal-euclidean", eta=0.01, delta=0.01,
-                        sweep_eta=0.0001),
-    "sift-prob": Preset("reciprocal-euclidean", eta=0.01, delta=0.01,
-                        sweep_eta=0.0001),
+    "arxiv": Preset("reciprocal-euclidean", eta=0.01, delta=0.01),
+    "sift-clus": Preset("reciprocal-euclidean", eta=0.01, delta=0.01),
+    "sift-prob": Preset("reciprocal-euclidean", eta=0.01, delta=0.01),
     "deep-clus": Preset("one-plus-cosine", eta=50.0),
     "deep-prob": Preset("one-plus-cosine", eta=50.0),
 }
-
-
-@dataclass(frozen=True)
-class DatasetBundle:
-    """A loaded benchmark dataset: base vectors, query vectors, attributes,
-    and the preset that configured similarity and smoothing."""
-
-    base: VectorSet
-    queries: VectorSet
-    attrs: AttributeTable
-    preset: Preset
-
-    def __post_init__(self) -> None:
-        if self.base.d != self.queries.d:
-            raise ValueError("base and query dimensions differ")
-        if self.attrs.n != self.base.n:
-            raise ValueError("attribute table does not cover the base set")

@@ -30,8 +30,7 @@ import numpy as np
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, welfare)
-
-POOL_SOURCES = ("full-scan", "union-oracle")
+from .oracle import rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +40,8 @@ class CandidatePool:
 
     ids: np.ndarray    # intp
     sims: np.ndarray   # float64
-    source: str = "full-scan"
 
     def __post_init__(self) -> None:
-        if self.source not in POOL_SOURCES:
-            raise ValueError(f"unknown pool source {self.source!r}")
         ordered = np.sort(self.ids)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("pool ids must be distinct")
@@ -55,38 +51,26 @@ class CandidatePool:
 
 
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
-                   limit: int | None = None,
-                   source: str = "full-scan") -> CandidatePool:
+                   limit: int | None = None) -> CandidatePool:
     """Pool of the ``limit`` most similar vectors (all of them by default)."""
     sims = fn.batch(q, data.data, row_norms=data.norms,
                     row_sqnorms=data.sqnorms)
-    n = data.n
-    if limit is not None and limit < n:
-        # the top block of an ascending partition at n - limit holds the
-        # limit best; when the threshold value also occurs below the block,
-        # every row tied with it joins, so the id order decides among them
-        part = np.argpartition(sims, n - limit)
-        above = sims >= sims[part[n - limit]]
-        ids = (part[n - limit:] if np.count_nonzero(above) == limit
-               else np.flatnonzero(above))
-    else:
-        ids = np.arange(n, dtype=np.intp)
-    cand_sims = sims[ids]
-    order = np.argsort(-cand_sims)
-    ranked = cand_sims[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        # the unstable sort leaves equal similarities in any order
-        order = np.lexsort((ids, -cand_sims))
-    order = order[:limit]
-    return CandidatePool(ids=ids[order], sims=cand_sims[order], source=source)
+    ids = rank(sims, limit=limit)
+    return CandidatePool(ids=ids, sims=sims[ids])
 
 
-def _greedy_pool(k: int, pool: CandidatePool, attrs: AttributeTable,
-                 eta: float, p: float,
-                 nash: bool) -> tuple[list[int], np.ndarray, bool]:
-    """Shared greedy engine; returns (chosen ids, utilities, truncated)."""
+def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
+                 attrs: AttributeTable, fn: SimilarityFn,
+                 pool: CandidatePool | None) -> Selection:
+    """Shared greedy engine behind :func:`multi_nash_ann` and
+    :func:`multi_p_mean_ann`; the pool defaults to all of P."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if pool is None:
+        pool = full_scan_pool(q, data, fn)
     if len(pool) == 0:
         raise ValueError("empty candidate pool")
+    nash, p, eta = params.is_nash, params.p, params.eta
     sign = 1.0 if (nash or p > 0) else -1.0  # maximize sign * marginal
     # one entry per (candidate, attribute) pair, candidates in pool order
     lengths, attr = attrs.gather(pool.ids)
@@ -115,7 +99,8 @@ def _greedy_pool(k: int, pool: CandidatePool, attrs: AttributeTable,
         taken[i] = True
         chosen.append(int(pool.ids[i]))
         u[attr[starts[i]:starts[i] + lengths[i]]] += pool.sims[i]
-    return chosen, u, kk < k
+    return Selection(ids=tuple(chosen), utilities=u,
+                     objective=welfare(u, params), truncated=kk < k)
 
 
 def multi_nash_ann(q, k: int, eta: float, data: VectorSet,
@@ -127,35 +112,18 @@ def multi_nash_ann(q, k: int, eta: float, data: VectorSet,
     full vector set; other eta values and restricted pools run the same
     greedy heuristically.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if pool is None:
-        pool = full_scan_pool(q, data, fn)
-    chosen, u, truncated = _greedy_pool(k, pool, attrs, eta=eta, p=0.0,
-                                        nash=True)
-    params = WelfareParams(p=0.0, eta=eta)
-    return Selection(ids=tuple(chosen), utilities=u,
-                     objective=welfare(u, params), truncated=truncated,
-                     source=pool.source)
+    return _greedy_pool(q, k, WelfareParams(p=0.0, eta=eta), data, attrs, fn,
+                        pool)
 
 
 def multi_p_mean_ann(q, k: int, params: WelfareParams, data: VectorSet,
                      attrs: AttributeTable, fn: SimilarityFn,
                      pool: CandidatePool | None = None) -> Selection:
     """Greedy p-mean heuristic over a pool: maximize the per-round change of
-    sum (u_l + eta)^p for p > 0, minimize it for p < 0. p = 0 dispatches to
-    :func:`multi_nash_ann`. No approximation guarantee is asserted."""
-    if params.is_nash:
-        return multi_nash_ann(q, k, params.eta, data, attrs, fn, pool=pool)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if pool is None:
-        pool = full_scan_pool(q, data, fn)
-    chosen, u, truncated = _greedy_pool(k, pool, attrs, eta=params.eta,
-                                        p=params.p, nash=False)
-    return Selection(ids=tuple(chosen), utilities=u,
-                     objective=welfare(u, params), truncated=truncated,
-                     source=pool.source)
+    sum (u_l + eta)^p for p > 0, minimize it for p < 0; p = 0 runs the Nash
+    greedy of :func:`multi_nash_ann`. No approximation guarantee is
+    asserted."""
+    return _greedy_pool(q, k, params, data, attrs, fn, pool)
 
 
 def multi_div_ann(q, k: int, kprime: int, data: VectorSet,
@@ -190,5 +158,4 @@ def multi_div_ann(q, k: int, kprime: int, data: VectorSet,
                 u[a] += s
     params = WelfareParams(p=0.0, eta=eta)
     return Selection(ids=tuple(chosen), utilities=u,
-                     objective=welfare(u, params),
-                     truncated=len(chosen) < k, source=pool.source)
+                     objective=welfare(u, params), truncated=len(chosen) < k)

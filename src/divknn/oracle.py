@@ -1,10 +1,12 @@
-"""Per-attribute top-k neighbor oracles.
+"""The ranking rule and the per-attribute top-k neighbor oracles.
 
-``exact_topk`` is a brute-force scan over one inverted list: the true
-top-min(k, |D_l|) vectors of the attribute by similarity, ties broken by
-ascending vector id. ``alpha_topk`` is a synthetic degraded oracle for test
-harnesses: it returns real vectors whose i-th best similarity is at least
-``alpha`` times the i-th best exact similarity, for every rank i.
+:func:`rank` orders candidates by similarity descending, ascending vector id
+on ties; every top-k in the package goes through it. ``exact_topk`` is a
+brute-force scan over one inverted list: the true top-min(k, |D_l|) vectors
+of the attribute by that rule. ``alpha_topk`` is a synthetic degraded
+oracle for test harnesses: it returns real vectors whose i-th best
+similarity is at least ``alpha`` times the i-th best exact similarity, for
+every rank i.
 
 Both are exposed behind a small callable interface ``(q, attribute, k) ->
 RankedList`` so that an external index backend can be slotted in later.
@@ -34,10 +36,6 @@ class RankedList:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(i), float(s)) for i, s in zip(self.ids, self.sims)]
-
 
 @dataclass(frozen=True)
 class AlphaOracleConfig:
@@ -59,6 +57,31 @@ def _ranked(attribute: int, ids: np.ndarray, sims: np.ndarray) -> RankedList:
     return RankedList(attribute=int(attribute), ids=ids, sims=sims)
 
 
+def rank(sims: np.ndarray, ids: np.ndarray | None = None,
+         limit: int | None = None) -> np.ndarray:
+    """Positions of the ``limit`` best candidates (all by default), ordered
+    by similarity descending, ascending id on ties. Ids must be distinct;
+    without them a candidate's id is its position."""
+    n = len(sims)
+    if limit is not None and limit < n:
+        # the top block of an ascending partition at n - limit holds the
+        # limit best; when the threshold value also occurs below the block,
+        # every candidate tied with it joins, so the id order decides
+        part = np.argpartition(sims, n - limit)
+        above = sims >= sims[part[n - limit]]
+        cand = (part[n - limit:] if np.count_nonzero(above) == limit
+                else np.flatnonzero(above))
+    else:
+        cand = np.arange(n)
+    cand_sims = sims[cand]
+    order = np.argsort(-cand_sims)
+    ranked = cand_sims[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        # the unstable sort leaves equal similarities in any order
+        order = np.lexsort((cand if ids is None else ids[cand], -cand_sims))
+    return cand[order[:limit]]
+
+
 def exact_topk(q, attribute: int, k: int, data: VectorSet,
                attrs: AttributeTable, fn: SimilarityFn) -> RankedList:
     """True top-min(k, |D_l|) of attribute l by sigma(q, .).
@@ -70,21 +93,11 @@ def exact_topk(q, attribute: int, k: int, data: VectorSet,
     if not (0 <= attribute < attrs.c):
         raise ValueError(f"attribute id {attribute} outside [0, {attrs.c})")
     members = attrs.inverted[attribute]
-    m = len(members)
-    if m == 0:
+    if len(members) == 0:
         return _ranked(attribute, np.empty(0, dtype=np.intp),
                        np.empty(0, dtype=np.float64))
     sims = fn.batch_ids(q, data, members)
-    kk = min(k, m)
-    if kk < m:
-        # Partition first, then resolve boundary ties so that equal
-        # similarities keep ascending-id order across the k-th boundary.
-        part = np.argpartition(sims, m - kk)[m - kk:]
-        thresh = sims[part].min()
-        cand = np.flatnonzero(sims >= thresh)
-    else:
-        cand = np.arange(m)
-    order = cand[np.lexsort((members[cand], -sims[cand]))][:kk]
+    order = rank(sims, members, k)
     return _ranked(attribute, members[order], sims[order])
 
 

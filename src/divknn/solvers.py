@@ -40,33 +40,10 @@ class GreedyStats:
     pool_attributes: int = 0
 
 
-@dataclass
-class AttributeStream:
-    """One prefetched ranked list plus its running selection state."""
-
-    ranked: RankedList
-    taken: int = 0
-    cumsum: float = 0.0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.taken >= len(self.ranked)
-
-    @property
-    def next_sim(self) -> float:
-        return float(self.ranked.sims[self.taken])
-
-    def advance(self) -> int:
-        vid = int(self.ranked.ids[self.taken])
-        self.cumsum += self.next_sim
-        self.taken += 1
-        return vid
-
-
 def prefetch_streams(q, k: int, attrs: AttributeTable,
-                     oracle) -> list[AttributeStream]:
+                     oracle) -> list[RankedList]:
     """Fetch min(k, |D_l|) ranked entries for every attribute."""
-    return [AttributeStream(ranked=oracle(q, a, k)) for a in range(attrs.c)]
+    return [oracle(q, a, k) for a in range(attrs.c)]
 
 
 def _gain(w, s, params: WelfareParams):
@@ -124,15 +101,14 @@ def _exact_greedy(q, k: int, params: WelfareParams, data: VectorSet,
     greedy over the concatenated lists."""
     if oracle is None:
         oracle = ExactScanOracle(data, attrs, fn)
-    ranked = [st.ranked for st in prefetch_streams(q, k, attrs, oracle)]
+    ranked = prefetch_streams(q, k, attrs, oracle)
     bounds = np.zeros(len(ranked) + 1, dtype=np.intp)
     np.cumsum([len(r) for r in ranked], out=bounds[1:])
     chosen, u, truncated = greedy_select(
         np.concatenate([r.ids for r in ranked]),
         np.concatenate([r.sims for r in ranked]), bounds, k, params, stats)
     return Selection(ids=tuple(chosen), utilities=u,
-                     objective=welfare(u, params), truncated=truncated,
-                     source="full-scan")
+                     objective=welfare(u, params), truncated=truncated)
 
 
 def nash_ann(q, k: int, params: WelfareParams, data: VectorSet,

@@ -104,6 +104,16 @@ def test_div_ann_cap_two_exact():
     assert opt == pytest.approx(9.0 + 8.0 + 7.0 + 6.0)
 
 
+def test_div_ann_tie_break_by_id():
+    # five vectors tie at similarity 1 across three attributes, and the cut
+    # at k = 3 falls inside the tie: ascending id decides, not attribute order
+    data = VectorSet([[2.0], [1.0], [1.0], [1.0], [1.0], [1.0]])
+    attrs = AttributeTable.from_labels([0, 2, 1, 0, 2, 1], c=3)
+    fn = SimilarityFn("dot-product")
+    assert div_ann([1.0], 3, 2, data, attrs, fn).ids == (0, 1, 2)
+    assert div_ann([1.0], 6, 1, data, attrs, fn).ids == (0, 1, 2)
+
+
 def test_div_ann_matches_capped_optimum_on_randoms():
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -134,7 +144,6 @@ def test_fetch_union_full_pool_equals_exact_solver():
             assert a.utilities == pytest.approx(b.utilities, rel=1e-12)
             assert a.objective == pytest.approx(b.objective, rel=1e-9)
             assert a.truncated == b.truncated
-            assert a.source == "union-oracle"
 
 
 def test_fetch_union_tie_break_by_id():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from divknn.core import (AttributeTable, Selection, SimilarityFn, VectorSet,
-                         WelfareParams, finish_selection, log_nsw, similarity,
-                         utilities, welfare)
+                         WelfareParams, log_nsw, similarity, utilities,
+                         welfare)
 from divknn.reference import _weight_matrix
 
 
@@ -65,13 +65,6 @@ def test_attribute_table_single_mode():
     assert not m.is_single
     with pytest.raises(ValueError):
         m.require_single()
-
-
-def test_one_per_class_mode():
-    t = AttributeTable([[0, 2], [1, 3]], c=4, classes=[[0, 1], [2, 3]])
-    assert t.one_per_class()
-    t2 = AttributeTable([[0, 1], [1, 3]], c=4, classes=[[0, 1], [2, 3]])
-    assert not t2.one_per_class()
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +294,3 @@ def test_log_nsw_matches_welfare():
 def test_selection_distinct_ids():
     with pytest.raises(ValueError):
         Selection(ids=(1, 1))
-
-
-def test_finish_selection_consistency():
-    rng = np.random.default_rng(8)
-    data = VectorSet(rng.normal(size=(10, 3)))
-    attrs = AttributeTable.from_labels(rng.integers(0, 3, 10), c=3)
-    fn = SimilarityFn("one-plus-cosine")
-    params = WelfareParams(p=-0.5, eta=0.2)
-    q = rng.normal(size=3)
-    sel = finish_selection(q, [0, 4, 7], data, attrs, fn, params)
-    again = utilities(q, sel.ids, data, attrs, fn)
-    assert np.allclose(sel.utilities, again, rtol=1e-9)
-    assert sel.objective == pytest.approx(welfare(again, params), rel=1e-9)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from divknn.core import SimilarityFn, VectorSet
-from divknn.data import (DatasetBundle, PRESETS, cluster_attrs, prob_attrs,
-                         read_attrs, read_bvecs, read_fvecs, read_ivecs,
-                         split_dataset, write_attrs, write_bvecs,
-                         write_fvecs, write_ivecs)
+from divknn.data import (PRESETS, cluster_attrs, prob_attrs, read_attrs,
+                         read_bvecs, read_fvecs, read_ivecs, split_dataset,
+                         write_attrs, write_bvecs, write_fvecs, write_ivecs)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +128,13 @@ def test_cluster_attrs_chunked_one_per_class():
     data = VectorSet(rng.normal(size=(30, 8)))
     attrs = cluster_attrs(data, c=3, seed=2, chunks=4)
     assert attrs.c == 12
-    assert attrs.classes is not None and len(attrs.classes) == 4
-    assert attrs.one_per_class()
-    for row in attrs.atb:
-        assert len(row) == 4
+    assert [g.tolist() for g in attrs.classes] == \
+        [list(range(3 * i, 3 * i + 3)) for i in range(4)]
+    # one attribute per class: rows are ascending and the classes are
+    # consecutive blocks, so each row's class ids read 0, 1, 2, 3
+    assert (np.diff(attrs.indptr) == 4).all()
+    class_of = np.repeat(np.arange(4), 3)
+    assert (class_of[attrs.indices].reshape(-1, 4) == np.arange(4)).all()
 
 
 def test_cluster_attrs_deterministic():
@@ -246,6 +248,18 @@ def test_attrs_file_duplicate_and_range_errors(tmp_path):
     hdrless.write_text("0,1\n")
     with pytest.raises(ValueError, match="header"):
         read_attrs(str(hdrless))
+    for name, text, msg in [
+            ("vid.txt", "#c=2\nx,0\n", r"vid\.txt:2: ids must be integers"),
+            ("comma.txt", "#c=2\n0,1\n1,1,\n",
+             r"comma\.txt:3: ids must be integers"),
+            ("attr.txt", "#c=2\n0,1\n1,1,1\n",
+             r"attr\.txt: vector 1 has duplicate attributes"),
+            ("cls.txt", "#c=4;classes=2+1\n0,1\n",
+             r"cls\.txt: classes must partition")]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=msg):
+            read_attrs(str(bad))
 
 
 def test_attrs_round_trip(tmp_path):
@@ -278,22 +292,5 @@ def test_presets_shapes():
     assert PRESETS["amazon"].similarity == "one-plus-cosine"
     assert PRESETS["amazon"].eta == 50.0
     assert PRESETS["arxiv"].eta == 0.01
-    assert PRESETS["sift-prob"].sweep_eta == 0.0001
-    fn = PRESETS["arxiv"].make_similarity()
-    assert fn.kind == "reciprocal-euclidean" and fn.delta == 0.01
-
-
-def test_dataset_bundle_validation():
-    rng = np.random.default_rng(80)
-    base = VectorSet(rng.normal(size=(10, 3)))
-    queries = VectorSet(rng.normal(size=(4, 3)))
-    attrs = prob_attrs(10, seed=0)
-    b = DatasetBundle(base=base, queries=queries, attrs=attrs,
-                      preset=PRESETS["sift-prob"])
-    assert b.base.n == 10
-    with pytest.raises(ValueError):
-        DatasetBundle(base=base, queries=VectorSet(rng.normal(size=(4, 2))),
-                      attrs=attrs, preset=PRESETS["sift-prob"])
-    with pytest.raises(ValueError):
-        DatasetBundle(base=base, queries=queries, attrs=prob_attrs(9, seed=0),
-                      preset=PRESETS["sift-prob"])
+    arxiv = PRESETS["arxiv"]
+    assert arxiv.similarity == "reciprocal-euclidean" and arxiv.delta == 0.01

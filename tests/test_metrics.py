@@ -116,7 +116,8 @@ def test_per_class_restriction_and_share_sums():
     # one attribute per class: within-class shares sum to 1
     atb = [[0, 2], [0, 3], [1, 2], [1, 3]]
     attrs = AttributeTable(atb, c=4, classes=[[0, 1], [2, 3]])
-    assert attrs.one_per_class()
+    class_of = np.array([0, 0, 1, 1])
+    assert (class_of[attrs.indices].reshape(-1, 2) == [0, 1]).all()
     ids = [0, 1, 2]
     from divknn.metrics import _shares
     for ci in range(2):

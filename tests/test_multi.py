@@ -24,9 +24,6 @@ def test_pool_sorted_and_distinct():
         CandidatePool(ids=np.array([1, 1]), sims=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):  # duplicates need not be neighbours
         CandidatePool(ids=np.array([3, 1, 3]), sims=np.array([1.0, 0.9, 0.5]))
-    with pytest.raises(ValueError):
-        CandidatePool(ids=np.array([1]), sims=np.array([1.0]),
-                      source="mystery")
 
 
 def test_pool_tie_break_by_id():

@@ -19,7 +19,8 @@ def test_exact_topk_three_values():
     attrs = AttributeTable.from_labels([0, 0, 0], c=1)
     fn = SimilarityFn("dot-product")
     r = exact_topk([1.0], 0, 2, data, attrs, fn)
-    assert r.entries == [(1, pytest.approx(0.9)), (2, pytest.approx(0.5))]
+    assert r.ids.tolist() == [1, 2]
+    assert r.sims.tolist() == [pytest.approx(0.9), pytest.approx(0.5)]
 
 
 def test_exact_topk_k_exceeds_class():
@@ -27,7 +28,7 @@ def test_exact_topk_k_exceeds_class():
     attrs = AttributeTable.from_labels([0, 0, 0], c=1)
     fn = SimilarityFn("dot-product")
     r = exact_topk([1.0], 0, 10, data, attrs, fn)
-    assert [e[0] for e in r.entries] == [1, 2, 0]
+    assert r.ids.tolist() == [1, 2, 0]
 
 
 def test_exact_topk_empty_attribute():
@@ -110,8 +111,7 @@ def test_alpha_per_rank_guarantee(alpha, seed):
     for i in range(len(got)):
         assert got.sims[i] >= alpha * exact.sims[i] - 1e-15
     # entries are real members carrying their true similarity
-    for vid, s in got.entries:
-        assert s == pytest.approx(float(fn.batch(q, data.data[[vid]])[0]))
+    assert got.sims == pytest.approx(fn.batch(q, data.data[got.ids]))
 
 
 def test_alpha_empty_attribute():
@@ -131,11 +131,12 @@ def test_alpha_deterministic_and_order_independent():
     oracle = AlphaScanOracle(data, attrs, fn,
                              AlphaOracleConfig(alpha=0.6, seed=42))
     q1, q2 = rng.normal(size=6), rng.normal(size=6)
-    first = [oracle(q1, a, 5).entries for a in range(4)]
+    first = [oracle(q1, a, 5) for a in range(4)]
     # interleave other calls, then repeat: results must be unchanged
     _ = oracle(q2, 2, 5)
-    second = [oracle(q1, a, 5).entries for a in reversed(range(4))][::-1]
-    assert first == second
+    second = [oracle(q1, a, 5) for a in reversed(range(4))][::-1]
+    for a, b in zip(first, second):
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.sims, b.sims)
 
 
 def test_alpha_degrades_for_small_alpha():
@@ -171,4 +172,6 @@ def test_exact_oracle_callable_wrapper():
     oracle = ExactScanOracle(data, attrs, fn)
     q = rng.normal(size=4)
     direct = exact_topk(q, 1, 3, data, attrs, fn)
-    assert oracle(q, 1, 3).entries == direct.entries
+    got = oracle(q, 1, 3)
+    assert np.array_equal(got.ids, direct.ids)
+    assert np.array_equal(got.sims, direct.sims)

@@ -7,8 +7,7 @@ from divknn.core import (AttributeTable, SimilarityFn, VectorSet,
                          WelfareParams, utilities, welfare)
 from divknn.oracle import AlphaOracleConfig, AlphaScanOracle, ExactScanOracle
 from divknn.reference import brute_force_opt
-from divknn.solvers import (AttributeStream, GreedyStats, nash_ann,
-                            p_mean_ann, prefetch_streams)
+from divknn.solvers import GreedyStats, nash_ann, p_mean_ann, prefetch_streams
 from divknn.suites import (complete_diversity_instance,
                            complete_relevance_instance,
                            random_single_instance)
@@ -148,18 +147,18 @@ def test_tie_breaks_to_lowest_attribute_id():
 
 
 def test_attribute_stream_prefix_sums():
+    # every prefetched list is attribute l's top-min(k, |D_l|), and its
+    # similarity sum is the utility of taking the whole list
     rng = np.random.default_rng(26)
     q, data, attrs, fn, k = random_single_instance(rng)
     oracle = ExactScanOracle(data, attrs, fn)
     streams = prefetch_streams(q, k, attrs, oracle)
-    params = WelfareParams(p=0.0, eta=1.0)
-    nash_sel = nash_ann(q, k, params, data, attrs, fn)
-    assert nash_sel is not None
+    assert [st.attribute for st in streams] == list(range(attrs.c))
     for st in streams:
-        while not st.exhausted:
-            st.advance()
-        expect = float(np.sum(st.ranked.sims))
-        assert st.cumsum == pytest.approx(expect, rel=1e-12, abs=1e-15)
+        assert len(st) == min(k, len(attrs.inverted[st.attribute]))
+        expect = utilities(q, st.ids, data, attrs, fn)[st.attribute]
+        assert float(np.sum(st.sims)) == pytest.approx(expect, rel=1e-12,
+                                                       abs=1e-15)
 
 
 def test_stream_marginals_match_cumulative_transform():
@@ -171,12 +170,12 @@ def test_stream_marginals_match_cumulative_transform():
     streams = prefetch_streams(q, k, attrs, oracle)
     eta = 0.7
     for st in streams:
-        prefix = np.concatenate([[0.0], np.cumsum(st.ranked.sims)])
+        prefix = np.concatenate([[0.0], np.cumsum(st.sims)])
         f_log = np.log(prefix + eta)
         f_pow = np.power(prefix + eta, -0.5)
         running = 0.0
-        for i in range(len(st.ranked)):
-            s = float(st.ranked.sims[i])
+        for i in range(len(st)):
+            s = float(st.sims[i])
             assert math.log(running + eta + s) - math.log(running + eta) == \
                 pytest.approx(f_log[i + 1] - f_log[i], rel=1e-12, abs=1e-12)
             assert (running + eta + s) ** -0.5 - (running + eta) ** -0.5 == \
@@ -223,12 +222,3 @@ def test_exhausted_attribute_is_skipped():
     sel = nash_ann([1.0], 3, WelfareParams(p=0.0, eta=1.0), data, attrs, fn)
     assert 0 in sel.ids and len(sel.ids) == 3 and not sel.truncated
 
-
-def test_attribute_stream_dataclass():
-    st = AttributeStream(ranked=ExactScanOracle(
-        VectorSet([[2.0], [1.0]]), AttributeTable.from_labels([0, 0], c=1),
-        SimilarityFn("dot-product"))([1.0], 0, 2))
-    assert not st.exhausted
-    assert st.next_sim == pytest.approx(2.0)
-    assert st.advance() == 0
-    assert st.cumsum == pytest.approx(2.0)
