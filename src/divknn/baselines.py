@@ -15,26 +15,22 @@ import numpy as np
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, utilities, welfare)
-from .multi import CandidatePool, full_scan_pool
+from .multi import full_scan_pool
 from .oracle import ExactScanOracle, rank
 from .solvers import GreedyStats, greedy_select
 
 
 def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
-          pool: CandidatePool | None = None,
           attrs: AttributeTable | None = None,
           params: WelfareParams | None = None) -> Selection:
     """The k most similar vectors, ties by ascending id.
 
-    Scope is the full set by default, or a candidate pool. Utilities and
-    objective are filled when an attribute table (and optionally welfare
-    params) are supplied.
+    Utilities and objective are filled when an attribute table (and
+    optionally welfare params) are supplied.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if pool is None:
-        pool = full_scan_pool(q, data, fn, limit=k)
-    ids = [int(i) for i in pool.ids[:k]]
+    ids = full_scan_pool(q, data, fn, limit=k).ids.tolist()
     truncated = len(ids) < k
     if attrs is None:
         return Selection(ids=tuple(ids), truncated=truncated)

@@ -85,10 +85,11 @@ def _resolve(flag, cfg: dict[str, str], key: str, cast, fallback):
 
 
 def cmd_gen_attrs(args) -> int:
+    if args.mode == "prob" and (args.c not in (None, 20)
+                                or args.chunks is not None):
+        raise UsageError("prob mode takes no --chunks and a fixed --c of 20")
     data = read_vectors(args.base)
     if args.mode == "prob":
-        if args.c not in (None, 20):
-            raise UsageError("prob mode has a fixed attribute count of 20")
         attrs = prob_attrs(data.n, seed=args.seed)
     else:
         c = args.c if args.c is not None else 20

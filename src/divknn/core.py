@@ -17,9 +17,8 @@ nonnegative utility. Everything accumulates in 64-bit floats.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,7 +60,10 @@ class VectorSet:
     def norms(self) -> np.ndarray:
         """Per-row Euclidean norms, computed once and cached."""
         if self._norms is None:
-            self._norms = np.linalg.norm(self._data, axis=1)
+            # by row blocks: linalg.norm squares its whole input at once
+            blocks = np.array_split(self._data, self.n // 65536 + 1)
+            self._norms = np.concatenate(
+                [np.linalg.norm(b, axis=1) for b in blocks])
             self._norms.setflags(write=False)
         return self._norms
 
@@ -84,24 +86,28 @@ class AttributeTable:
     """Attribute assignments ``atb(v)`` over [0, c) plus inverted lists D_l.
 
     Stored in CSR form: the attributes of vector v are
-    ``indices[indptr[v]:indptr[v + 1]]``, ascending (``atb`` gives the same
-    sets as one id tuple per vector). ``inverted[l]`` is the ascending array
-    of vector ids carrying attribute l. ``classes``, when present,
-    partitions [0, c) into disjoint attribute classes; in one-per-class mode
-    every vector carries exactly one attribute from each class.
+    ``indices[indptr[v]:indptr[v + 1]]``, ascending. ``inverted[l]`` is the
+    ascending array of vector ids carrying attribute l. ``classes``, when
+    present, partitions [0, c) into disjoint nonempty attribute classes; in
+    one-per-class mode every vector carries exactly one attribute from each
+    class.
+
+    The constructor takes CSR entries as :meth:`gather` returns them: each
+    vector's attribute count, and the ids concatenated in vector order.
     """
 
-    def __init__(self, atb: Sequence[Sequence[int]], c: int,
+    def __init__(self, lengths, indices, c: int,
                  classes: Optional[Sequence[Sequence[int]]] = None) -> None:
         if c < 1:
             raise ValueError("attribute count c must be >= 1")
         self.c = int(c)
-        lengths = np.fromiter(map(len, atb), dtype=np.intp)
-        flat = np.fromiter(itertools.chain.from_iterable(atb),
-                           dtype=np.intp, count=int(lengths.sum()))
-        rows = np.repeat(np.arange(len(lengths)), lengths)
-        if np.any(lengths == 0):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        flat = np.asarray(indices, dtype=np.intp)
+        if lengths.ndim != 1 or flat.shape != (lengths.sum(),):
+            raise ValueError("indices must be 1-D with sum(lengths) entries")
+        if np.any(lengths < 1):
             raise ValueError(f"vector {np.argmin(lengths)} has no attributes")
+        rows = np.repeat(np.arange(len(lengths)), lengths)
         outside = (flat < 0) | (flat >= self.c)
         if outside.any():
             raise ValueError(f"vector {rows[np.argmax(outside)]} has "
@@ -128,8 +134,10 @@ class AttributeTable:
             cls = tuple(np.asarray(sorted(int(a) for a in grp), dtype=np.intp)
                         for grp in classes)
             flat = np.concatenate(cls) if cls else np.empty(0, dtype=np.intp)
-            if len(flat) != self.c or len(np.unique(flat)) != self.c:
-                raise ValueError("classes must partition [0, c)")
+            if (len(flat) != self.c or len(np.unique(flat)) != self.c
+                    or not all(map(len, cls))):
+                raise ValueError("classes must partition [0, c) into "
+                                 "nonempty groups")
             self.classes = cls
         # single-attribute setting: the label array is ``indices`` itself
         self._labels = self.indices if np.all(lengths == 1) else None
@@ -138,18 +146,21 @@ class AttributeTable:
     def from_labels(cls, labels, c: int,
                     classes: Optional[Sequence[Sequence[int]]] = None) -> "AttributeTable":
         """Build a single-attribute table from one label per vector."""
-        labels = np.asarray(labels, dtype=np.intp)
-        return cls(labels[:, None].tolist(), c, classes=classes)
+        return cls(np.ones(np.size(labels), dtype=np.intp), labels, c,
+                   classes=classes)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]], c: int,
+                  classes: Optional[Sequence[Sequence[int]]] = None) -> "AttributeTable":
+        """Build a table from one attribute-id sequence per vector."""
+        lengths = np.fromiter(map(len, rows), dtype=np.intp)
+        indices = np.fromiter(itertools.chain.from_iterable(rows),
+                              dtype=np.intp, count=int(lengths.sum()))
+        return cls(lengths, indices, c, classes=classes)
 
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
-
-    @functools.cached_property
-    def atb(self) -> tuple[tuple[int, ...], ...]:
-        """One ascending attribute-id tuple per vector, built on first use."""
-        flat, ptr = self.indices.tolist(), self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def gather(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """CSR entries of vectors ``ids``: how many attributes each carries,
@@ -182,7 +193,7 @@ class AttributeTable:
         return f"AttributeTable(n={self.n}, c={self.c}, {mode})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimilarityFn:
     """Similarity configuration; all kinds return finite values >= 0.
 
@@ -190,21 +201,16 @@ class SimilarityFn:
       one-plus-cosine      1 + <u,v> / (|u||v|), in [0, 2]
       reciprocal-euclidean 1 / (|u - v| + delta), delta > 0
       dot-product          max(<u,v>, 0); negative products are clamped to 0
-                           and counted in ``clamp_events`` (diagnostic only)
     """
 
     kind: str
     delta: float = 0.0
-    clamp_events: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in SIMILARITY_KINDS:
             raise ValueError(f"unknown similarity kind {self.kind!r}")
         if self.kind == "reciprocal-euclidean" and not self.delta > 0:
             raise ValueError("reciprocal-euclidean requires delta > 0")
-
-    def reset_clamp_events(self) -> None:
-        self.clamp_events = 0
 
     def batch(self, q: np.ndarray, rows: np.ndarray,
               row_norms: Optional[np.ndarray] = None,
@@ -242,10 +248,8 @@ class SimilarityFn:
             return d2
         # dot-product
         s = rows @ q
-        neg = int(np.count_nonzero(s < 0.0))
-        if neg:
-            self.clamp_events += neg
-            s = np.maximum(s, 0.0)
+        if (s < 0.0).any():
+            np.maximum(s, 0.0, out=s)
         return s
 
     def batch_ids(self, q: np.ndarray, data: "VectorSet",

@@ -16,7 +16,7 @@ Attribute files are line-oriented text:
   <vector_id>,<attr_id>[,<attr_id>...]
 
 Lines starting with ``#`` are comments (the first must be the header above).
-Vector ids must cover 0..N-1 exactly once.
+Vector ids must cover 0..N-1 exactly once, in any order.
 
 Synthetic attributes come in two flavors: ``cluster_attrs`` labels vectors by
 k-means cluster (optionally per dimension slice, producing a one-per-class
@@ -57,8 +57,7 @@ def _read_records(path: str, payload_dtype, payload_itemsize: int) -> np.ndarray
     dims = rows[:, :4].copy().view("<i4").ravel()
     if not (dims == d).all():
         raise ValueError(f"{path}: inconsistent dimensions across records")
-    payload = rows[:, 4:].copy().view(payload_dtype)
-    out = payload.astype(np.float64).reshape(-1, d)
+    out = rows[:, 4:].view(payload_dtype).astype(np.float64)
     if not np.isfinite(out).all():
         raise ValueError(f"{path}: payload contains NaN or Inf")
     return out
@@ -79,31 +78,25 @@ def read_ivecs(path: str) -> np.ndarray:
     return _read_records(path, "<i4", 4).astype(np.int64)
 
 
-def write_fvecs(path: str, data: np.ndarray) -> None:
-    arr = np.ascontiguousarray(data, dtype=np.float32)
+def _write_records(path: str, data: np.ndarray, payload_dtype) -> None:
+    arr = np.ascontiguousarray(data, dtype=payload_dtype)
     n, d = arr.shape
-    out = np.empty((n, 4 + 4 * d), dtype=np.uint8)
+    out = np.empty((n, 4 + arr.itemsize * d), dtype=np.uint8)
     out[:, :4] = np.full(n, d, dtype="<i4")[:, None].view(np.uint8)
     out[:, 4:] = arr.view(np.uint8)
     out.tofile(path)
+
+
+def write_fvecs(path: str, data: np.ndarray) -> None:
+    _write_records(path, data, "<f4")
 
 
 def write_bvecs(path: str, data: np.ndarray) -> None:
-    arr = np.ascontiguousarray(data, dtype=np.uint8)
-    n, d = arr.shape
-    out = np.empty((n, 4 + d), dtype=np.uint8)
-    out[:, :4] = np.full(n, d, dtype="<i4")[:, None].view(np.uint8)
-    out[:, 4:] = arr
-    out.tofile(path)
+    _write_records(path, data, np.uint8)
 
 
 def write_ivecs(path: str, data: np.ndarray) -> None:
-    arr = np.ascontiguousarray(data, dtype="<i4")
-    n, d = arr.shape
-    out = np.empty((n, 4 + 4 * d), dtype=np.uint8)
-    out[:, :4] = np.full(n, d, dtype="<i4")[:, None].view(np.uint8)
-    out[:, 4:] = arr.view(np.uint8)
-    out.tofile(path)
+    _write_records(path, data, "<i4")
 
 
 def read_vectors(path: str) -> VectorSet:
@@ -185,7 +178,8 @@ def cluster_attrs(data: VectorSet, c: int, seed: int,
     for i in range(m):
         sl = np.ascontiguousarray(data.data[:, i * width:(i + 1) * width])
         columns.append(i * c + _lloyd(sl, c, np.random.default_rng([seed, i])))
-    return AttributeTable(np.column_stack(columns).tolist(), c=c * m,
+    return AttributeTable(np.full(data.n, m),
+                          np.column_stack(columns).ravel(), c=c * m,
                           classes=[range(i * c, (i + 1) * c) for i in range(m)])
 
 
@@ -231,13 +225,18 @@ def write_attrs(path: str, attrs: AttributeTable) -> None:
         if attrs.classes is not None:
             header += ";classes=" + "+".join(str(len(g)) for g in attrs.classes)
         f.write(header + "\n")
-        for i, row in enumerate(attrs.atb):
-            f.write(",".join([str(i)] + [str(a) for a in row]) + "\n")
+        ids = list(map(str, attrs.indices.tolist()))
+        ptr = attrs.indptr.tolist()
+        for i in range(attrs.n):
+            f.write(f"{i},{','.join(ids[ptr[i]:ptr[i + 1]])}\n")
 
 
 def read_attrs(path: str) -> AttributeTable:
-    """Parse an attribute file; ids must cover 0..N-1 with no duplicates."""
-    rows: dict[int, tuple[int, ...]] = {}
+    """Parse an attribute file; ids must cover 0..N-1 with no duplicates,
+    in any order. Syntax errors name ``path:line``, the others ``path``."""
+    vids: list[int] = []
+    lengths: list[int] = []
+    ids: list[int] = []
     c = None
     classes = None
     with open(path, "r", encoding="ascii") as f:
@@ -250,10 +249,8 @@ def read_attrs(path: str) -> AttributeTable:
                 if m and c is None:
                     c = int(m.group(1))
                     if m.group(2):
-                        sizes = [int(s) for s in m.group(2).split("+")]
-                        bounds = np.cumsum([0] + sizes)
-                        classes = [range(bounds[i], bounds[i + 1])
-                                   for i in range(len(sizes))]
+                        ends = np.cumsum([0, *map(int, m.group(2).split("+"))])
+                        classes = [range(a, b) for a, b in zip(ends, ends[1:])]
                 continue
             if c is None:
                 raise ValueError(f"{path}:{lineno}: missing #c=<int> header")
@@ -261,32 +258,38 @@ def read_attrs(path: str) -> AttributeTable:
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected vector_id,attr_id[,...]")
             try:
-                vid, ats = int(parts[0]), tuple(map(int, parts[1:]))
+                vid = int(parts[0])
+                ids.extend(map(int, parts[1:]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: ids must be integers, "
                                  f"got {line!r}") from None
             if vid < 0:
                 raise ValueError(f"{path}:{lineno}: negative vector id {vid}")
-            if vid in rows:
-                raise ValueError(f"{path}:{lineno}: duplicate vector id {vid}")
-            for a in ats:
-                if a < 0 or a >= c:
-                    raise ValueError(f"{path}:{lineno}: attribute id {a} "
-                                     f"outside [0, {c})")
-            rows[vid] = ats
+            vids.append(vid)
+            lengths.append(len(parts) - 1)
     if c is None:
         raise ValueError(f"{path}: missing #c=<int> header")
-    if not rows:
+    if not vids:
         raise ValueError(f"{path}: no attribute rows")
-    n = max(rows) + 1
-    missing = [i for i in range(n) if i not in rows]
-    if missing:
-        raise ValueError(f"{path}: missing attribute row for vector id "
-                         f"{missing[0]}")
-    try:
-        return AttributeTable([rows[i] for i in range(n)], c=c,
-                              classes=classes)
-    except ValueError as e:  # duplicate attributes, classes not a partition
+    try:  # an id beyond 64 bits raises OverflowError here
+        vid_arr = np.array(vids, dtype=np.intp)
+        id_arr = np.array(ids, dtype=np.intp)
+        order = np.argsort(vid_arr, kind="stable")
+        # sorted ids must read 0..N-1; a mismatch is a repeat or a gap
+        gap = vid_arr[order] != np.arange(len(order))
+        if gap.any():
+            i = int(np.argmax(gap))
+            if vid_arr[order[i]] < i:
+                raise ValueError(f"duplicate vector id {i - 1}")
+            raise ValueError(f"missing attribute row for vector id {i}")
+        len_arr = np.array(lengths, dtype=np.intp)
+        if np.any(vid_arr[1:] < vid_arr[:-1]):
+            # out of id order: a stable sort by vector id keeps rows whole
+            id_arr = id_arr[np.argsort(np.repeat(vid_arr, len_arr),
+                                       kind="stable")]
+            len_arr = len_arr[order]
+        return AttributeTable(len_arr, id_arr, c, classes=classes)
+    except (OverflowError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 

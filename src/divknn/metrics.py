@@ -102,12 +102,10 @@ def distinct_count(ids: Sequence[int], attrs: AttributeTable) -> int:
 
 def compute_report(ids: Sequence[int], q, k: int, data: VectorSet,
                    attrs: AttributeTable, fn: SimilarityFn,
-                   o_ids: Optional[Sequence[int]] = None,
                    base2: bool = False,
                    truncated: bool = False) -> MetricsReport:
     """All metrics of one retrieved set against the exact top-k reference."""
-    if o_ids is None:
-        o_ids = top_k(q, k, data, fn).ids
+    o_ids = top_k(q, k, data, fn).ids
     per_class = None
     if attrs.classes is not None:
         per_class = tuple(

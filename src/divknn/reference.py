@@ -36,8 +36,8 @@ def _weight_matrix(q, data: VectorSet, attrs: AttributeTable,
     sims = fn.batch(q, data.data, row_norms=data.norms,
                     row_sqnorms=data.sqnorms)
     w = np.zeros((data.n, attrs.c), dtype=np.float64)
-    for v, row in enumerate(attrs.atb):
-        w[v, list(row)] = sims[v]
+    rows = np.repeat(np.arange(attrs.n), np.diff(attrs.indptr))
+    w[rows, attrs.indices] = sims[rows]
     return w
 
 
@@ -110,13 +110,12 @@ def brute_force_opt_recursive(q, k: int, params: WelfareParams,
                 best[1] = v
             return
         for v in range(start, n - (k - len(picked)) + 1):
-            for a in attrs.atb[v]:
-                util[a] += sims[v]
+            row = attrs.indices[attrs.indptr[v]:attrs.indptr[v + 1]]
+            util[row] += sims[v]
             picked.append(v)
             rec(v + 1, picked, util)
             picked.pop()
-            for a in attrs.atb[v]:
-                util[a] -= sims[v]
+            util[row] -= sims[v]
 
     rec(0, [], np.zeros(attrs.c, dtype=np.float64))
     return best[0], float(best[1])
@@ -193,7 +192,7 @@ def ersp_reduction(inst: ErspInstance) -> tuple[VectorSet, AttributeTable,
         vecs[i, members] = 1.0 / inst.tau
         atb.append(members)
     data = VectorSet(vecs)
-    attrs = AttributeTable(atb, c=c)
+    attrs = AttributeTable.from_rows(atb, c=c)
     query = np.ones(c, dtype=np.float64)
     threshold = inst.tau * inst.k * math.log(2.0) / c
     return data, attrs, query, threshold

@@ -30,8 +30,9 @@ from .core import (AttributeTable, SimilarityFn, VectorSet, WelfareParams,
                    log_nsw)
 from .multi import multi_nash_ann
 from .oracle import AlphaOracleConfig, AlphaScanOracle
-from .reference import (brute_force_opt, ersp_reduction, log_ineq_check,
-                        max_log_nsw, packing_exists, random_ersp)
+from .reference import (_weight_matrix, brute_force_opt, ersp_reduction,
+                        log_ineq_check, max_log_nsw, packing_exists,
+                        random_ersp)
 from .solvers import nash_ann, p_mean_ann
 
 REL_TOL = 1e-9
@@ -93,7 +94,7 @@ def random_multi_instance(rng: np.random.Generator, n_max: int = 16,
     for _ in range(n):
         sz = int(rng.integers(1, min(atb_max, c) + 1))
         atb.append(sorted(int(a) for a in rng.choice(c, size=sz, replace=False)))
-    attrs = AttributeTable(atb, c=c)
+    attrs = AttributeTable.from_rows(atb, c=c)
     return q, data, attrs, _random_fn(rng), k
 
 
@@ -252,10 +253,7 @@ def suite_submodularity(checks: int = 10_000, seed: int = 5) -> SuiteResult:
     done = 0
     while done < checks:
         q, data, attrs, fn, _ = random_multi_instance(rng, n_max=12)
-        sims = fn.batch(q, data.data)
-        w = np.zeros((data.n, attrs.c))
-        for v, row in enumerate(attrs.atb):
-            w[v, list(row)] = sims[v]
+        w = _weight_matrix(q, data, attrs, fn)
 
         def f(mask: np.ndarray) -> float:
             return float(np.mean(np.log1p(w[mask].sum(axis=0))))

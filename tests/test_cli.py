@@ -47,11 +47,21 @@ def test_gen_attrs_clus_distinct_ids(tmp_path, dataset):
     assert main(["gen-attrs", "--base", base, "--mode", "clus",
                  "--c", "20", "--seed", "3", "--out", out]) == 0
     t = read_attrs(out)
-    assert len({row[0] for row in t.atb}) == 20
+    assert t.is_single and len(np.unique(t.indices)) == 20
 
 
 def test_gen_attrs_missing_base_flag_is_usage_error(capsys):
     assert main(["gen-attrs", "--mode", "prob", "--out", "/tmp/x.txt"]) == 2
+
+
+def test_gen_attrs_prob_chunks_is_usage_error(tmp_path, capsys):
+    # rejected before the base file is read: a missing file is not an
+    # I/O error here, and no attribute file is written
+    out = tmp_path / "o.txt"
+    assert main(["gen-attrs", "--base", str(tmp_path / "nope.fvecs"),
+                 "--mode", "prob", "--chunks", "4", "--out", str(out)]) == 2
+    assert "--chunks" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_attrs_nonexistent_file_is_io_error(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,8 +39,10 @@ def test_attribute_table_inverted_is_transpose():
     rng = np.random.default_rng(0)
     atb = [sorted(rng.choice(5, size=rng.integers(1, 4), replace=False))
            for _ in range(30)]
-    t = AttributeTable(atb, c=5)
-    for v, row in enumerate(t.atb):
+    t = AttributeTable.from_rows(atb, c=5)
+    for v in range(t.n):
+        row = t.indices[t.indptr[v]:t.indptr[v + 1]]
+        assert row.tolist() == sorted(atb[v])
         for a in range(5):
             assert (a in row) == (v in t.inverted[a])
     for a in range(5):
@@ -48,20 +51,39 @@ def test_attribute_table_inverted_is_transpose():
 
 def test_attribute_table_validation():
     with pytest.raises(ValueError):
-        AttributeTable([[]], c=3)                      # no attributes
+        AttributeTable.from_rows([[]], c=3)            # no attributes
     with pytest.raises(ValueError):
-        AttributeTable([[0, 0]], c=3)                  # duplicate
+        AttributeTable.from_rows([[0, 0]], c=3)        # duplicate
     with pytest.raises(ValueError):
-        AttributeTable([[3]], c=3)                     # out of range
+        AttributeTable.from_rows([[3]], c=3)           # out of range
     with pytest.raises(ValueError):
-        AttributeTable([[0]], c=2, classes=[[0]])      # not a partition
+        AttributeTable.from_rows([[0]], c=2, classes=[[0]])  # not a partition
+    with pytest.raises(ValueError, match="nonempty"):  # empty class
+        AttributeTable.from_rows([[0], [1]], c=2, classes=[[], [0, 1]])
+    with pytest.raises(ValueError, match="1-D"):
+        AttributeTable([1, 1], [[0], [1]], c=2)        # indices not 1-D
+    with pytest.raises(ValueError, match="sum"):
+        AttributeTable([1, 2], [0, 1], c=2)            # lengths/ids mismatch
+
+
+def test_attribute_table_builders_agree():
+    rows = [[2, 0], [1], [0, 1]]
+    t = AttributeTable([2, 1, 2], [2, 0, 1, 0, 1], c=3)
+    assert t.indptr.tolist() == [0, 2, 3, 5]
+    assert t.indices.tolist() == [0, 2, 1, 0, 1]
+    r = AttributeTable.from_rows(rows, c=3)
+    assert np.array_equal(r.indptr, t.indptr)
+    assert np.array_equal(r.indices, t.indices)
+    # gather returns constructor input: rows 2 and 0 as a new table
+    g = AttributeTable(*t.gather([2, 0]), c=3)
+    assert g.indices.tolist() == [0, 1, 0, 2]
 
 
 def test_attribute_table_single_mode():
     t = AttributeTable.from_labels([0, 1, 1], c=2)
     assert t.is_single
     assert list(t.labels) == [0, 1, 1]
-    m = AttributeTable([[0], [0, 1]], c=2)
+    m = AttributeTable.from_rows([[0], [0, 1]], c=2)
     assert not m.is_single
     with pytest.raises(ValueError):
         m.require_single()
@@ -98,14 +120,14 @@ def test_similarity_errors():
         SimilarityFn("cosine")                         # unknown kind
 
 
-def test_dot_product_clamp_and_counter():
+def test_dot_product_clamp():
     fn = SimilarityFn("dot-product")
     assert similarity(fn, [1.0, 0.0], [-2.0, 0.0]) == 0.0
-    assert fn.clamp_events == 1
     assert similarity(fn, [1.0, 0.0], [2.0, 0.0]) == pytest.approx(2.0)
-    assert fn.clamp_events == 1
-    fn.reset_clamp_events()
-    assert fn.clamp_events == 0
+    s = fn.batch(np.array([1.0, 0.0]), np.array([[-2.0, 0.0], [3.0, 1.0]]))
+    assert s.tolist() == [0.0, 3.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fn.kind = "one-plus-cosine"    # shared by every --threads worker
 
 
 def test_similarity_always_nonnegative():
@@ -142,7 +164,7 @@ def test_utilities_single_term():
 def test_utilities_multi_attribute_vector():
     # sigma = 2, atb = {0, 2}: contributes to both attributes it carries
     data = VectorSet([[2.0]])
-    attrs = AttributeTable([[0, 2]], c=3)
+    attrs = AttributeTable.from_rows([[0, 2]], c=3)
     fn = SimilarityFn("dot-product")
     u = utilities([1.0], [0], data, attrs, fn)
     assert u.tolist() == [2.0, 0.0, 2.0]
@@ -156,7 +178,7 @@ def test_utilities_random_cross_check():
     data = VectorSet(rng.normal(size=(12, 4)))
     atb = [sorted(rng.choice(4, size=rng.integers(1, 3), replace=False))
            for _ in range(12)]
-    attrs = AttributeTable(atb, c=4)
+    attrs = AttributeTable.from_rows(atb, c=4)
     fn = SimilarityFn("one-plus-cosine")
     q = rng.normal(size=4)
     ids = [0, 3, 7, 11]

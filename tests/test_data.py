@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from divknn.core import SimilarityFn, VectorSet
+from divknn.core import AttributeTable, SimilarityFn, VectorSet
 from divknn.data import (PRESETS, cluster_attrs, prob_attrs, read_attrs,
                          read_bvecs, read_fvecs, read_ivecs, split_dataset,
                          write_attrs, write_bvecs, write_fvecs, write_ivecs)
@@ -142,7 +142,25 @@ def test_cluster_attrs_deterministic():
     data = VectorSet(rng.normal(size=(50, 4)))
     a = cluster_attrs(data, c=5, seed=9)
     b = cluster_attrs(data, c=5, seed=9)
-    assert a.atb == b.atb
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+
+
+def test_attribute_builders_agree_on_cluster_rows():
+    # cluster_attrs, from_rows and from_labels give the same CSR arrays
+    data = VectorSet(np.random.default_rng(80).normal(size=(40, 6)))
+    multi = cluster_attrs(data, c=4, seed=3, chunks=3)
+    rows = [multi.indices[a:b].tolist()
+            for a, b in zip(multi.indptr[:-1], multi.indptr[1:])]
+    again = AttributeTable.from_rows(rows, c=12, classes=multi.classes)
+    assert np.array_equal(again.indptr, multi.indptr)
+    assert np.array_equal(again.indices, multi.indices)
+    single = cluster_attrs(data, c=4, seed=3)
+    rows = [[a] for a in single.labels.tolist()]
+    for t in (AttributeTable.from_rows(rows, c=4),
+              AttributeTable.from_labels(single.labels, c=4)):
+        assert np.array_equal(t.indptr, single.indptr)
+        assert np.array_equal(t.indices, single.indices)
 
 
 def test_cluster_attrs_validation():
@@ -166,8 +184,8 @@ def test_prob_attrs_head_mass():
 def test_prob_attrs_deterministic():
     a = prob_attrs(500, seed=4)
     b = prob_attrs(500, seed=4)
-    assert a.atb == b.atb
-    assert prob_attrs(500, seed=5).atb != a.atb
+    assert np.array_equal(a.labels, b.labels)
+    assert not np.array_equal(prob_attrs(500, seed=5).labels, a.labels)
 
 
 def test_prob_attrs_single_vector():
@@ -208,7 +226,27 @@ def test_attrs_file_three_lines(tmp_path):
     path.write_text("#c=4\n0,1\n1,0\n2,3\n")
     t = read_attrs(str(path))
     assert t.n == 3 and t.c == 4
-    assert t.atb == ((1,), (0,), (3,))
+    assert t.indptr.tolist() == [0, 1, 2, 3]
+    assert t.indices.tolist() == [1, 0, 3]
+
+
+def test_attrs_file_rows_out_of_id_order(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("#c=3\n2,0\n0,1\n1,2\n")
+    t = read_attrs(str(path))
+    assert t.indptr.tolist() == [0, 1, 2, 3]
+    assert t.indices.tolist() == [1, 2, 0]
+    multi = tmp_path / "m.txt"
+    multi.write_text("#c=4;classes=2+2\n1,3,1\n0,0,2\n2,1,2\n")
+    t = read_attrs(str(multi))
+    assert t.indptr.tolist() == [0, 2, 4, 6]
+    assert t.indices.tolist() == [0, 2, 1, 3, 1, 2]
+    assert [g.tolist() for g in t.classes] == [[0, 1], [2, 3]]
+    # table errors name the vector id, not the row's position in the file
+    bad = tmp_path / "bad.txt"
+    bad.write_text("#c=3\n2,1,1\n0,1\n1,2\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: vector 2 has duplicate"):
+        read_attrs(str(bad))
 
 
 def test_attrs_file_missing_id_named(tmp_path):
@@ -226,7 +264,7 @@ def test_attrs_file_multi_attribute_classes(tmp_path):
     lines[1 + 5] = "5,0,7"
     path.write_text("\n".join(lines) + "\n")
     t = read_attrs(str(path))
-    assert t.atb[5] == (0, 7)
+    assert t.indices[t.indptr[5]:t.indptr[6]].tolist() == [0, 7]
     assert t.classes is not None and len(t.classes) == 2
     assert 0 in t.classes[0] and 7 in t.classes[1]
 
@@ -255,7 +293,15 @@ def test_attrs_file_duplicate_and_range_errors(tmp_path):
             ("attr.txt", "#c=2\n0,1\n1,1,1\n",
              r"attr\.txt: vector 1 has duplicate attributes"),
             ("cls.txt", "#c=4;classes=2+1\n0,1\n",
-             r"cls\.txt: classes must partition")]:
+             r"cls\.txt: classes must partition"),
+            ("empty.txt", "#c=2;classes=0+2\n0,1\n1,0\n",
+             r"empty\.txt: classes must partition \[0, c\) into nonempty"),
+            ("twice.txt", "#c=2\n0,1\n1,0\n1,1\n",
+             r"twice\.txt: duplicate vector id 1"),
+            ("gap.txt", "#c=2\n3,1\n0,0\n1,1\n",
+             r"gap\.txt: missing attribute row for vector id 2"),
+            ("huge.txt", "#c=2\n0,99999999999999999999\n",
+             r"huge\.txt: .*too large")]:
         bad = tmp_path / name
         bad.write_text(text)
         with pytest.raises(ValueError, match=msg):
@@ -264,14 +310,18 @@ def test_attrs_file_duplicate_and_range_errors(tmp_path):
 
 def test_attrs_round_trip(tmp_path):
     rng = np.random.default_rng(78)
-    from divknn.core import AttributeTable
-    atb = [sorted(rng.choice(6, size=rng.integers(1, 3), replace=False))
+    atb = [rng.choice(6, size=rng.integers(1, 3), replace=False)
            for _ in range(20)]
-    t = AttributeTable(atb, c=6)
+    t = AttributeTable.from_rows(atb, c=6)
     path = tmp_path / "rt.txt"
     write_attrs(str(path), t)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "#c=6"
+    assert lines[1:] == [",".join(map(str, [v, *sorted(row)]))
+                         for v, row in enumerate(atb)]
     back = read_attrs(str(path))
-    assert back.atb == t.atb and back.c == t.c
+    assert np.array_equal(back.indptr, t.indptr) and back.c == t.c
+    assert np.array_equal(back.indices, t.indices)
 
 
 def test_attrs_round_trip_with_classes(tmp_path):
@@ -280,7 +330,8 @@ def test_attrs_round_trip_with_classes(tmp_path):
     path = tmp_path / "cls.txt"
     write_attrs(str(path), t)
     back = read_attrs(str(path))
-    assert back.atb == t.atb
+    assert np.array_equal(back.indptr, t.indptr)
+    assert np.array_equal(back.indices, t.indices)
     assert [g.tolist() for g in back.classes] == [g.tolist() for g in t.classes]
 
 

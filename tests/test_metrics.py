@@ -115,7 +115,7 @@ def test_zero_similarity_ratio_defined_as_one():
 def test_per_class_restriction_and_share_sums():
     # one attribute per class: within-class shares sum to 1
     atb = [[0, 2], [0, 3], [1, 2], [1, 3]]
-    attrs = AttributeTable(atb, c=4, classes=[[0, 1], [2, 3]])
+    attrs = AttributeTable.from_rows(atb, c=4, classes=[[0, 1], [2, 3]])
     class_of = np.array([0, 0, 1, 1])
     assert (class_of[attrs.indices].reshape(-1, 2) == [0, 1]).all()
     ids = [0, 1, 2]
@@ -126,8 +126,8 @@ def test_per_class_restriction_and_share_sums():
         -(2 / 3) * math.log(2 / 3) - (1 / 3) * math.log(1 / 3))
     assert inverse_simpson(ids, attrs, restrict=1) == pytest.approx(
         1.0 / ((2 / 3) ** 2 + (1 / 3) ** 2))
-    with pytest.raises(ValueError):
-        entropy(ids, AttributeTable(atb, c=4), restrict=0)  # no classes
+    with pytest.raises(ValueError):  # no classes
+        entropy(ids, AttributeTable.from_rows(atb, c=4), restrict=0)
 
 
 def test_compute_report_fields():
@@ -145,7 +145,7 @@ def test_compute_report_fields():
 
 def test_compute_report_per_class():
     atb = [[0, 2], [1, 3], [0, 3], [1, 2]]
-    attrs = AttributeTable(atb, c=4, classes=[[0, 1], [2, 3]])
+    attrs = AttributeTable.from_rows(atb, c=4, classes=[[0, 1], [2, 3]])
     data = VectorSet([[4.0], [3.0], [2.0], [1.0]])
     fn = SimilarityFn("dot-product")
     rep = compute_report([0, 1], [1.0], 2, data, attrs, fn)

@@ -46,6 +46,11 @@ def test_greedy_bound_small_instances():
         assert greedy_log <= opt_log + 1e-9
 
 
+def _row(attrs, v):
+    """Attribute ids of vector v, read from the CSR arrays."""
+    return attrs.indices[attrs.indptr[v]:attrs.indptr[v + 1]]
+
+
 def _scalar_greedy(k, pool, attrs, eta, p):
     """Reference greedy: each round rescans every remaining candidate and
     scores it one at a time; strict improvement keeps the first best."""
@@ -57,7 +62,7 @@ def _scalar_greedy(k, pool, attrs, eta, p):
     for _ in range(min(k, len(pool))):
         best_pos, best_gain = 0, -np.inf
         for pos, i in enumerate(remaining):
-            ul = u[list(attrs.atb[pool.ids[i]])]
+            ul = u[_row(attrs, pool.ids[i])]
             s = float(pool.sims[i])
             if nash:
                 g = np.sum(np.log(ul + eta + s) - np.log(ul + eta))
@@ -67,7 +72,7 @@ def _scalar_greedy(k, pool, attrs, eta, p):
                 best_pos, best_gain = pos, sign * float(g)
         i = remaining.pop(best_pos)
         chosen.append(int(pool.ids[i]))
-        for a in attrs.atb[pool.ids[i]]:
+        for a in _row(attrs, pool.ids[i]):
             u[a] += float(pool.sims[i])
     return tuple(chosen), u
 
@@ -98,8 +103,8 @@ def test_engine_ties_and_pools_match_scalar():
     # marginals are infinite, and NaN (inf - inf) where a similarity is 0
     data = VectorSet([[2.0], [1.0], [2.0], [1.0], [2.0], [0.0], [-1.0],
                       [2.0]])
-    attrs = AttributeTable([[0], [1], [0], [1], [0, 1], [2], [2], [0, 1]],
-                           c=3)
+    attrs = AttributeTable.from_rows(
+        [[0], [1], [0], [1], [0, 1], [2], [2], [0, 1]], c=3)
     fn = SimilarityFn("dot-product")
     with np.errstate(over="ignore", invalid="ignore"):
         for eta, p in ((1.0, 0.0), (1.0, -2.0), (1.0, 0.5), (1e-3, -200.0)):
@@ -112,9 +117,9 @@ def test_engine_ties_and_pools_match_scalar():
     # a larger table, over its full pool and over a top-50 pool
     rng = np.random.default_rng(40)
     data = VectorSet(rng.normal(size=(300, 5)))
-    attrs = AttributeTable([rng.choice(12, size=rng.integers(1, 5),
-                                       replace=False) for _ in range(300)],
-                           c=12)
+    attrs = AttributeTable.from_rows(
+        [rng.choice(12, size=rng.integers(1, 5), replace=False)
+         for _ in range(300)], c=12)
     fn = SimilarityFn("one-plus-cosine")
     q = rng.normal(size=5)
     for pool in (None, full_scan_pool(q, data, fn, limit=50)):
@@ -148,7 +153,7 @@ def test_multi_negative_p_spreads_at_least_as_much_as_nash():
     vecs = np.ones((12, 1))
     data = VectorSet(vecs)
     atb = [[i % 4] for i in range(12)]
-    attrs = AttributeTable(atb, c=4)
+    attrs = AttributeTable.from_rows(atb, c=4)
     fn = SimilarityFn("dot-product")
     q = [1.0]
     nash = multi_nash_ann(q, 4, eta=1.0, data=data, attrs=attrs, fn=fn)
@@ -188,7 +193,7 @@ def test_pool_smaller_than_k_truncates():
 
 def test_empty_pool_is_error():
     data = VectorSet([[1.0]])
-    attrs = AttributeTable([[0]], c=1)
+    attrs = AttributeTable.from_labels([0], c=1)
     fn = SimilarityFn("dot-product")
     pool = CandidatePool(ids=np.empty(0, dtype=np.intp),
                          sims=np.empty(0))
@@ -229,7 +234,7 @@ def test_multi_div_stall_returns_truncated():
     atb = [[0], [1], [0, 1], [0, 1], [0, 1], [0, 1]]
     sims = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
     data = VectorSet([[s] for s in sims])
-    attrs = AttributeTable(atb, c=2)
+    attrs = AttributeTable.from_rows(atb, c=2)
     fn = SimilarityFn("dot-product")
     sel = multi_div_ann([1.0], 3, 1, data, attrs, fn)
     assert sel.truncated and len(sel.ids) == 2
@@ -249,6 +254,5 @@ def test_multi_div_cap_respected_on_randoms():
         sel = multi_div_ann(q, k, kprime, data, attrs, fn)
         counts = np.zeros(attrs.c, dtype=int)
         for v in sel.ids:
-            for a in attrs.atb[v]:
-                counts[a] += 1
+            counts[_row(attrs, v)] += 1
         assert counts.max() <= kprime

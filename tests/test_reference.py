@@ -104,7 +104,8 @@ def test_ersp_reduction_structure():
     # every constructed vector has dot-product similarity exactly 1
     fn = SimilarityFn("dot-product")
     assert np.allclose(fn.batch(query, data.data), 1.0)
-    assert attrs.atb[0] == (0, 4) and attrs.atb[1] == (1, 2)
+    assert attrs.indptr.tolist() == [0, 2, 4]
+    assert attrs.indices.tolist() == [0, 4, 1, 2]
 
 
 def test_ersp_instance_validation():

@@ -96,7 +96,7 @@ def test_p_zero_dispatches_to_nash():
 
 def test_multi_attribute_table_is_config_error():
     data = VectorSet([[1.0], [2.0]])
-    attrs = AttributeTable([[0, 1], [1]], c=2)
+    attrs = AttributeTable.from_rows([[0, 1], [1]], c=2)
     fn = SimilarityFn("dot-product")
     with pytest.raises(ValueError):
         nash_ann([1.0], 1, WelfareParams(), data, attrs, fn)
