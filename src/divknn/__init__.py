@@ -11,7 +11,7 @@ dataset ingestion, and a benchmark CLI.
 """
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
-                   WelfareParams, log_nsw, similarity, utilities, welfare)
+                   WelfareParams, log_nsw, utilities, welfare)
 from .oracle import (AlphaOracleConfig, AlphaScanOracle, ExactScanOracle,
                      RankedList, alpha_topk, exact_topk)
 from .solvers import GreedyStats, nash_ann, p_mean_ann
@@ -25,14 +25,13 @@ from .metrics import (MetricsReport, approx_ratio, attribute_counts,
                       inverse_simpson, recall)
 from .data import (PRESETS, Preset, cluster_attrs, prob_attrs, read_attrs,
                    read_bvecs, read_fvecs, read_ivecs, read_vectors,
-                   split_dataset, write_attrs, write_bvecs, write_fvecs,
-                   write_ivecs)
+                   write_attrs, write_bvecs, write_fvecs, write_ivecs)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributeTable", "Selection", "SimilarityFn", "VectorSet",
-    "WelfareParams", "log_nsw", "similarity", "utilities", "welfare",
+    "WelfareParams", "log_nsw", "utilities", "welfare",
     "AlphaOracleConfig", "AlphaScanOracle", "ExactScanOracle", "RankedList",
     "alpha_topk", "exact_topk",
     "GreedyStats", "nash_ann", "p_mean_ann",
@@ -45,7 +44,6 @@ __all__ = [
     "distinct_count", "entropy", "inverse_simpson", "recall",
     "PRESETS", "Preset", "cluster_attrs", "prob_attrs",
     "read_attrs", "read_bvecs", "read_fvecs", "read_ivecs", "read_vectors",
-    "split_dataset", "write_attrs", "write_bvecs", "write_fvecs",
-    "write_ivecs",
+    "write_attrs", "write_bvecs", "write_fvecs", "write_ivecs",
     "__version__",
 ]

@@ -9,9 +9,11 @@ Three subcommands:
   verify      run the randomized property suites and exit nonzero on any
               violation
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
-or invalid data (a malformed attribute file, or a zero query under
-one-plus-cosine, which aborts the whole batch).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a bad flag,
+config value or flag combination, found before any file is read), 3 I/O
+error, 4 invalid data (a malformed vector or attribute file, files that
+disagree in shape, or a zero query under one-plus-cosine, which aborts the
+whole batch).
 
 ``run`` resolves its settings with precedence flags > config file > preset
 defaults. Config files are ``key=value`` lines with ``#`` comments; keys
@@ -80,7 +82,11 @@ def _resolve(flag, cfg: dict[str, str], key: str, cast, fallback):
     if flag is not None:
         return flag
     if key in cfg:
-        return cast(cfg[key])
+        try:
+            return cast(cfg[key])
+        except ValueError:
+            raise UsageError(f"config value {key}={cfg[key]!r} is not "
+                             f"a valid {cast.__name__}") from None
     return fallback
 
 
@@ -88,6 +94,10 @@ def cmd_gen_attrs(args) -> int:
     if args.mode == "prob" and (args.c not in (None, 20)
                                 or args.chunks is not None):
         raise UsageError("prob mode takes no --chunks and a fixed --c of 20")
+    if args.c is not None and args.c < 2:
+        raise UsageError("--c must be >= 2")
+    if args.chunks is not None and args.chunks < 1:
+        raise UsageError("--chunks must be >= 1")
     data = read_vectors(args.base)
     if args.mode == "prob":
         attrs = prob_attrs(data.n, seed=args.seed)
@@ -175,6 +185,19 @@ def cmd_run(args) -> int:
         raise UsageError("--eta must be > 0")
     if threads < 1:
         raise UsageError("--threads must be >= 1")
+    if args.num_queries is not None and args.num_queries < 1:
+        raise UsageError("--num-queries must be >= 1")
+    if kprime is not None and kprime < 1:
+        raise UsageError("--kprime must be >= 1")
+    if pool_l is not None and pool_l < 1:
+        raise UsageError("--pool-L must be >= 1")
+    if algo == "fetch-union" and pool_l is not None and pool_l < k:
+        raise UsageError("--pool-L must be >= --k for fetch-union")
+    try:
+        fn = SimilarityFn(sim_kind, delta=delta
+                          if sim_kind == "reciprocal-euclidean" else 0.0)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
     data = read_vectors(args.base)
     queries = read_vectors(args.queries)
@@ -184,11 +207,7 @@ def cmd_run(args) -> int:
                          f"base has {data.n}")
     if data.d != queries.d:
         raise ValueError("base and query dimensions differ")
-    fn = SimilarityFn(sim_kind,
-                      delta=delta if sim_kind == "reciprocal-euclidean" else 0.0)
 
-    if args.num_queries is not None and args.num_queries < 1:
-        raise UsageError("--num-queries must be >= 1")
     qidx = np.arange(queries.n)
     if args.num_queries is not None and args.num_queries < queries.n:
         rng = np.random.default_rng(seed)
@@ -353,9 +372,12 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

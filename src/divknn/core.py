@@ -26,18 +26,34 @@ import numpy as np
 SIMILARITY_KINDS = ("one-plus-cosine", "reciprocal-euclidean", "dot-product")
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether a 2-D float64 array holds no NaN or Inf, checked by row
+    blocks so that no bool array of the full size is made. A NaN or Inf
+    entry makes its block's sum non-finite; a non-finite sum of finite
+    entries (an overflow) is told apart by the exact test."""
+    step = max(1, (1 << 18) // max(arr.shape[1], 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, arr.shape[0], step):
+            block = arr[lo:lo + step]
+            if not np.isfinite(block.sum()) and not np.isfinite(block).all():
+                return False
+    return True
+
+
 class VectorSet:
     """Immutable dense matrix of input vectors; row i is vector id i."""
 
     def __init__(self, data) -> None:
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        src = np.asarray(data)
+        arr = np.ascontiguousarray(src, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
         # an empty set (e.g. from an empty file) may be constructed; any
         # actual use of its vectors fails with a dimension/id error
         if arr.shape[0] > 0 and arr.shape[1] < 1:
             raise ValueError("dimension must be >= 1")
-        if arr.size and not np.isfinite(arr).all():
+        # integers convert to finite floats, so only other inputs are checked
+        if src.dtype.kind not in "biu" and not _all_finite(arr):
             raise ValueError("vector payload contains NaN or Inf")
         arr.setflags(write=False)
         self._data = arr
@@ -262,17 +278,6 @@ class SimilarityFn:
         if self.kind == "reciprocal-euclidean":
             return self.batch(q, rows, row_sqnorms=data.sqnorms[ids])
         return self.batch(q, rows)
-
-
-def similarity(fn: SimilarityFn, u, v) -> float:
-    """Similarity between two vectors under ``fn``; always finite and >= 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be 1-D vectors of equal dimension")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("non-finite input vector")
-    return float(fn.batch(u, v[None, :])[0])
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,70 @@ def test_run_threads_below_one_is_usage_error(dataset, tmp_path):
     assert not out.exists()  # rejected before any query ran
 
 
+def test_run_num_queries_below_one_is_usage_error(tmp_path, capsys):
+    # rejected before any file is read: the missing files are not I/O errors
+    missing = [str(tmp_path / f) for f in ("b.fvecs", "q.fvecs", "a.txt")]
+    out = tmp_path / "n.csv"
+    for count in ("0", "-2"):
+        assert main(["run", "--base", missing[0], "--queries", missing[1],
+                     "--attrs", missing[2], "--algo", "ann", "--k", "3",
+                     "--num-queries", count, "--out", str(out)]) == 2
+        assert "--num-queries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_bad_settings_are_usage_errors(tmp_path):
+    missing = ["--base", str(tmp_path / "b.fvecs"), "--queries",
+               str(tmp_path / "q.fvecs"), "--attrs", str(tmp_path / "a.txt"),
+               "--out", str(tmp_path / "x.csv")]
+    assert main(["run", *missing, "--algo", "ann", "--k", "3",
+                 "--similarity", "reciprocal-euclidean", "--delta", "0"]) == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k=three\n")
+    assert main(["run", *missing, "--algo", "ann", "--config", str(cfg)]) == 2
+    cfg.write_text("similarity=cosine\n")
+    assert main(["run", *missing, "--algo", "ann", "--k", "3",
+                 "--config", str(cfg)]) == 2
+    assert main(["run", *missing, "--algo", "div", "--k", "3",
+                 "--kprime", "0"]) == 2
+    assert main(["run", *missing, "--algo", "multi-nash", "--k", "3",
+                 "--pool-L", "0"]) == 2
+    assert main(["run", *missing, "--algo", "fetch-union", "--k", "3",
+                 "--pool-L", "2"]) == 2
+    for flags in (["--c", "1"], ["--chunks", "0"]):
+        assert main(["gen-attrs", "--base", missing[1], "--mode", "clus",
+                     "--out", missing[-1], *flags]) == 2
+
+
+def test_run_exit_codes_split_io_from_invalid_data(dataset, tmp_path, capsys):
+    base, queries, attrs = dataset
+    out = str(tmp_path / "e.csv")
+
+    def run(b=base, q=queries, a=attrs):
+        code = main(["run", "--base", b, "--queries", q, "--attrs", a,
+                     "--algo", "nash", "--k", "3", "--out", out])
+        return code, capsys.readouterr().err
+
+    assert run(b=str(tmp_path / "nope.fvecs"))[0] == 3          # I/O
+    bad_attrs = tmp_path / "bad.txt"
+    bad_attrs.write_text("#c=20\n0,x\n")
+    code, err = run(a=str(bad_attrs))
+    assert code == 4 and "bad.txt:2: ids must be integers" in err
+    nan_q = str(tmp_path / "nan.fvecs")
+    write_fvecs(nan_q, np.full((2, 6), np.nan, dtype=np.float32))
+    code, err = run(q=nan_q)
+    assert code == 4 and "NaN or Inf" in err
+    zero_q = str(tmp_path / "zero.fvecs")
+    write_fvecs(zero_q, np.zeros((2, 6), dtype=np.float32))
+    code, err = run(q=zero_q)              # one-plus-cosine by default
+    assert code == 4 and "zero query" in err
+    short = tmp_path / "short.txt"
+    short.write_text("#c=20\n0,1\n")
+    code, err = run(a=str(short))
+    assert code == 4 and "covers 1 vectors" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_run_all_algorithms_produce_csv(dataset, tmp_path):
     base, queries, attrs = dataset
     cases = [

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from divknn.core import (AttributeTable, Selection, SimilarityFn, VectorSet,
-                         WelfareParams, log_nsw, similarity, utilities,
-                         welfare)
+                         WelfareParams, log_nsw, utilities, welfare)
 from divknn.reference import _weight_matrix
 
 
@@ -19,6 +18,14 @@ def test_vectorset_rejects_nonfinite():
         VectorSet([[1.0, np.nan]])
     with pytest.raises(ValueError):
         VectorSet([[np.inf, 0.0]])
+    # rows are checked in blocks: a late Inf is still found, and a block
+    # whose sum overflows while every entry is finite is accepted
+    late = np.zeros((300_000, 1))
+    late[-1, 0] = np.inf
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        VectorSet(late)
+    assert VectorSet(np.full((3, 2), 1e308)).n == 3
+    assert VectorSet(np.full((2, 2), 2**62, dtype=np.int64)).n == 2
 
 
 def test_vectorset_immutable():
@@ -93,27 +100,35 @@ def test_attribute_table_single_mode():
 # similarity
 # ---------------------------------------------------------------------------
 
+def pair(fn, u, v) -> float:
+    """Similarity of one vector pair through ``SimilarityFn.batch``."""
+    return float(fn.batch(np.asarray(u, dtype=float),
+                          np.asarray([v], dtype=float))[0])
+
+
 def test_similarity_one_plus_cosine_identical_unit():
     fn = SimilarityFn("one-plus-cosine")
-    assert similarity(fn, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(2.0)
+    assert pair(fn, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(2.0)
 
 
 def test_similarity_one_plus_cosine_orthogonal():
     fn = SimilarityFn("one-plus-cosine")
-    assert similarity(fn, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+    assert pair(fn, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_similarity_reciprocal_zero_distance():
     fn = SimilarityFn("reciprocal-euclidean", delta=0.01)
-    assert similarity(fn, [3.0, 4.0], [3.0, 4.0]) == pytest.approx(100.0)
+    assert pair(fn, [3.0, 4.0], [3.0, 4.0]) == pytest.approx(100.0)
 
 
 def test_similarity_errors():
     fn = SimilarityFn("one-plus-cosine")
     with pytest.raises(ValueError):
-        similarity(fn, [1.0], [1.0, 2.0])              # dim mismatch
+        pair(fn, [1.0], [1.0, 2.0])                    # dim mismatch
     with pytest.raises(ValueError):
-        similarity(fn, [0.0, 0.0], [1.0, 0.0])         # zero vector
+        pair(fn, [0.0, 0.0], [1.0, 0.0])               # zero query
+    with pytest.raises(ValueError):
+        pair(fn, [1.0, 0.0], [0.0, 0.0])               # zero row
     with pytest.raises(ValueError):
         SimilarityFn("reciprocal-euclidean", delta=0.0)
     with pytest.raises(ValueError):
@@ -122,8 +137,8 @@ def test_similarity_errors():
 
 def test_dot_product_clamp():
     fn = SimilarityFn("dot-product")
-    assert similarity(fn, [1.0, 0.0], [-2.0, 0.0]) == 0.0
-    assert similarity(fn, [1.0, 0.0], [2.0, 0.0]) == pytest.approx(2.0)
+    assert pair(fn, [1.0, 0.0], [-2.0, 0.0]) == 0.0
+    assert pair(fn, [1.0, 0.0], [2.0, 0.0]) == pytest.approx(2.0)
     s = fn.batch(np.array([1.0, 0.0]), np.array([[-2.0, 0.0], [3.0, 1.0]]))
     assert s.tolist() == [0.0, 3.0]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -137,7 +152,7 @@ def test_similarity_always_nonnegative():
         fn = SimilarityFn(kind, delta=delta)
         for _ in range(50):
             u, v = rng.normal(size=4), rng.normal(size=4)
-            s = similarity(fn, u, v)
+            s = pair(fn, u, v)
             assert s >= 0.0 and np.isfinite(s)
 
 

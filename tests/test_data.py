@@ -1,12 +1,16 @@
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from divknn import data as data_io
 from divknn.core import AttributeTable, SimilarityFn, VectorSet
 from divknn.data import (PRESETS, cluster_attrs, prob_attrs, read_attrs,
-                         read_bvecs, read_fvecs, read_ivecs, split_dataset,
-                         write_attrs, write_bvecs, write_fvecs, write_ivecs)
+                         read_bvecs, read_fvecs, read_ivecs, write_attrs,
+                         write_bvecs, write_fvecs, write_ivecs)
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +55,12 @@ def test_bvecs_round_trip(tmp_path):
 
 
 def test_ivecs_round_trip(tmp_path):
-    original = np.array([[3, 1, 4], [1, 5, 9]], dtype=np.int32)
+    original = np.array([[3, 1, 4], [1, 5, 9],
+                         [-2**31, 2**31 - 1, 0]], dtype=np.int32)
     path = tmp_path / "rt.ivecs"
     write_ivecs(str(path), original)
     back = read_ivecs(str(path))
+    assert back.dtype == np.int64
     assert np.array_equal(back, original)
 
 
@@ -75,6 +81,9 @@ def test_fvecs_truncated_file(tmp_path):
     path = tmp_path / "trunc.fvecs"
     path.write_bytes(struct.pack("<i2f", 2, 1.0, 2.0)[:-2])
     with pytest.raises(ValueError, match="record size|truncated"):
+        read_fvecs(str(path))
+    path.write_bytes(b"\x02\x00")
+    with pytest.raises(ValueError, match=r"truncated file \(no dimension"):
         read_fvecs(str(path))
 
 
@@ -98,6 +107,112 @@ def test_fvecs_rejects_nan(tmp_path):
     path.write_bytes(struct.pack("<i2f", 2, float("nan"), 1.0))
     with pytest.raises(ValueError, match="NaN|Inf"):
         read_fvecs(str(path))
+
+
+def reference_records(path: str, payload_dtype) -> np.ndarray:
+    """Whole-file reader kept as the reference for the block-streamed one:
+    the same checks in the same order, on one array of every record."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0:
+        return np.empty((0, 0), dtype=np.float64)
+    if raw.size < 4:
+        raise ValueError(f"{path}: truncated file (no dimension header)")
+    d = int(raw[:4].view("<i4")[0])
+    if d <= 0:
+        raise ValueError(f"{path}: nonpositive dimension {d}")
+    rec = 4 + d * np.dtype(payload_dtype).itemsize
+    if raw.size % rec != 0:
+        raise ValueError(f"{path}: file size {raw.size} is not a multiple of "
+                         f"the record size {rec}")
+    rows = raw.reshape(-1, rec)
+    if not (rows[:, :4].copy().view("<i4").ravel() == d).all():
+        raise ValueError(f"{path}: inconsistent dimensions across records")
+    out = rows[:, 4:].view(payload_dtype).astype(np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{path}: payload contains NaN or Inf")
+    return out
+
+
+CONTAINERS = {  # name -> (writer, reader returning an array, payload dtype)
+    "fvecs": (write_fvecs, lambda p: read_fvecs(p).data, "<f4"),
+    "bvecs": (write_bvecs, lambda p: read_bvecs(p).data, np.uint8),
+    "ivecs": (write_ivecs, read_ivecs, "<i4"),
+}
+BLOCK = 4    # small block, so record counts around it stay tiny
+
+
+def outcome(read, *args):
+    """What a reader returns, or the message of the ValueError it raises."""
+    try:
+        return read(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.fixture(scope="module")
+def tmp_files(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+@example(kind="fvecs", n=BLOCK + 1, d=2, seed=0, bad_dim=(BLOCK, 1),
+         bad_value=(0, np.nan), cut=0)       # a later bad dimension wins
+@example(kind="fvecs", n=BLOCK, d=3, seed=0, bad_dim=None,
+         bad_value=(BLOCK - 1, np.inf), cut=0)
+@example(kind="bvecs", n=2 * BLOCK + 1, d=1, seed=0, bad_dim=(2 * BLOCK, 7),
+         bad_value=None, cut=0)
+@given(kind=st.sampled_from(sorted(CONTAINERS)),
+       n=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+       d=st.integers(1, 4), seed=st.integers(0, 2**16),
+       bad_dim=st.none() | st.tuples(st.integers(0, 2 * BLOCK),
+                                     st.sampled_from([0, -1, 1, 7])),
+       bad_value=st.none() | st.tuples(st.integers(0, 2 * BLOCK),
+                                       st.sampled_from([np.nan, np.inf,
+                                                        -np.inf])),
+       cut=st.integers(0, 9))
+def test_block_reader_matches_whole_file_reader(tmp_files, kind, n, d,
+                                                seed, bad_dim, bad_value,
+                                                cut):
+    write, read, payload = CONTAINERS[kind]
+    x = np.random.default_rng(seed).uniform(0, 255, size=(n, d))
+    path = tmp_files / f"v.{kind}"
+    write(str(path), x.astype(payload))
+    raw = bytearray(path.read_bytes())
+    rec = len(raw) // n
+    if bad_dim is not None:        # a record whose dimension is off
+        row, delta = bad_dim
+        raw[rec * (row % n):rec * (row % n) + 4] = struct.pack("<i", d + delta)
+    if bad_value is not None and kind == "fvecs":
+        row, value = bad_value
+        at = rec * (row % n) + 4 + 4 * (row % d)
+        raw[at:at + 4] = struct.pack("<f", value)
+    if cut:                        # drop trailing bytes: truncated
+        raw = raw[:-cut]
+    path.write_bytes(bytes(raw))
+    with mock.patch.object(data_io, "_BLOCK_RECORDS", BLOCK):
+        got = outcome(read, str(path))
+    want = outcome(reference_records, str(path), payload)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        dtype = np.int64 if kind == "ivecs" else np.float64
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.astype(dtype).tobytes()
+
+
+def test_fvecs_read_peak_memory_is_about_the_matrix(tmp_path):
+    x = np.random.default_rng(81).standard_normal((20_000, 64),
+                                                  dtype=np.float32)
+    path = tmp_path / "m.fvecs"
+    write_fvecs(str(path), x)
+    tracemalloc.start()
+    try:
+        vs = read_fvecs(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 matrix plus one block buffer; no copy of the whole file
+    assert vs.data.nbytes == 20_000 * 64 * 8
+    assert peak < 1.25 * vs.data.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +308,6 @@ def test_prob_attrs_single_vector():
     assert attrs.n == 1 and 0 <= attrs.labels[0] < 20
 
 
-def test_split_dataset_shapes_and_disjointness():
-    rng = np.random.default_rng(76)
-    data = VectorSet(rng.normal(size=(10, 3)))
-    base, queries = split_dataset(data, seed=3)
-    assert base.n == 8 and queries.n == 2
-    rows = {tuple(r) for r in data.data}
-    got = {tuple(r) for r in base.data} | {tuple(r) for r in queries.data}
-    assert rows == got
-
-
-def test_split_dataset_seed_behavior():
-    rng = np.random.default_rng(77)
-    data = VectorSet(rng.normal(size=(100, 2)))
-    b1, q1 = split_dataset(data, seed=1)
-    b2, q2 = split_dataset(data, seed=1)
-    assert np.array_equal(b1.data, b2.data)
-    b3, q3 = split_dataset(data, seed=2)
-    assert not np.array_equal(q1.data, q3.data)
-    set1 = {tuple(r) for r in q1.data}
-    assert set1.isdisjoint({tuple(r) for r in b1.data})
-    with pytest.raises(ValueError):
-        split_dataset(VectorSet(np.zeros((4, 1))), seed=0)
-
-
 # ---------------------------------------------------------------------------
 # attribute file format
 # ---------------------------------------------------------------------------
@@ -224,6 +315,7 @@ def test_split_dataset_seed_behavior():
 def test_attrs_file_three_lines(tmp_path):
     path = tmp_path / "a.txt"
     path.write_text("#c=4\n0,1\n1,0\n2,3\n")
+    assert data_io._parse_attrs_fast(str(path)) is not None
     t = read_attrs(str(path))
     assert t.n == 3 and t.c == 4
     assert t.indptr.tolist() == [0, 1, 2, 3]
@@ -329,10 +421,117 @@ def test_attrs_round_trip_with_classes(tmp_path):
     t = cluster_attrs(data, c=3, seed=0, chunks=2)
     path = tmp_path / "cls.txt"
     write_attrs(str(path), t)
+    assert data_io._parse_attrs_fast(str(path)) is not None
     back = read_attrs(str(path))
     assert np.array_equal(back.indptr, t.indptr)
     assert np.array_equal(back.indices, t.indices)
     assert [g.tolist() for g in back.classes] == [g.tolist() for g in t.classes]
+
+
+def table_or_error(read, path):
+    """A table as comparable lists, the message of the ValueError reading
+    raised, or None when the vectorised parse declined the file."""
+    try:
+        t = read(str(path))
+    except ValueError as e:
+        return str(e)
+    if t is None:
+        return None
+    classes = None if t.classes is None else [g.tolist() for g in t.classes]
+    return (t.c, t.indptr.tolist(), t.indices.tolist(),
+            [g.tolist() for g in t.inverted], classes)
+
+
+def via(parse):
+    """Reader that builds the table from one parser's output."""
+    def read(path):
+        parsed = parse(path)
+        return None if parsed is None else data_io._build_table(path, *parsed)
+    return read
+
+
+INSERTED = {"blank": "", "comment": "# note", "header-again": "#c=99"}
+TOKEN_EDITS = {"space": " {}", "plus": "+{}", "zeros": "00{}",
+               "negative": "-{}", "letter": "x", "huge": "9" * 20}
+ROW_EDITS = ("trailing-comma", "double-comma", "drop-field", "extra-field",
+             "out-of-range", "repeat-vid")
+
+
+@st.composite
+def attr_files(draw):
+    """A valid attribute file, then up to three edits that make it
+    malformed or move it off the vectorised parse's file shape."""
+    n, c = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    m = draw(st.integers(1, min(c, 3)))
+    header = f"#c={c}"
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(0, c), min_size=1, max_size=3))
+        header += ";classes=" + "+".join(map(str, sizes))
+    rows = [[str(v)] + [str(a) for a in draw(st.permutations(range(c)))[:m]]
+            for v in draw(st.permutations(range(n)))]
+    inserts = []
+    edits = st.sampled_from([*INSERTED, *TOKEN_EDITS, *ROW_EDITS, "no-header"])
+    for edit in draw(st.lists(edits, max_size=3)):
+        r = draw(st.integers(0, n - 1))
+        row = rows[r]
+        j = draw(st.integers(0, len(row) - 1))
+        if edit in INSERTED:
+            inserts.append((r, INSERTED[edit]))
+        elif edit in TOKEN_EDITS:
+            row[j] = TOKEN_EDITS[edit].format(row[j])
+        elif edit == "trailing-comma":
+            row.append("")
+        elif edit == "double-comma":
+            row.insert(j + 1, "")
+        elif edit == "drop-field":
+            row.pop()
+        elif edit == "extra-field":
+            row.append(str(j))
+        elif edit == "out-of-range":
+            row[j] = str(c + j)
+        elif edit == "repeat-vid":
+            row[0] = rows[(r + 1) % n][0]
+        else:
+            header = None
+    lines = [",".join(row) for row in rows]
+    for r, text in sorted(inserts, reverse=True):
+        lines.insert(r, text)
+    if header is not None:
+        lines.insert(0, header)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@example(text="#c=3\n0,1\n\n1,2\n")                    # blank line
+@example(text="#c=3\n0,1\n# note\n1,2\n")              # comment mid-file
+@example(text="#c=3\r\n0,1\r\n1,2\r\n")                # CRLF
+@example(text="#c=3\n0, 1\n1,2\n")                     # a space
+@example(text="#c=3\n0,+1\n1,2\n")                     # a sign
+@example(text="#c=3\n00,01\n1,002\n")                  # leading zeros
+@example(text="#c=3\n0,1,\n1,2,\n")                    # trailing commas
+@example(text="#c=3\n0,,1\n1,2,0\n")                   # an empty field
+@example(text="#c=3\n0,1\n1,2,0\n")                    # unequal fields
+@example(text="#c=3\n0,99999999999999999999\n")        # beyond 64 bits
+@example(text="#c=3\n99999999999999999999,1\n")
+@example(text="#c=3\n0,9223372036854775807\n")         # int64 max
+@example(text="#c=3\n0,1\n-1,2\n")                     # negative id
+@example(text="0,1\n1,2\n")                            # no header
+@example(text="#c=4;classes=2+2\n1,1,3\n0,0,2\n")      # classes clause
+@example(text="#c=4;classes=2+1\n0,0\n")
+@example(text="#c=3\n0\n1\n")                          # one field
+@example(text="#c=3\n")                                # no rows
+@example(text="#c=3\n\n\n")
+@example(text="")
+@example(text="#c=3\n0,1\n0,2\n")                      # repeated id
+@example(text="#c=3\n0,1")                             # no final newline
+@given(text=attr_files())
+def test_attrs_fast_path_matches_line_parser(tmp_files, text):
+    path = tmp_files / "a.txt"
+    path.write_bytes(text.encode("ascii"))
+    lines = table_or_error(via(data_io._parse_attrs_lines), path)
+    fast = table_or_error(via(data_io._parse_attrs_fast), path)
+    assert fast is None or fast == lines
+    assert table_or_error(read_attrs, path) == lines
 
 
 # ---------------------------------------------------------------------------
