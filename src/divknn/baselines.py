@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, utilities, welfare)
-from .multi import full_scan_pool
+from .multi import CandidatePool, full_scan_pool
 from .oracle import ExactScanOracle, rank
 from .solvers import GreedyStats, greedy_select
 
@@ -61,20 +61,23 @@ def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
 
 def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
                 attrs: AttributeTable, fn: SimilarityFn,
-                stats: GreedyStats | None = None) -> Selection:
+                stats: GreedyStats | None = None,
+                pool: CandidatePool | None = None) -> Selection:
     """Welfare greedy restricted to the top-L global candidates.
 
     The pool is fetched in one pass regardless of attributes, grouped into
     per-attribute lists (already similarity-sorted), and the same greedy
     rule as the exact solvers picks k vectors inside it. L = n recovers the
-    exact solver; L = k degenerates to plain top-k.
+    exact solver; L = k degenerates to plain top-k. A caller that already
+    holds ``full_scan_pool(q, data, fn, limit=L)`` passes it as ``pool``.
     """
     attrs.require_single()
     if k < 1:
         raise ValueError("k must be >= 1")
     if L < k:
         raise ValueError("pool size L must be >= k")
-    pool = full_scan_pool(q, data, fn, limit=L)
+    if pool is None:
+        pool = full_scan_pool(q, data, fn, limit=L)
     labels = attrs.labels[pool.ids]
     # group the pool by attribute in one stable pass; within an attribute
     # the pool order (similarity descending) is preserved. Keys of the

@@ -11,9 +11,10 @@ Three subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad flag,
 config value or flag combination, found before any file is read), 3 I/O
-error, 4 invalid data (a malformed vector or attribute file, files that
-disagree in shape, or a zero query under one-plus-cosine, which aborts the
-whole batch).
+error, 4 invalid data (a malformed or empty vector file, a malformed
+attribute file, files that disagree in shape, a zero base vector under
+one-plus-cosine, rejected at load, or a zero query under one-plus-cosine,
+which aborts the whole batch).
 
 ``run`` resolves its settings with precedence flags > config file > preset
 defaults. Config files are ``key=value`` lines with ``#`` comments; keys
@@ -21,7 +22,9 @@ match the long flag names (dashes or underscores). Timing uses a monotonic
 clock; per-query latency covers the solve only (not dataset load, not metric
 evaluation), QPS is the query count over the batch wall time, and all timing
 lands in the ``latency_us`` column so that output is reproducible modulo
-that column at a fixed seed, for any thread count.
+that column at a fixed seed, for any thread count. For ``ann`` and the
+pooled algorithms the exact top-k reference of the relevance metrics is the
+head of the solver's own ranking, so such a query scans the base once.
 """
 
 from __future__ import annotations
@@ -90,6 +93,13 @@ def _resolve(flag, cfg: dict[str, str], key: str, cast, fallback):
     return fallback
 
 
+def _read_nonempty(path: str):
+    vs = read_vectors(path)
+    if vs.n == 0:
+        raise ValueError(f"{path}: no vectors")
+    return vs
+
+
 def cmd_gen_attrs(args) -> int:
     if args.mode == "prob" and (args.c not in (None, 20)
                                 or args.chunks is not None):
@@ -98,7 +108,7 @@ def cmd_gen_attrs(args) -> int:
         raise UsageError("--c must be >= 2")
     if args.chunks is not None and args.chunks < 1:
         raise UsageError("--chunks must be >= 1")
-    data = read_vectors(args.base)
+    data = _read_nonempty(args.base)
     if args.mode == "prob":
         attrs = prob_attrs(data.n, seed=args.seed)
     else:
@@ -113,34 +123,46 @@ def cmd_gen_attrs(args) -> int:
 def _make_runner(algo: str, k: int, p: float, eta: float,
                  kprime: Optional[int], pool_l: Optional[int], data, attrs,
                  fn):
-    """Per-query solver closure for the selected algorithm."""
+    """Per-query closure returning the selection and the exact top-k
+    reference when the solve already ranked the base, else None."""
     params = WelfareParams(p=p if algo in WELFARE_P_ALGOS else 0.0, eta=eta)
 
-    def pool_for(q):
-        if pool_l is None:
-            return None
-        return full_scan_pool(q, data, fn, limit=pool_l)
+    def pooled(solve, limit):
+        # rank is a total order on (similarity, id), so the head of a pool
+        # of at least min(k, n) candidates is the exact top-k
+        def run(q):
+            pool = full_scan_pool(q, data, fn, limit=limit)
+            ref = pool.ids[:k] if len(pool) >= min(k, data.n) else None
+            return solve(q, pool), ref
+        return run
 
     if algo == "ann":
-        return lambda q: top_k(q, k, data, fn, attrs=attrs, params=params)
+        def ann(q):
+            sel = top_k(q, k, data, fn, attrs=attrs, params=params)
+            return sel, sel.ids
+        return ann
+    # the per-attribute gathers of these need not reproduce the full
+    # scan's similarity bits, so the report scans for its own reference
     if algo == "div":
-        return lambda q: div_ann(q, k, kprime, data, attrs, fn, params=params)
+        return lambda q: (div_ann(q, k, kprime, data, attrs, fn,
+                                  params=params), None)
     if algo == "nash":
-        return lambda q: nash_ann(q, k, params, data, attrs, fn)
+        return lambda q: (nash_ann(q, k, params, data, attrs, fn), None)
     if algo == "pmean":
-        return lambda q: p_mean_ann(q, k, params, data, attrs, fn)
+        return lambda q: (p_mean_ann(q, k, params, data, attrs, fn), None)
     if algo == "multi-nash":
-        return lambda q: multi_nash_ann(q, k, eta, data, attrs, fn,
-                                        pool=pool_for(q))
+        return pooled(lambda q, pool: multi_nash_ann(
+            q, k, eta, data, attrs, fn, pool=pool), pool_l)
     if algo == "multi-pmean":
-        return lambda q: multi_p_mean_ann(q, k, params, data, attrs, fn,
-                                          pool=pool_for(q))
+        return pooled(lambda q, pool: multi_p_mean_ann(
+            q, k, params, data, attrs, fn, pool=pool), pool_l)
     if algo == "multi-div":
-        return lambda q: multi_div_ann(q, k, kprime, data, attrs, fn,
-                                       pool=pool_for(q), eta=eta)
+        return pooled(lambda q, pool: multi_div_ann(
+            q, k, kprime, data, attrs, fn, pool=pool, eta=eta), pool_l)
     if algo == "fetch-union":
         L = pool_l if pool_l is not None else 200 * k
-        return lambda q: fetch_union(q, k, L, params, data, attrs, fn)
+        return pooled(lambda q, pool: fetch_union(
+            q, k, L, params, data, attrs, fn, pool=pool), L)
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
@@ -199,14 +221,19 @@ def cmd_run(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
 
-    data = read_vectors(args.base)
-    queries = read_vectors(args.queries)
+    data = _read_nonempty(args.base)
+    queries = _read_nonempty(args.queries)
     attrs = read_attrs(args.attrs)
     if attrs.n != data.n:
         raise ValueError(f"attribute file covers {attrs.n} vectors, "
                          f"base has {data.n}")
     if data.d != queries.d:
         raise ValueError("base and query dimensions differ")
+    if fn.kind == "one-plus-cosine":
+        zero = np.flatnonzero(data.norms == 0.0)
+        if zero.size:
+            raise ValueError(f"{args.base}: vector {zero[0]} is zero; "
+                             "one-plus-cosine needs nonzero vectors")
 
     qidx = np.arange(queries.n)
     if args.num_queries is not None and args.num_queries < queries.n:
@@ -220,10 +247,10 @@ def cmd_run(args) -> int:
     def work(qi: int):
         q = queries.data[qi]
         t0 = time.perf_counter()
-        sel = runner(q)
+        sel, ref = runner(q)
         latency_us = (time.perf_counter() - t0) * 1e6
         rep = compute_report(sel.ids, q, k, data, attrs, fn, base2=base2,
-                             truncated=sel.truncated)
+                             truncated=sel.truncated, o_ids=ref)
         return qi, rep, latency_us
 
     wall0 = time.perf_counter()

@@ -26,39 +26,43 @@ import numpy as np
 SIMILARITY_KINDS = ("one-plus-cosine", "reciprocal-euclidean", "dot-product")
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    """Whether a 2-D float64 array holds no NaN or Inf, checked by row
-    blocks so that no bool array of the full size is made. A NaN or Inf
-    entry makes its block's sum non-finite; a non-finite sum of finite
-    entries (an overflow) is told apart by the exact test."""
-    step = max(1, (1 << 18) // max(arr.shape[1], 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, arr.shape[0], step):
-            block = arr[lo:lo + step]
-            if not np.isfinite(block.sum()) and not np.isfinite(block).all():
-                return False
-    return True
+# Rows per block of the set-up pass: a block and its squares stay in L2.
+_NORM_BLOCK = 4096
 
 
 class VectorSet:
-    """Immutable dense matrix of input vectors; row i is vector id i."""
+    """Immutable dense matrix of input vectors; row i is vector id i.
+
+    The per-row norms and squared norms are computed at construction, in
+    the same pass over the rows that rejects NaN and Inf entries.
+    """
 
     def __init__(self, data) -> None:
-        src = np.asarray(data)
-        arr = np.ascontiguousarray(src, dtype=np.float64)
+        arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
         # an empty set (e.g. from an empty file) may be constructed; any
         # actual use of its vectors fails with a dimension/id error
         if arr.shape[0] > 0 and arr.shape[1] < 1:
             raise ValueError("dimension must be >= 1")
-        # integers convert to finite floats, so only other inputs are checked
-        if src.dtype.kind not in "biu" and not _all_finite(arr):
-            raise ValueError("vector payload contains NaN or Inf")
-        arr.setflags(write=False)
+        norms = np.empty(arr.shape[0], dtype=np.float64)
+        sqnorms = np.empty(arr.shape[0], dtype=np.float64)
+        # a NaN or Inf entry makes its row's squared norm non-finite; a
+        # non-finite squared norm of finite entries (an overflow) is told
+        # apart by the exact test
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, arr.shape[0], _NORM_BLOCK):
+                block = arr[lo:lo + _NORM_BLOCK]
+                sq = np.einsum("ij,ij->i", block, block)
+                if not np.isfinite(sq).all() and not np.isfinite(block).all():
+                    raise ValueError("vector payload contains NaN or Inf")
+                sqnorms[lo:lo + len(block)] = sq
+                norms[lo:lo + len(block)] = np.linalg.norm(block, axis=1)
+        for a in (arr, norms, sqnorms):
+            a.setflags(write=False)
         self._data = arr
-        self._norms: Optional[np.ndarray] = None
-        self._sqnorms: Optional[np.ndarray] = None
+        self._norms = norms
+        self._sqnorms = sqnorms
 
     @property
     def data(self) -> np.ndarray:
@@ -74,21 +78,12 @@ class VectorSet:
 
     @property
     def norms(self) -> np.ndarray:
-        """Per-row Euclidean norms, computed once and cached."""
-        if self._norms is None:
-            # by row blocks: linalg.norm squares its whole input at once
-            blocks = np.array_split(self._data, self.n // 65536 + 1)
-            self._norms = np.concatenate(
-                [np.linalg.norm(b, axis=1) for b in blocks])
-            self._norms.setflags(write=False)
+        """Per-row Euclidean norms."""
         return self._norms
 
     @property
     def sqnorms(self) -> np.ndarray:
-        """Per-row squared norms, computed once and cached."""
-        if self._sqnorms is None:
-            self._sqnorms = np.einsum("ij,ij->i", self._data, self._data)
-            self._sqnorms.setflags(write=False)
+        """Per-row squared norms."""
         return self._sqnorms
 
     def __len__(self) -> int:

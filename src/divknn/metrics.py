@@ -103,9 +103,12 @@ def distinct_count(ids: Sequence[int], attrs: AttributeTable) -> int:
 def compute_report(ids: Sequence[int], q, k: int, data: VectorSet,
                    attrs: AttributeTable, fn: SimilarityFn,
                    base2: bool = False,
-                   truncated: bool = False) -> MetricsReport:
-    """All metrics of one retrieved set against the exact top-k reference."""
-    o_ids = top_k(q, k, data, fn).ids
+                   truncated: bool = False,
+                   o_ids: Optional[Sequence[int]] = None) -> MetricsReport:
+    """All metrics of one retrieved set against the exact top-k reference
+    ``o_ids``, found by a scan of the base when not given."""
+    if o_ids is None:
+        o_ids = top_k(q, k, data, fn).ids
     per_class = None
     if attrs.classes is not None:
         per_class = tuple(

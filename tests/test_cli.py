@@ -3,8 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+from divknn import cli
 from divknn.cli import main
-from divknn.data import read_attrs, write_fvecs
+from divknn.core import SimilarityFn
+from divknn.data import read_attrs, read_vectors, write_fvecs
 from divknn.suites import SuiteResult
 
 
@@ -191,6 +193,134 @@ def test_run_exit_codes_split_io_from_invalid_data(dataset, tmp_path, capsys):
     code, err = run(a=str(short))
     assert code == 4 and "covers 1 vectors" in err
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_run_rejects_zero_base_vector_at_load(tmp_path, capsys):
+    x = np.random.default_rng(92).normal(size=(30, 4)).astype(np.float32)
+    x[7] = 0.0
+    base, queries = str(tmp_path / "z.fvecs"), str(tmp_path / "q.fvecs")
+    write_fvecs(base, x)
+    write_fvecs(queries, x[:3] + 1.0)
+    attrs = str(tmp_path / "a.txt")
+    assert main(["gen-attrs", "--base", base, "--mode", "prob",
+                 "--out", attrs]) == 0
+    out = tmp_path / "z.csv"
+    run = ["run", "--base", base, "--queries", queries, "--attrs", attrs,
+           "--algo", "ann", "--k", "3", "--out", str(out)]
+    capsys.readouterr()
+    assert main(run) == 4
+    assert (f"{base}: vector 7 is zero; one-plus-cosine needs nonzero "
+            "vectors") in capsys.readouterr().err
+    assert not out.exists()
+    # the other similarities admit a zero vector
+    assert main(run + ["--similarity", "dot-product"]) == 0
+
+
+def test_empty_vector_files_are_invalid_data(dataset, tmp_path, capsys):
+    base, queries, attrs = dataset
+    empty = tmp_path / "empty.fvecs"
+    empty.write_bytes(b"")
+    out = tmp_path / "e.csv"
+    for b, q in ((base, str(empty)), (str(empty), queries)):
+        assert main(["run", "--base", b, "--queries", q, "--attrs", attrs,
+                     "--algo", "ann", "--k", "3", "--out", str(out)]) == 4
+        assert f"{empty}: no vectors" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen-attrs", "--base", str(empty), "--mode", "prob",
+                 "--out", str(tmp_path / "a.txt")]) == 4
+    assert f"{empty}: no vectors" in capsys.readouterr().err
+
+
+def _count_full_scans(monkeypatch, n):
+    """Record each SimilarityFn.batch call over all n base rows."""
+    scans = []
+    real = SimilarityFn.batch
+
+    def batch(self, q, rows, *args, **kwargs):
+        if rows.shape[0] == n:
+            scans.append(rows.shape[0])
+        return real(self, q, rows, *args, **kwargs)
+
+    monkeypatch.setattr(SimilarityFn, "batch", batch)
+    return scans
+
+
+@pytest.mark.parametrize("extra", [
+    ["--algo", "fetch-union"],
+    ["--algo", "fetch-union", "--pool-L", "40"],
+    ["--algo", "ann"],
+    ["--algo", "multi-nash"],
+    ["--algo", "multi-nash", "--pool-L", "30"],
+    ["--algo", "multi-pmean", "--p", "0.5"],
+    ["--algo", "multi-pmean", "--p", "-1", "--pool-L", "4"],
+    ["--algo", "multi-div", "--kprime", "2"],
+    ["--algo", "multi-div", "--kprime", "2", "--pool-L", "30"],
+])
+def test_run_scans_the_base_once_per_query(dataset, tmp_path, monkeypatch,
+                                           extra):
+    # the report takes its reference top-k from the solver's own ranking
+    base, queries, attrs = dataset
+    scans = _count_full_scans(monkeypatch, 120)
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--k", "4", "--out", str(tmp_path / "s.csv")]
+                + extra) == 0
+    assert len(scans) == 8
+
+
+def _int_dataset(tmp_path, k):
+    """Small integer vectors: dot products tie often, one at place k."""
+    rng = np.random.default_rng(93)
+    x = rng.integers(0, 3, size=(120, 4)).astype(np.float32)
+    qs = rng.integers(1, 3, size=(6, 4)).astype(np.float32)
+    base, queries = str(tmp_path / "ib.fvecs"), str(tmp_path / "iq.fvecs")
+    write_fvecs(base, x)
+    write_fvecs(queries, qs)
+    attrs = str(tmp_path / "ia.txt")
+    assert main(["gen-attrs", "--base", base, "--mode", "prob",
+                 "--seed", "5", "--out", attrs]) == 0
+    sims = -np.sort(-(x.astype(np.float64) @ qs.T.astype(np.float64)), axis=0)
+    assert np.any(sims[k - 1] == sims[k])
+    return base, queries, attrs
+
+
+@pytest.mark.parametrize("data_kind, extra", [
+    ("float", ["--algo", "multi-nash", "--pool-L", "2"]),
+    ("float", ["--algo", "multi-div", "--kprime", "1", "--pool-L", "3"]),
+    ("int", ["--algo", "fetch-union", "--pool-L", "5"]),
+    ("int", ["--algo", "ann"]),
+    ("int", ["--algo", "multi-nash", "--pool-L", "7"]),
+    ("int", ["--algo", "multi-pmean", "--p", "-1"]),
+    ("int", ["--algo", "multi-div", "--kprime", "2", "--pool-L", "2"]),
+])
+def test_run_reference_matches_a_full_scan(dataset, tmp_path, monkeypatch,
+                                           data_kind, extra):
+    # each row's relevance equals the report computed with its own scan,
+    # also when the pool is shorter than k or similarities tie at place k
+    k = 5
+    base, queries, attrs = (dataset if data_kind == "float"
+                            else _int_dataset(tmp_path, k))
+    sim = [] if data_kind == "float" else ["--similarity", "dot-product"]
+    real = cli.compute_report
+    calls = []
+
+    def spy(ids, q, *args, **kwargs):
+        calls.append((tuple(ids), q))
+        return real(ids, q, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_report", spy)
+    out = str(tmp_path / "r.csv")
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--k", str(k), "--out", out] + sim + extra) == 0
+    rows = read_csv(out)
+    ratio, rec = rows[0].index("approx_ratio"), rows[0].index("recall")
+    data_rows = [r for r in rows[1:] if r[0].isdigit()]
+    assert len(data_rows) == len(calls) == read_vectors(queries).n
+    data, table = read_vectors(base), read_attrs(attrs)
+    fn = SimilarityFn(sim[1] if sim else "one-plus-cosine")
+    for row, (ids, q) in zip(data_rows, calls):
+        rep = real(ids, q, k, data, table, fn)
+        assert row[ratio] == cli._fmt(rep.approx_ratio)
+        assert row[rec] == cli._fmt(rep.recall)
 
 
 def test_run_all_algorithms_produce_csv(dataset, tmp_path):

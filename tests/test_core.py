@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from divknn import core
 from divknn.core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                          WelfareParams, log_nsw, utilities, welfare)
 from divknn.reference import _weight_matrix
@@ -32,6 +34,51 @@ def test_vectorset_immutable():
     vs = VectorSet([[1.0, 2.0]])
     with pytest.raises(ValueError):
         vs.data[0, 0] = 5.0
+    for arr in (vs.norms, vs.sqnorms):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+@pytest.mark.parametrize("d", [1, 7, 32])
+def test_vectorset_norms_match_whole_array_formulas(monkeypatch, n, d):
+    # blocks of 4 rows: one partial block, exact blocks and a ragged tail
+    monkeypatch.setattr(core, "_NORM_BLOCK", 4)
+    x = np.random.default_rng(n * 100 + d).normal(size=(n, d)) * 1e3
+    vs = VectorSet(x)
+    assert vs.norms.tobytes() == np.linalg.norm(x, axis=1).tobytes()
+    assert vs.sqnorms.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
+
+
+def test_vectorset_finite_check_per_block(monkeypatch):
+    monkeypatch.setattr(core, "_NORM_BLOCK", 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.ones((10, 3))
+        x[-1, 1] = bad                      # in the last, partial block
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            VectorSet(x)
+    # squares overflow to inf while every entry is finite
+    big = np.full((10, 3), 1e200)
+    vs = VectorSet(big)
+    assert np.isinf(vs.sqnorms).all() and np.isinf(vs.norms).all()
+    for ints in (np.full((6, 2), 2**62, dtype=np.int64),
+                 np.arange(12, dtype=np.uint8).reshape(6, 2)):
+        vs = VectorSet(ints)
+        assert vs.data.tobytes() == ints.astype(np.float64).tobytes()
+        assert vs.sqnorms.tobytes() == np.einsum(
+            "ij,ij->i", vs.data, vs.data).tobytes()
+
+
+def test_vectorset_setup_pass_peak_memory():
+    # the norms are taken by row blocks: no temporary of the matrix's size
+    x = np.random.default_rng(82).normal(size=(20_000, 64))
+    tracemalloc.start()
+    try:
+        VectorSet(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * x.nbytes
 
 
 def test_vectorset_shape_checks():

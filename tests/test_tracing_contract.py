@@ -7,7 +7,7 @@ import inspect
 import pathlib
 import sys
 
-from divknn import baselines, solvers
+from divknn import baselines, core, solvers
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,3 +31,12 @@ def test_tracing_targets_exist():
         assert attr in owner.__dict__, name
     for fn in (solvers.greedy_select, baselines.fetch_union):
         assert "stats" in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_benchmark_call_shapes_are_kept():
+    # the tracer wraps VectorSet.norms as a property, and the benchmark
+    # calls fetch_union with these positional arguments
+    assert isinstance(core.VectorSet.__dict__["norms"], property)
+    params = list(inspect.signature(baselines.fetch_union).parameters)
+    assert params[:8] == ["q", "k", "L", "params", "data", "attrs", "fn",
+                          "stats"]
