@@ -22,15 +22,20 @@ from .solvers import GreedyStats, greedy_select
 
 def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
           attrs: AttributeTable | None = None,
-          params: WelfareParams | None = None) -> Selection:
+          params: WelfareParams | None = None,
+          pool: CandidatePool | None = None) -> Selection:
     """The k most similar vectors, ties by ascending id.
 
     Utilities and objective are filled when an attribute table (and
-    optionally welfare params) are supplied.
+    optionally welfare params) are supplied. A caller that already holds
+    ``full_scan_pool(q, data, fn, limit=m)`` for some m >= k passes it as
+    ``pool``; its head is the answer.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = full_scan_pool(q, data, fn, limit=k).ids.tolist()
+    if pool is None:
+        pool = full_scan_pool(q, data, fn, limit=k)
+    ids = pool.ids[:k].tolist()
     truncated = len(ids) < k
     if attrs is None:
         return Selection(ids=tuple(ids), truncated=truncated)

@@ -10,21 +10,32 @@ Three subcommands:
               violation
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad flag,
-config value or flag combination, found before any file is read), 3 I/O
-error, 4 invalid data (a malformed or empty vector file, a malformed
-attribute file, files that disagree in shape, a zero base vector under
-one-plus-cosine, rejected at load, or a zero query under one-plus-cosine,
-which aborts the whole batch).
+config value or flag combination, found before any file is read; for
+``verify`` a --trials or --checks below 1 or an --alpha outside (0, 1],
+found before any suite runs), 3 I/O error, 4 invalid data (a malformed or
+empty vector file, a malformed attribute file, files that disagree in shape,
+a zero base vector under one-plus-cosine, rejected at load, or a zero query
+under one-plus-cosine, which aborts the whole batch).
 
 ``run`` resolves its settings with precedence flags > config file > preset
 defaults. Config files are ``key=value`` lines with ``#`` comments; keys
-match the long flag names (dashes or underscores). Timing uses a monotonic
-clock; per-query latency covers the solve only (not dataset load, not metric
-evaluation), QPS is the query count over the batch wall time, and all timing
-lands in the ``latency_us`` column so that output is reproducible modulo
-that column at a fixed seed, for any thread count. For ``ann`` and the
-pooled algorithms the exact top-k reference of the relevance metrics is the
-head of the solver's own ranking, so such a query scans the base once.
+match the long flag names (dashes or underscores).
+
+``run`` splits the selected queries, in order, into ceil(m / 8) near-equal
+consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
+``multi-*``) one similarity GEMM per block reads the base once for all its
+queries; each query then ranks its own row of the block's scores once, and
+that ranking gives both its pool and the exact top-k reference of the
+relevance metrics. ``nash``, ``pmean`` and ``div`` never scan the base in
+their solve, so their report scans once per query for the reference.
+``--threads`` runs blocks concurrently, each holding 8 score rows of n
+float64 while in flight. Timing uses a monotonic clock; a query's latency is
+its share of its block's scan (scan time over block size) plus its own
+ranking and solve (not dataset load, not metric evaluation), and QPS is the
+query count over the batch wall time. All timing lands in the
+``latency_us`` column, and the block split depends on the query list alone,
+so output is reproducible modulo that column at a fixed seed, for any
+thread count.
 """
 
 from __future__ import annotations
@@ -43,8 +54,8 @@ from .core import SimilarityFn, WelfareParams
 from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
-from .multi import full_scan_pool, multi_div_ann, multi_nash_ann, \
-    multi_p_mean_ann
+from .multi import CandidatePool, full_scan_pool, multi_div_ann, \
+    multi_nash_ann, multi_p_mean_ann
 from .solvers import nash_ann, p_mean_ann
 from . import suites
 
@@ -53,6 +64,10 @@ ALGOS = ("ann", "div", "nash", "pmean", "multi-nash", "multi-pmean",
 WELFARE_P_ALGOS = ("pmean", "multi-pmean", "fetch-union")
 CAPPED_ALGOS = ("div", "multi-div")
 POOLED_ALGOS = ("multi-nash", "multi-pmean", "multi-div", "fetch-union")
+# algorithms whose solve ranks the whole base: ``run`` scores them by blocks
+SCAN_ALGOS = ("ann",) + POOLED_ALGOS
+# queries per similarity GEMM in ``run``
+_QUERY_BLOCK = 8
 
 
 class UsageError(Exception):
@@ -123,45 +138,51 @@ def cmd_gen_attrs(args) -> int:
 def _make_runner(algo: str, k: int, p: float, eta: float,
                  kprime: Optional[int], pool_l: Optional[int], data, attrs,
                  fn):
-    """Per-query closure returning the selection and the exact top-k
-    reference when the solve already ranked the base, else None."""
+    """Per-query closure ``run(q, sims)`` returning the selection and the
+    exact top-k reference of its report, or None when the report must scan
+    for it. ``sims`` is q's row of its block's scores for SCAN_ALGOS and
+    None for the others."""
     params = WelfareParams(p=p if algo in WELFARE_P_ALGOS else 0.0, eta=eta)
 
-    def pooled(solve, limit):
-        # rank is a total order on (similarity, id), so the head of a pool
-        # of at least min(k, n) candidates is the exact top-k
-        def run(q):
-            pool = full_scan_pool(q, data, fn, limit=limit)
-            ref = pool.ids[:k] if len(pool) >= min(k, data.n) else None
-            return solve(q, pool), ref
+    def scanned(solve, limit):
+        # rank is a total order on (similarity, id), so one ranking to
+        # max(limit, k) rows holds the pool (its head limit rows) and the
+        # exact top-k (its head k rows)
+        def run(q, sims):
+            top = full_scan_pool(q, data, fn, sims=sims, limit=None
+                                 if limit is None else max(limit, k))
+            pool = (top if limit is None or limit >= k
+                    else CandidatePool(ids=top.ids[:limit],
+                                       sims=top.sims[:limit]))
+            return solve(q, pool), top.ids[:k]
         return run
 
     if algo == "ann":
-        def ann(q):
-            sel = top_k(q, k, data, fn, attrs=attrs, params=params)
-            return sel, sel.ids
-        return ann
+        return scanned(lambda q, pool: top_k(
+            q, k, data, fn, attrs=attrs, params=params, pool=pool), k)
     # the per-attribute gathers of these need not reproduce the full
     # scan's similarity bits, so the report scans for its own reference
     if algo == "div":
-        return lambda q: (div_ann(q, k, kprime, data, attrs, fn,
-                                  params=params), None)
+        return lambda q, sims: (div_ann(q, k, kprime, data, attrs, fn,
+                                        params=params), None)
     if algo == "nash":
-        return lambda q: (nash_ann(q, k, params, data, attrs, fn), None)
+        return lambda q, sims: (nash_ann(q, k, params, data, attrs, fn),
+                                None)
     if algo == "pmean":
-        return lambda q: (p_mean_ann(q, k, params, data, attrs, fn), None)
+        return lambda q, sims: (p_mean_ann(q, k, params, data, attrs, fn),
+                                None)
     if algo == "multi-nash":
-        return pooled(lambda q, pool: multi_nash_ann(
+        return scanned(lambda q, pool: multi_nash_ann(
             q, k, eta, data, attrs, fn, pool=pool), pool_l)
     if algo == "multi-pmean":
-        return pooled(lambda q, pool: multi_p_mean_ann(
+        return scanned(lambda q, pool: multi_p_mean_ann(
             q, k, params, data, attrs, fn, pool=pool), pool_l)
     if algo == "multi-div":
-        return pooled(lambda q, pool: multi_div_ann(
+        return scanned(lambda q, pool: multi_div_ann(
             q, k, kprime, data, attrs, fn, pool=pool, eta=eta), pool_l)
     if algo == "fetch-union":
         L = pool_l if pool_l is not None else 200 * k
-        return pooled(lambda q, pool: fetch_union(
+        return scanned(lambda q, pool: fetch_union(
             q, k, L, params, data, attrs, fn, pool=pool), L)
     raise UsageError(f"unknown algorithm {algo!r}")
 
@@ -244,23 +265,35 @@ def cmd_run(args) -> int:
     runner = _make_runner(algo, k, p, eta, kprime, pool_l, data, attrs, fn)
     base2 = args.entropy_base == "2"
 
-    def work(qi: int):
-        q = queries.data[qi]
+    def work(block: np.ndarray):
+        # one similarity GEMM reads the base once for the whole block
         t0 = time.perf_counter()
-        sel, ref = runner(q)
-        latency_us = (time.perf_counter() - t0) * 1e6
-        rep = compute_report(sel.ids, q, k, data, attrs, fn, base2=base2,
-                             truncated=sel.truncated, o_ids=ref)
-        return qi, rep, latency_us
+        sims = (fn.batch(queries.data[block], data.data,
+                         row_norms=data.norms, row_sqnorms=data.sqnorms)
+                if algo in SCAN_ALGOS else [None] * len(block))
+        share = (time.perf_counter() - t0) / len(block)
+        out = []
+        for qi, row in zip(block, sims):
+            q = queries.data[qi]
+            t1 = time.perf_counter()
+            sel, ref = runner(q, row)
+            latency_us = (share + time.perf_counter() - t1) * 1e6
+            rep = compute_report(sel.ids, q, k, data, attrs, fn, base2=base2,
+                                 truncated=sel.truncated, o_ids=ref)
+            out.append((qi, rep, latency_us))
+        return out
 
+    # the split depends on the query list alone, never on --threads, so
+    # every query's scores come from the same GEMM at any thread count
+    blocks = np.array_split(qidx, -(-len(qidx) // _QUERY_BLOCK))
     wall0 = time.perf_counter()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, qidx))
+            done = list(ex.map(work, blocks))
     else:
-        results = [work(qi) for qi in qidx]
+        done = [work(block) for block in blocks]
     wall = time.perf_counter() - wall0
-    results.sort(key=lambda r: r[0])
+    results = [r for out in done for r in out]
 
     n_classes = len(attrs.classes) if attrs.classes is not None else 0
     header = ["query_id", "algo", "k", "p", "eta", "kprime",
@@ -319,6 +352,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    if args.checks < 1:
+        raise UsageError("--checks must be >= 1")
+    if args.alpha is not None and not 0.0 < args.alpha <= 1.0:
+        raise UsageError("--alpha must lie in (0, 1]")
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:

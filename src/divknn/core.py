@@ -226,39 +226,56 @@ class SimilarityFn:
     def batch(self, q: np.ndarray, rows: np.ndarray,
               row_norms: Optional[np.ndarray] = None,
               row_sqnorms: Optional[np.ndarray] = None) -> np.ndarray:
-        """Similarity of query q against every row of ``rows`` (float64)."""
+        """Similarity of query q against every row of ``rows`` (float64).
+
+        A (b, d) block of queries gives (b, n) scores, query-major, so each
+        query's scores are one contiguous row; every step after the dot
+        products is the 1-D one, broadcast by row.
+        """
         q = np.asarray(q, dtype=np.float64)
-        if q.ndim != 1 or rows.ndim != 2 or rows.shape[1] != q.shape[0]:
+        if (q.ndim not in (1, 2) or rows.ndim != 2
+                or rows.shape[1] != q.shape[-1]):
             raise ValueError("dimension mismatch between query and vectors")
         if not np.isfinite(q).all():
             raise ValueError("query contains NaN or Inf")
+
+        queries = (q,) if q.ndim == 1 else q
+
+        def per_query(values):
+            # one value per query: a scalar for one query (numpy's fast
+            # in-place path), a column that broadcasts over a block's rows
+            return values[0] if q.ndim == 1 else np.array(values)[:, None]
+
+        def dots():
+            return rows @ q if q.ndim == 1 else q @ rows.T
+
         if self.kind == "one-plus-cosine":
-            qn = float(np.linalg.norm(q))
-            if qn == 0.0:
+            qn = [np.linalg.norm(v) for v in queries]
+            if 0.0 in qn:
                 raise ValueError("zero query vector under one-plus-cosine")
             if row_norms is None:
                 row_norms = np.linalg.norm(rows, axis=1)
             if np.any(row_norms == 0.0):
                 raise ValueError("zero input vector under one-plus-cosine")
-            s = rows @ q
+            s = dots()
             s /= row_norms
-            s /= qn
+            s /= per_query(qn)
             s += 1.0
             return s
         if self.kind == "reciprocal-euclidean":
             if row_sqnorms is None:
                 row_sqnorms = np.einsum("ij,ij->i", rows, rows)
-            d2 = rows @ q
+            d2 = dots()
             d2 *= -2.0
             d2 += row_sqnorms
-            d2 += float(q @ q)
+            d2 += per_query([v @ v for v in queries])
             np.maximum(d2, 0.0, out=d2)
             np.sqrt(d2, out=d2)
             d2 += self.delta
             np.divide(1.0, d2, out=d2)
             return d2
         # dot-product
-        s = rows @ q
+        s = dots()
         if (s < 0.0).any():
             np.maximum(s, 0.0, out=s)
         return s

@@ -51,10 +51,17 @@ class CandidatePool:
 
 
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
-                   limit: int | None = None) -> CandidatePool:
-    """Pool of the ``limit`` most similar vectors (all of them by default)."""
-    sims = fn.batch(q, data.data, row_norms=data.norms,
-                    row_sqnorms=data.sqnorms)
+                   limit: int | None = None,
+                   sims: np.ndarray | None = None) -> CandidatePool:
+    """Pool of the ``limit`` most similar vectors (all of them by default).
+
+    A caller that already holds q's similarities to every row of ``data``
+    (one row of a query block's scores) passes them as ``sims``, and the
+    base is not scanned again.
+    """
+    if sims is None:
+        sims = fn.batch(q, data.data, row_norms=data.norms,
+                        row_sqnorms=data.sqnorms)
     ids = rank(sims, limit=limit)
     return CandidatePool(ids=ids, sims=sims[ids])
 

@@ -5,22 +5,36 @@ import pytest
 
 from divknn import cli
 from divknn.cli import main
-from divknn.core import SimilarityFn
+from divknn.baselines import fetch_union, top_k
+from divknn.core import SimilarityFn, WelfareParams
 from divknn.data import read_attrs, read_vectors, write_fvecs
+from divknn.metrics import compute_report
+from divknn.multi import full_scan_pool, multi_div_ann, multi_nash_ann, \
+    multi_p_mean_ann
 from divknn.suites import SuiteResult
 
 
-@pytest.fixture()
-def dataset(tmp_path):
+def _float_dataset(tmp_path, n_queries):
     rng = np.random.default_rng(90)
     base = str(tmp_path / "base.fvecs")
     queries = str(tmp_path / "queries.fvecs")
     write_fvecs(base, rng.normal(size=(120, 6)).astype(np.float32))
-    write_fvecs(queries, rng.normal(size=(8, 6)).astype(np.float32))
+    write_fvecs(queries, rng.normal(size=(n_queries, 6)).astype(np.float32))
     attrs = str(tmp_path / "attrs.txt")
     assert main(["gen-attrs", "--base", base, "--mode", "prob",
                  "--seed", "7", "--out", attrs]) == 0
     return base, queries, attrs
+
+
+@pytest.fixture()
+def dataset(tmp_path):
+    return _float_dataset(tmp_path, 8)
+
+
+@pytest.fixture()
+def dataset20(tmp_path):
+    """20 queries: ``run`` scores them in blocks of 7, 7 and 6."""
+    return _float_dataset(tmp_path, 20)
 
 
 def read_csv(path):
@@ -232,13 +246,14 @@ def test_empty_vector_files_are_invalid_data(dataset, tmp_path, capsys):
 
 
 def _count_full_scans(monkeypatch, n):
-    """Record each SimilarityFn.batch call over all n base rows."""
+    """Record the query shape of each SimilarityFn.batch call over all n
+    base rows."""
     scans = []
     real = SimilarityFn.batch
 
     def batch(self, q, rows, *args, **kwargs):
         if rows.shape[0] == n:
-            scans.append(rows.shape[0])
+            scans.append(np.shape(q))
         return real(self, q, rows, *args, **kwargs)
 
     monkeypatch.setattr(SimilarityFn, "batch", batch)
@@ -255,23 +270,32 @@ def _count_full_scans(monkeypatch, n):
     ["--algo", "multi-pmean", "--p", "-1", "--pool-L", "4"],
     ["--algo", "multi-div", "--kprime", "2"],
     ["--algo", "multi-div", "--kprime", "2", "--pool-L", "30"],
+    ["--algo", "multi-nash", "--pool-L", "2"],
+    ["--algo", "nash"],
+    ["--algo", "pmean", "--p", "-1"],
+    ["--algo", "div", "--kprime", "2"],
 ])
-def test_run_scans_the_base_once_per_query(dataset, tmp_path, monkeypatch,
+def test_run_scans_the_base_once_per_block(dataset20, tmp_path, monkeypatch,
                                            extra):
-    # the report takes its reference top-k from the solver's own ranking
-    base, queries, attrs = dataset
+    # a scan algorithm scores each block of queries with one GEMM and takes
+    # its report's reference top-k from that ranking, also when --pool-L
+    # is below k; the per-attribute solvers scan once per query for it
+    base, queries, attrs = dataset20
     scans = _count_full_scans(monkeypatch, 120)
     assert main(["run", "--base", base, "--queries", queries, "--attrs",
                  attrs, "--k", "4", "--out", str(tmp_path / "s.csv")]
                 + extra) == 0
-    assert len(scans) == 8
+    if extra[1] in cli.SCAN_ALGOS:
+        assert scans == [(7, 6), (7, 6), (6, 6)]
+    else:
+        assert scans == [(6,)] * 20
 
 
-def _int_dataset(tmp_path, k):
+def _int_dataset(tmp_path, k, n_queries=6):
     """Small integer vectors: dot products tie often, one at place k."""
     rng = np.random.default_rng(93)
     x = rng.integers(0, 3, size=(120, 4)).astype(np.float32)
-    qs = rng.integers(1, 3, size=(6, 4)).astype(np.float32)
+    qs = rng.integers(1, 3, size=(n_queries, 4)).astype(np.float32)
     base, queries = str(tmp_path / "ib.fvecs"), str(tmp_path / "iq.fvecs")
     write_fvecs(base, x)
     write_fvecs(queries, qs)
@@ -321,6 +345,92 @@ def test_run_reference_matches_a_full_scan(dataset, tmp_path, monkeypatch,
         rep = real(ids, q, k, data, table, fn)
         assert row[ratio] == cli._fmt(rep.approx_ratio)
         assert row[rec] == cli._fmt(rep.recall)
+
+
+def _library_selection(extra, q, k, data, attrs, fn):
+    """The library call that ``divknn run`` with ``extra`` makes for q."""
+    opt = dict(zip(extra[::2], extra[1::2]))
+    algo, eta = opt["--algo"], 1.0
+    L = int(opt["--pool-L"]) if "--pool-L" in opt else None
+    params = WelfareParams(p=float(opt.get("--p", 0.0)), eta=eta)
+    if algo == "ann":
+        return top_k(q, k, data, fn, attrs=attrs, params=params)
+    if algo == "fetch-union":
+        return fetch_union(q, k, L or 200 * k, params, data, attrs, fn)
+    pool = full_scan_pool(q, data, fn, limit=L) if L else None
+    if algo == "multi-nash":
+        return multi_nash_ann(q, k, eta, data, attrs, fn, pool=pool)
+    if algo == "multi-pmean":
+        return multi_p_mean_ann(q, k, params, data, attrs, fn, pool=pool)
+    return multi_div_ann(q, k, int(opt["--kprime"]), data, attrs, fn,
+                         pool=pool, eta=eta)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--algo", "ann"],
+    ["--algo", "fetch-union"],
+    ["--algo", "fetch-union", "--pool-L", "7"],
+    ["--algo", "multi-nash"],
+    ["--algo", "multi-nash", "--pool-L", "3"],
+    ["--algo", "multi-pmean", "--p", "-1", "--pool-L", "30"],
+    ["--algo", "multi-div", "--kprime", "2"],
+    ["--algo", "multi-div", "--kprime", "1", "--pool-L", "2"],
+])
+@pytest.mark.parametrize("data_kind", ["one-plus-cosine",
+                                       "reciprocal-euclidean", "dot-product",
+                                       "int"])
+def test_run_block_path_equals_the_per_query_path(tmp_path, data_kind,
+                                                  extra):
+    # every query's row of its block's scores gives the CSV row of the
+    # library's own solve and report, at any thread count
+    k = 5
+    if data_kind == "int":
+        base, queries, attrs = _int_dataset(tmp_path, k, n_queries=20)
+        kind = "dot-product"
+    else:
+        base, queries, attrs = _float_dataset(tmp_path, 20)
+        kind = data_kind
+    outs = []
+    for threads in ("1", "2", "4"):
+        out = str(tmp_path / f"b{threads}.csv")
+        assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                     attrs, "--k", str(k), "--similarity", kind,
+                     "--threads", threads, "--out", out] + extra) == 0
+        outs.append(strip_timing(read_csv(out)))
+    assert outs[0] == outs[1] == outs[2]
+    rows = outs[0]
+    col = {name: i for i, name in enumerate(rows[0])}
+    data_rows = [r for r in rows[1:] if r[0].isdigit()]
+    data, table = read_vectors(base), read_attrs(attrs)
+    qs = read_vectors(queries)
+    fn = SimilarityFn(kind, delta=1.0 if kind == "reciprocal-euclidean"
+                      else 0.0)
+    assert len(data_rows) == qs.n == 20
+    for row in data_rows:
+        q = qs.data[int(row[0])]
+        sel = _library_selection(extra, q, k, data, table, fn)
+        rep = compute_report(sel.ids, q, k, data, table, fn, o_ids=None)
+        for name in ("approx_ratio", "recall", "entropy"):
+            assert row[col[name]] == cli._fmt(getattr(rep, name)), (row, name)
+
+
+def test_run_zero_query_in_a_block_is_invalid_data(tmp_path, capsys):
+    rng = np.random.default_rng(94)
+    base = str(tmp_path / "b.fvecs")
+    queries = str(tmp_path / "q.fvecs")
+    qs = rng.normal(size=(20, 6)).astype(np.float32)
+    qs[11] = 0.0
+    write_fvecs(base, rng.normal(size=(120, 6)).astype(np.float32))
+    write_fvecs(queries, qs)
+    attrs = str(tmp_path / "a.txt")
+    assert main(["gen-attrs", "--base", base, "--mode", "prob",
+                 "--out", attrs]) == 0
+    out = tmp_path / "z.csv"
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--algo", "fetch-union", "--k", "4",
+                 "--out", str(out)]) == 4
+    assert "zero query" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_all_algorithms_produce_csv(dataset, tmp_path):
@@ -446,6 +556,25 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_alpha_flag():
     assert main(["verify", "--suite", "alpha", "--trials", "20",
                  "--alpha", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"), ("--trials", "-3"), ("--checks", "0"),
+    ("--checks", "-5"), ("--alpha", "0"), ("--alpha", "nan"),
+    ("--alpha", "1.5"), ("--alpha", "-0.5"),
+])
+def test_verify_bad_flags_are_usage_errors(monkeypatch, capsys, flag, value):
+    # rejected before any suite runs
+    from divknn import suites as suites_mod
+
+    def never(**kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in list(suites_mod.SUITES):
+        monkeypatch.setitem(suites_mod.SUITES, name, never)
+    assert main(["verify", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
 
 
 def test_missing_subcommand_usage():

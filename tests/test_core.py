@@ -203,6 +203,68 @@ def test_similarity_always_nonnegative():
             assert s >= 0.0 and np.isfinite(s)
 
 
+KINDS = (("one-plus-cosine", 0.0), ("reciprocal-euclidean", 0.05),
+         ("dot-product", 0.0))
+
+
+@pytest.mark.parametrize("kind, delta", KINDS)
+def test_similarity_block_rows_match_single_queries(kind, delta):
+    rng = np.random.default_rng(12)
+    rows, qs = rng.normal(size=(500, 24)), rng.normal(size=(7, 24))
+    fn = SimilarityFn(kind, delta=delta)
+    block = fn.batch(qs, rows)
+    assert block.shape == (7, 500) and block.flags.c_contiguous
+    for q, got in zip(qs, block):
+        want = fn.batch(q, rows)
+        # GEMM and GEMV dot products may differ in the last place
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_similarity_block_is_exact_on_integer_dot_products():
+    rng = np.random.default_rng(13)
+    rows = rng.integers(-3, 4, size=(400, 16)).astype(np.float64)
+    qs = rng.integers(-3, 4, size=(6, 16)).astype(np.float64)
+    fn = SimilarityFn("dot-product")
+    block = fn.batch(qs, rows)
+    for q, got in zip(qs, block):
+        assert np.array_equal(got, fn.batch(q, rows))
+
+
+def test_similarity_single_query_is_the_documented_transform():
+    rng = np.random.default_rng(14)
+    rows, q = rng.normal(size=(300, 12)), rng.normal(size=12)
+    norms = np.linalg.norm(rows, axis=1)
+    sqnorms = np.einsum("ij,ij->i", rows, rows)
+    cos = SimilarityFn("one-plus-cosine").batch(q, rows)
+    assert np.array_equal(cos, rows @ q / norms / np.linalg.norm(q) + 1.0)
+    rec = SimilarityFn("reciprocal-euclidean", delta=0.05).batch(q, rows)
+    d2 = (rows @ q) * -2.0 + sqnorms + q @ q
+    assert np.array_equal(rec, 1.0 / (np.sqrt(np.maximum(d2, 0.0)) + 0.05))
+    dot = SimilarityFn("dot-product").batch(q, rows)
+    assert np.array_equal(dot, np.maximum(rows @ q, 0.0))
+
+
+def test_similarity_block_errors_match_single_queries():
+    rng = np.random.default_rng(15)
+    rows, qs = rng.normal(size=(50, 4)), rng.normal(size=(5, 4))
+    fn = SimilarityFn("one-plus-cosine")
+    zero = qs.copy()
+    zero[3] = 0.0
+    with pytest.raises(ValueError,
+                       match="^zero query vector under one-plus-cosine$"):
+        fn.batch(zero, rows)
+    nan = qs.copy()
+    nan[2, 1] = np.nan
+    for kind, delta in KINDS:
+        with pytest.raises(ValueError, match="^query contains NaN or Inf$"):
+            SimilarityFn(kind, delta=delta).batch(nan, rows)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fn.batch(qs[:, :3], rows)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fn.batch(qs[None], rows)
+
+
 # ---------------------------------------------------------------------------
 # utilities
 # ---------------------------------------------------------------------------

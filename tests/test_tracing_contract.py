@@ -7,7 +7,7 @@ import inspect
 import pathlib
 import sys
 
-from divknn import baselines, core, solvers
+from divknn import baselines, core, multi, solvers
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +40,12 @@ def test_benchmark_call_shapes_are_kept():
     params = list(inspect.signature(baselines.fetch_union).parameters)
     assert params[:8] == ["q", "k", "L", "params", "data", "attrs", "fn",
                           "stats"]
+
+
+def test_scan_signatures_are_kept():
+    # the tracer reads batch's rows by name; the benchmark's library loop
+    # passes full_scan_pool's q, data and fn by position and limit by name
+    params = list(inspect.signature(core.SimilarityFn.batch).parameters)
+    assert params[1:5] == ["q", "rows", "row_norms", "row_sqnorms"]
+    params = list(inspect.signature(multi.full_scan_pool).parameters)
+    assert params[:4] == ["q", "data", "fn", "limit"]
