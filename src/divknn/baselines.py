@@ -33,6 +33,7 @@ def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    q = fn.query(q)
     if pool is None:
         pool = full_scan_pool(q, data, fn, limit=k)
     ids = pool.ids[:k].tolist()
@@ -55,6 +56,7 @@ def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
         raise ValueError("k and kprime must be >= 1")
     if oracle is None:
         oracle = ExactScanOracle(data, attrs, fn)
+        q = fn.query(q)   # checked and normed once for the c scans
     capped = [oracle(q, a, kprime) for a in range(attrs.c)]
     ids = np.concatenate([r.ids for r in capped])
     chosen = ids[rank(np.concatenate([r.sims for r in capped]), ids, k)]

@@ -23,19 +23,22 @@ match the long flag names (dashes or underscores).
 
 ``run`` splits the selected queries, in order, into ceil(m / 8) near-equal
 consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
-``multi-*``) one similarity GEMM per block reads the base once for all its
-queries; each query then ranks its own row of the block's scores once, and
-that ranking gives both its pool and the exact top-k reference of the
-relevance metrics. ``nash``, ``pmean`` and ``div`` never scan the base in
-their solve, so their report scans once per query for the reference.
-``--threads`` runs blocks concurrently, each holding 8 score rows of n
-float64 while in flight. Timing uses a monotonic clock; a query's latency is
-its share of its block's scan (scan time over block size) plus its own
-ranking and solve (not dataset load, not metric evaluation), and QPS is the
-query count over the batch wall time. All timing lands in the
-``latency_us`` column, and the block split depends on the query list alone,
-so output is reproducible modulo that column at a fixed seed, for any
-thread count.
+``multi-*``) one GEMM per block reads the base once for all its queries:
+over a float32 base (fvecs, bvecs) ranked to at most an eighth of its
+rows it gives float32 scores, which each query's certified filter turns
+into its exact float64 ranking after re-scoring only the rows that survive
+(``multi.full_scan_pool``); otherwise it gives the float64 similarities.
+Each query ranks once, and that ranking gives both its pool and the exact
+top-k reference of the relevance metrics. ``nash``, ``pmean`` and ``div``
+never scan the base in their solve, so their report scans once per query
+for the reference. ``--threads`` runs blocks concurrently, each holding 8
+score rows of n float32 (float64 where the block is scored in float64)
+while in flight. Timing uses a monotonic clock; a query's latency is its
+share of its block's scan (scan time over block size) plus its own ranking
+and solve (not dataset load, not metric evaluation), and QPS is the query
+count over the batch wall time. All timing lands in the ``latency_us``
+column, and the block split depends on the query list alone, so output is
+reproducible modulo that column at a fixed seed, for any thread count.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from .core import SimilarityFn, WelfareParams
 from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
-from .multi import CandidatePool, full_scan_pool, multi_div_ann, \
-    multi_nash_ann, multi_p_mean_ann
+from .multi import CandidatePool, block_scores, full_scan_pool, \
+    multi_div_ann, multi_nash_ann, multi_p_mean_ann
 from .solvers import nash_ann, p_mean_ann
 from . import suites
 
@@ -138,24 +141,26 @@ def cmd_gen_attrs(args) -> int:
 def _make_runner(algo: str, k: int, p: float, eta: float,
                  kprime: Optional[int], pool_l: Optional[int], data, attrs,
                  fn):
-    """Per-query closure ``run(q, sims)`` returning the selection and the
-    exact top-k reference of its report, or None when the report must scan
-    for it. ``sims`` is q's row of its block's scores for SCAN_ALGOS and
-    None for the others."""
+    """The per-query closure ``run(q, scores)``, which returns the selection
+    and the exact top-k reference of its report (None when the report must
+    scan for it), and the limit its scan ranks to (None: every row).
+    ``scores`` is q's row of its block's :func:`block_scores` for that limit
+    for SCAN_ALGOS and None for the others."""
     params = WelfareParams(p=p if algo in WELFARE_P_ALGOS else 0.0, eta=eta)
 
     def scanned(solve, limit):
         # rank is a total order on (similarity, id), so one ranking to
         # max(limit, k) rows holds the pool (its head limit rows) and the
         # exact top-k (its head k rows)
-        def run(q, sims):
-            top = full_scan_pool(q, data, fn, sims=sims, limit=None
-                                 if limit is None else max(limit, k))
+        top_l = None if limit is None else max(limit, k)
+
+        def run(q, scores):
+            top = full_scan_pool(q, data, fn, scores=scores, limit=top_l)
             pool = (top if limit is None or limit >= k
                     else CandidatePool(ids=top.ids[:limit],
                                        sims=top.sims[:limit]))
             return solve(q, pool), top.ids[:k]
-        return run
+        return run, top_l
 
     if algo == "ann":
         return scanned(lambda q, pool: top_k(
@@ -163,14 +168,14 @@ def _make_runner(algo: str, k: int, p: float, eta: float,
     # the per-attribute gathers of these need not reproduce the full
     # scan's similarity bits, so the report scans for its own reference
     if algo == "div":
-        return lambda q, sims: (div_ann(q, k, kprime, data, attrs, fn,
-                                        params=params), None)
+        return lambda q, scores: (div_ann(q, k, kprime, data, attrs, fn,
+                                          params=params), None), None
     if algo == "nash":
-        return lambda q, sims: (nash_ann(q, k, params, data, attrs, fn),
-                                None)
+        return lambda q, scores: (nash_ann(q, k, params, data, attrs, fn),
+                                  None), None
     if algo == "pmean":
-        return lambda q, sims: (p_mean_ann(q, k, params, data, attrs, fn),
-                                None)
+        return lambda q, scores: (p_mean_ann(q, k, params, data, attrs, fn),
+                                  None), None
     if algo == "multi-nash":
         return scanned(lambda q, pool: multi_nash_ann(
             q, k, eta, data, attrs, fn, pool=pool), pool_l)
@@ -262,18 +267,18 @@ def cmd_run(args) -> int:
         qidx = np.sort(rng.choice(queries.n, size=args.num_queries,
                                   replace=False))
 
-    runner = _make_runner(algo, k, p, eta, kprime, pool_l, data, attrs, fn)
+    runner, limit = _make_runner(algo, k, p, eta, kprime, pool_l, data,
+                                 attrs, fn)
     base2 = args.entropy_base == "2"
 
     def work(block: np.ndarray):
-        # one similarity GEMM reads the base once for the whole block
+        # one GEMM reads the base once for the whole block
         t0 = time.perf_counter()
-        sims = (fn.batch(queries.data[block], data.data,
-                         row_norms=data.norms, row_sqnorms=data.sqnorms)
-                if algo in SCAN_ALGOS else [None] * len(block))
+        scores = (block_scores(queries.data[block], data, fn, limit)
+                  if algo in SCAN_ALGOS else [None] * len(block))
         share = (time.perf_counter() - t0) / len(block)
         out = []
-        for qi, row in zip(block, sims):
+        for qi, row in zip(block, scores):
             q = queries.data[qi]
             t1 = time.perf_counter()
             sel, ref = runner(q, row)

@@ -5,6 +5,7 @@ Building blocks:
 * :class:`VectorSet` -- immutable n x d matrix of input vectors.
 * :class:`AttributeTable` -- per-vector attribute sets plus inverted lists.
 * :class:`SimilarityFn` -- nonnegative similarity between vectors.
+* :class:`Query` -- a query checked once, with the norms its kind reads.
 * :class:`WelfareParams` -- welfare exponent ``p`` and smoothing ``eta``.
 * :func:`welfare` / :func:`log_nsw` -- Nash (geometric-mean) and generalized
   p-mean welfare over per-attribute utilities.
@@ -12,7 +13,9 @@ Building blocks:
 All types are immutable after construction and safe to share across threads;
 the operations are pure functions. Similarity values are always nonnegative
 because utilities are sums of similarities and the welfare objectives assume
-nonnegative utility. Everything accumulates in 64-bit floats.
+nonnegative utility. A base whose values are float32 or uint8 is stored in
+float32, half the bytes of float64; every similarity, norm and utility is
+computed from float64 upcasts of its rows and accumulates in 64-bit floats.
 """
 
 from __future__ import annotations
@@ -33,12 +36,18 @@ _NORM_BLOCK = 4096
 class VectorSet:
     """Immutable dense matrix of input vectors; row i is vector id i.
 
-    The per-row norms and squared norms are computed at construction, in
-    the same pass over the rows that rejects NaN and Inf entries.
+    The matrix is stored in float32 when the input's dtype converts to
+    float32 without loss (float32 or uint8, as fvecs and bvecs files give),
+    and in float64 otherwise. The per-row norms and squared norms are
+    float64, computed at construction from float64 upcasts of blocks of
+    rows, in the same pass that rejects NaN and Inf entries; they equal the
+    whole-array formulas on a float64 copy of the matrix.
     """
 
     def __init__(self, data) -> None:
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        arr = np.ascontiguousarray(arr, dtype=np.float32 if arr.dtype in (
+            np.float32, np.uint8) else np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
         # an empty set (e.g. from an empty file) may be constructed; any
@@ -52,7 +61,7 @@ class VectorSet:
         # apart by the exact test
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, arr.shape[0], _NORM_BLOCK):
-                block = arr[lo:lo + _NORM_BLOCK]
+                block = np.asarray(arr[lo:lo + _NORM_BLOCK], dtype=np.float64)
                 sq = np.einsum("ij,ij->i", block, block)
                 if not np.isfinite(sq).all() and not np.isfinite(block).all():
                     raise ValueError("vector payload contains NaN or Inf")
@@ -63,6 +72,10 @@ class VectorSet:
         self._data = arr
         self._norms = norms
         self._sqnorms = sqnorms
+        # the extremes bound a float32 scan's rounding error; a zero
+        # minimum means a zero row, an error under one-plus-cosine
+        self.min_norm = float(norms.min(initial=np.inf))
+        self.max_norm = float(norms.max(initial=0.0))
 
     @property
     def data(self) -> np.ndarray:
@@ -204,6 +217,18 @@ class AttributeTable:
         return f"AttributeTable(n={self.n}, c={self.c}, {mode})"
 
 
+@dataclass(frozen=True, eq=False)
+class Query:
+    """A query made ready by :meth:`SimilarityFn.query`: one vector or a
+    (b, d) block in float64, checked for NaN and Inf, with each query's norm
+    (one-plus-cosine) or squared norm (reciprocal-euclidean) when the kind
+    reads it."""
+
+    vec: np.ndarray
+    norms: Optional[list] = None
+    sqnorms: Optional[list] = None
+
+
 @dataclass(frozen=True)
 class SimilarityFn:
     """Similarity configuration; all kinds return finite values >= 0.
@@ -212,6 +237,10 @@ class SimilarityFn:
       one-plus-cosine      1 + <u,v> / (|u||v|), in [0, 2]
       reciprocal-euclidean 1 / (|u - v| + delta), delta > 0
       dot-product          max(<u,v>, 0); negative products are clamped to 0
+
+    Every method takes a query as an array or as the :class:`Query` that
+    :meth:`query` made of it; a caller that scores one query many times
+    makes it once, so the query is checked and normed once.
     """
 
     kind: str
@@ -223,43 +252,58 @@ class SimilarityFn:
         if self.kind == "reciprocal-euclidean" and not self.delta > 0:
             raise ValueError("reciprocal-euclidean requires delta > 0")
 
-    def batch(self, q: np.ndarray, rows: np.ndarray,
+    def query(self, q) -> Query:
+        """Check q (one query or a (b, d) block) and take the per-query
+        norms this kind reads; a :class:`Query` is returned as it is."""
+        if isinstance(q, Query):
+            return q
+        q = np.asarray(q, dtype=np.float64)
+        if q.ndim not in (1, 2):
+            raise ValueError("dimension mismatch between query and vectors")
+        if not np.isfinite(q).all():
+            raise ValueError("query contains NaN or Inf")
+        queries = (q,) if q.ndim == 1 else q
+        if self.kind == "one-plus-cosine":
+            qn = [np.linalg.norm(v) for v in queries]
+            if 0.0 in qn:
+                raise ValueError("zero query vector under one-plus-cosine")
+            return Query(q, norms=qn)
+        if self.kind == "reciprocal-euclidean":
+            return Query(q, sqnorms=[v @ v for v in queries])
+        return Query(q)
+
+    def batch(self, q, rows: np.ndarray,
               row_norms: Optional[np.ndarray] = None,
               row_sqnorms: Optional[np.ndarray] = None) -> np.ndarray:
         """Similarity of query q against every row of ``rows`` (float64).
 
         A (b, d) block of queries gives (b, n) scores, query-major, so each
         query's scores are one contiguous row; every step after the dot
-        products is the 1-D one, broadcast by row.
+        products is the 1-D one, broadcast by row. ``rows`` is upcast to
+        float64. Norms passed as ``row_norms`` are the caller's to have
+        checked for zeros; norms computed here are checked.
         """
-        q = np.asarray(q, dtype=np.float64)
-        if (q.ndim not in (1, 2) or rows.ndim != 2
-                or rows.shape[1] != q.shape[-1]):
+        q = self.query(q)
+        v = q.vec
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != v.shape[-1]:
             raise ValueError("dimension mismatch between query and vectors")
-        if not np.isfinite(q).all():
-            raise ValueError("query contains NaN or Inf")
-
-        queries = (q,) if q.ndim == 1 else q
 
         def per_query(values):
             # one value per query: a scalar for one query (numpy's fast
             # in-place path), a column that broadcasts over a block's rows
-            return values[0] if q.ndim == 1 else np.array(values)[:, None]
+            return values[0] if v.ndim == 1 else np.array(values)[:, None]
 
         def dots():
-            return rows @ q if q.ndim == 1 else q @ rows.T
+            return rows @ v if v.ndim == 1 else v @ rows.T
 
         if self.kind == "one-plus-cosine":
-            qn = [np.linalg.norm(v) for v in queries]
-            if 0.0 in qn:
-                raise ValueError("zero query vector under one-plus-cosine")
             if row_norms is None:
                 row_norms = np.linalg.norm(rows, axis=1)
-            if np.any(row_norms == 0.0):
-                raise ValueError("zero input vector under one-plus-cosine")
+                _reject_zero_norms(row_norms)
             s = dots()
             s /= row_norms
-            s /= per_query(qn)
+            s /= per_query(q.norms)
             s += 1.0
             return s
         if self.kind == "reciprocal-euclidean":
@@ -268,7 +312,7 @@ class SimilarityFn:
             d2 = dots()
             d2 *= -2.0
             d2 += row_sqnorms
-            d2 += per_query([v @ v for v in queries])
+            d2 += per_query(q.sqnorms)
             np.maximum(d2, 0.0, out=d2)
             np.sqrt(d2, out=d2)
             d2 += self.delta
@@ -280,16 +324,55 @@ class SimilarityFn:
             np.maximum(s, 0.0, out=s)
         return s
 
-    def batch_ids(self, q: np.ndarray, data: "VectorSet",
+    def batch_ids(self, q, data: "VectorSet",
                   ids: np.ndarray) -> np.ndarray:
-        """Similarity of q against data rows ``ids``, gathering only the
-        cached auxiliary the kind actually needs."""
-        rows = data.data[ids]
+        """Similarity of q against data rows ``ids``, gathering (and
+        upcasting) only those rows and the cached auxiliary the kind
+        actually needs."""
+        q = self.query(q)
+        rows = np.take(data.data, ids, axis=0)   # 2x faster than data[ids]
         if self.kind == "one-plus-cosine":
-            return self.batch(q, rows, row_norms=data.norms[ids])
+            norms = data.norms[ids]
+            _reject_zero_norms(norms)
+            return self.batch(q, rows, row_norms=norms)
         if self.kind == "reciprocal-euclidean":
             return self.batch(q, rows, row_sqnorms=data.sqnorms[ids])
         return self.batch(q, rows)
+
+    def check_rows(self, data: "VectorSet") -> None:
+        """Reject a base this kind cannot score: one with a zero row under
+        one-plus-cosine. The set-up pass found any, so this reads no row."""
+        if self.kind == "one-plus-cosine":
+            _reject_zero_norms(data.min_norm)
+
+    def scan(self, q, data: "VectorSet") -> np.ndarray:
+        """Similarity of q (one query or a (b, d) block) against every row
+        of ``data``, in float64.
+
+        A float64 base is scored in one call; a float32 base is upcast by
+        blocks of ``_NORM_BLOCK`` rows, never whole. The block size is a
+        multiple of every BLAS kernel's row group, so the result is bit
+        for bit that of one call on a float64 copy of the base.
+        """
+        q = self.query(q)
+        self.check_rows(data)
+        n = data.n
+        step = _NORM_BLOCK if data.data.dtype == np.float32 else max(n, 1)
+        starts = list(range(0, max(n, 1), step))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            # one row would be a dot product, not a GEMV: the block before
+            # takes it, as the whole-array call's tail does
+            starts.pop()
+        parts = [self.batch(q, data.data[lo:hi], row_norms=data.norms[lo:hi],
+                            row_sqnorms=data.sqnorms[lo:hi])
+                 for lo, hi in zip(starts, starts[1:] + [n])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _reject_zero_norms(norms) -> None:
+    """A zero row has no cosine: reject it under one-plus-cosine."""
+    if np.any(norms == 0.0):
+        raise ValueError("zero input vector under one-plus-cosine")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ Binary vector containers (bit-exact):
 Every record in a file must share the same d; the record count is inferred
 from the file size, and truncated files are rejected. Files are read in
 blocks of records straight into the output matrix, so peak memory is about
-that matrix. fvecs payloads holding NaN or Inf are refused.
+that matrix. fvecs and bvecs payloads are kept in float32, which holds
+their values exactly (see ``core.VectorSet``); fvecs payloads holding NaN
+or Inf are refused.
 
 Attribute files are line-oriented text:
 
@@ -83,7 +85,7 @@ def _read_records(path: str, payload_dtype, out_dtype) -> np.ndarray:
 
 def read_fvecs(path: str) -> VectorSet:
     """Load an fvecs file (int32 dim + float32 payload per record)."""
-    out = _read_records(path, "<f4", np.float64)
+    out = _read_records(path, "<f4", np.float32)
     try:
         return VectorSet(out)
     except ValueError:  # the only check VectorSet can fail on this array
@@ -92,7 +94,7 @@ def read_fvecs(path: str) -> VectorSet:
 
 def read_bvecs(path: str) -> VectorSet:
     """Load a bvecs file (int32 dim + uint8 payload per record)."""
-    return VectorSet(_read_records(path, np.uint8, np.uint8))
+    return VectorSet(_read_records(path, np.uint8, np.float32))
 
 
 def read_ivecs(path: str) -> np.ndarray:
@@ -184,13 +186,16 @@ def cluster_attrs(data: VectorSet, c: int, seed: int,
     """Cluster-derived attributes: each vector is labeled by its k-means
     cluster. With ``chunks=m`` the dimensions are split into m equal slices,
     each clustered independently into c clusters, yielding a one-per-class
-    table with m classes and c*m attributes total."""
+    table with m classes and c*m attributes total. k-means runs on a
+    float64 copy, so a float32-stored set gets the labels of a float64 set
+    with the same values."""
     if c < 2:
         raise ValueError("c must be >= 2")
     if c > data.n:
         raise ValueError("more clusters than vectors")
     if chunks is None:
-        labels = _lloyd(np.asarray(data.data), c, np.random.default_rng(seed))
+        labels = _lloyd(np.asarray(data.data, dtype=np.float64), c,
+                        np.random.default_rng(seed))
         return AttributeTable.from_labels(labels, c)
     m = int(chunks)
     if m < 1 or data.d % m != 0:
@@ -198,7 +203,8 @@ def cluster_attrs(data: VectorSet, c: int, seed: int,
     width = data.d // m
     columns = []
     for i in range(m):
-        sl = np.ascontiguousarray(data.data[:, i * width:(i + 1) * width])
+        sl = np.ascontiguousarray(data.data[:, i * width:(i + 1) * width],
+                                  dtype=np.float64)
         columns.append(i * c + _lloyd(sl, c, np.random.default_rng([seed, i])))
     return AttributeTable(np.full(data.n, m),
                           np.column_stack(columns).ravel(), c=c * m,

@@ -107,6 +107,7 @@ def compute_report(ids: Sequence[int], q, k: int, data: VectorSet,
                    o_ids: Optional[Sequence[int]] = None) -> MetricsReport:
     """All metrics of one retrieved set against the exact top-k reference
     ``o_ids``, found by a scan of the base when not given."""
+    q = fn.query(q)
     if o_ids is None:
         o_ids = top_k(q, k, data, fn).ids
     per_class = None

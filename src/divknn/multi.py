@@ -50,20 +50,204 @@ class CandidatePool:
         return len(self.ids)
 
 
+# unit roundoffs of float32 and float64
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+# relative slack on every bound: it covers the float64 rounding of the
+# stored norms and of computing the bound itself, for any d below 2^30
+_SAFE = 1.0 + 2.0 ** -20
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _gamma(m: int, u: float) -> float:
+    """Higham's gamma_m = m u / (1 - m u)."""
+    return m * u / (1.0 - m * u)
+
+
+def _max_survivors(n: int) -> int:
+    """Most rows the float32 filter gathers and re-scores over an n-row
+    base. Past an eighth of the base the gather and float64 upcast of the
+    survivors cost more than the blockwise float64 scan of every row (1M x
+    96, one BLAS thread: 136 against 159 ms per query at L = n/8, 234
+    against 167 ms at n/4). Below 32768 rows the bound is 4096 rows, a
+    gather small enough not to matter either way."""
+    return max(n // 8, 4096)
+
+
+def _filters(data: VectorSet, limit: int | None) -> bool:
+    """Whether ``full_scan_pool(limit=limit)`` ranks ``data`` through the
+    float32 filter."""
+    return data.data.dtype == np.float32 and limit is not None and \
+        limit < data.n and limit <= _max_survivors(data.n)
+
+
+def block_scores(q, data: VectorSet, fn: SimilarityFn,
+                 limit: int | None = None) -> np.ndarray:
+    """What ``full_scan_pool(limit=limit)`` ranks from, for one query or a
+    (b, d) block, in one pass over the base: float32 dot products with the
+    float32-rounded queries (one sgemv or sgemm) where it filters a float32
+    base, the float64 similarities otherwise."""
+    if not _filters(data, limit):
+        return fn.scan(q, data)
+    # a query beyond float32's range or an overflowing dot product gives
+    # inf or NaN scores, which full_scan_pool handles. A block is scored as
+    # base times queries, which sgemm runs about 1.5x faster than the
+    # query-major product, and transposed so each query's row is contiguous.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q32 = np.asarray(fn.query(q).vec, dtype=np.float32)
+        return np.ascontiguousarray((data.data @ q32.T).T)
+
+
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
                    limit: int | None = None,
-                   sims: np.ndarray | None = None) -> CandidatePool:
-    """Pool of the ``limit`` most similar vectors (all of them by default).
+                   scores: np.ndarray | None = None) -> CandidatePool:
+    """Pool of the ``limit`` most similar vectors (all of them by default),
+    with their float64 similarities.
 
-    A caller that already holds q's similarities to every row of ``data``
-    (one row of a query block's scores) passes them as ``sims``, and the
-    base is not scanned again.
+    A caller that already holds q's row of :func:`block_scores` for the
+    same ``limit`` (one row of a query block's) passes it as ``scores``,
+    and the base is not read again. Over a float64 base, and for
+    ``limit=None``, ``limit >= n`` or a limit above
+    :func:`_max_survivors` (an eighth of a large base), every row's
+    float64 similarity is ranked. Over a float32 base a smaller ``limit``
+    goes through :func:`_filtered_pool`: float32 scores, a certified
+    threshold, and float64 only for the rows that survive it. Both give
+    the same ids and order, up to rows whose float64 similarities differ
+    only in the last place: the filter scores its survivors by a gather's
+    GEMV, whose last bits may differ from those of a whole-array scan.
     """
-    if sims is None:
-        sims = fn.batch(q, data.data, row_norms=data.norms,
-                        row_sqnorms=data.sqnorms)
-    ids = rank(sims, limit=limit)
-    return CandidatePool(ids=ids, sims=sims[ids])
+    q = fn.query(q)
+    if _filters(data, limit) and np.abs(q.vec).max() <= _F32_MAX and \
+            (scores is None or scores.dtype == np.float32):
+        fn.check_rows(data)
+        if scores is None:
+            scores = block_scores(q, data, fn, limit)
+        pool = _filtered_pool(q, data, fn, limit, scores)
+        if pool is not None:
+            return pool
+    if scores is None or scores.dtype != np.float64:
+        # no scores given, a query beyond float32's range, or a filter
+        # that could not certify its pool: rank every row in float64
+        scores = fn.scan(q, data)
+    ids = rank(scores, limit=limit)
+    return CandidatePool(ids=ids, sims=scores[ids])
+
+
+def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
+                   g: np.ndarray) -> CandidatePool | None:
+    """The top-``limit`` pool over a float32 base from its float32 scores
+    ``g``, re-scoring only the rows that survive a certified threshold; None
+    when more rows survive than :func:`_max_survivors` allows (ties at the
+    threshold) or the certificate fails, and every row must be ranked in
+    float64.
+
+    Each kind ranks by a key in which its similarity increases: the dot
+    product P = x.q (dot-product), P / |x| (one-plus-cosine) or
+    P - |x|^2 / 2 (reciprocal-euclidean), estimated from g = fl32(x.q32)
+    with q32 = fl32(q). For every row with finite g, ``|key - K| <= err``
+    for the exact key K:
+
+    * |g - x.q32| <= gamma_d(u32) |x|.|q32| + d 2^-149 for a dot product
+      of d terms in any summation order, the last term covering products
+      that underflow (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, 2002, section 3.1), and |x.q32 - x.q| <= |x| |q - q32|,
+      q's own float32 rounding; by Cauchy-Schwarz |x|.|q32| <= |x| |q32|.
+      So |g - P| <= |x| (|q - q32| + gamma_d(u32) |q32|) + d 2^-149.
+    * The key's own float64 arithmetic adds its rounding, u64 times its
+      magnitude per operation; the stored norms are within _SAFE of |x|.
+
+    A row whose float32 score overflowed (inf or NaN) always survives.
+
+    With tau the ``limit``-th best key, every row with key >= theta =
+    tau - 2 err - 4 e64 survives; e64 bounds the float64 path's own error
+    in key units. The survivors are scored by ``batch_ids`` and ranked by
+    ``rank``. A non-survivor has K < theta + err, so its float64
+    similarity is at most ``upper(theta + err)``, an upper bound that
+    counts every rounding of the float64 path. If the ``limit``-th
+    survivor's similarity exceeds that bound, each non-survivor ranks below
+    ``limit`` survivors, so the survivors' top-``limit`` is the whole
+    base's, ties included. The rows with key >= tau have K >= tau - err,
+    which puts their similarities above that bound by at least e64, so the
+    certificate fails only where the float64 similarity itself stops
+    separating rows: a threshold among dot products clamped to 0, or
+    reciprocal-euclidean distances rounded to 0.
+    """
+    n, d = data.n, data.d
+    v = q.vec
+    q32 = v.astype(np.float32).astype(np.float64)
+    nq32 = np.linalg.norm(q32)
+    nq = np.linalg.norm(v) * _SAFE
+    under = d * 2.0 ** -149
+    # bound on |g - P| per unit of |x|, q's rounding first
+    per_norm = (np.linalg.norm(v - q32) + _gamma(d, _U32) * nq32) * _SAFE
+    xmax = data.max_norm * _SAFE
+    if fn.kind == "dot-product":
+        key = g
+        err = (xmax * per_norm + under) * _SAFE
+        # gamma_{d+8}: the extra 8 u64 covers evaluating ``upper``
+        e64 = _gamma(d + 8, _U64) * xmax * nq * _SAFE
+
+        def upper(k):
+            return max(k + e64 * 2.0, 0.0)
+    elif fn.kind == "one-plus-cosine":
+        key = g / data.norms
+        err = (per_norm + 2.0 * _U64 * nq32
+               + 2.0 * under / data.min_norm) * _SAFE
+        qn = q.norms[0]
+        e64 = (_gamma(d, _U64) * nq + 16.0 * _U64 * qn) * _SAFE
+
+        def upper(k):
+            # 1 + (k + e64) / |q| bounds fl(fl(fl(p / |x|) / |q|) + 1);
+            # the second e64 covers evaluating it
+            return 1.0 + (k + e64 * 2.0) / qn
+    else:
+        with np.errstate(invalid="ignore"):   # inf - inf from an overflow
+            key = g - 0.5 * data.sqnorms
+        xsq = xmax * xmax * _SAFE
+        err = (xmax * per_norm + under
+               + 2.0 * _U64 * (xmax * nq32 + xsq)) * _SAFE
+        qq = q.sqnorms[0]
+        # float64 error of |x|^2 - 2 p + |q|^2, the squared distance
+        e_d = (2.0 * _gamma(d + 2, _U64) * xmax * nq
+               + 4.0 * _U64 * (xsq + qq + xmax * nq)) * _SAFE
+
+        def upper(k):
+            d2 = max(qq - 2.0 * k - 2.0 * e_d, 0.0)
+            return (1.0 + 16.0 * _U64) / (np.sqrt(d2) + fn.delta)
+
+    finite = None
+    if xmax * nq32 * (1.0 + _gamma(d, _U32)) >= _F32_MAX:
+        # some partial sum may overflow: non-finite keys are set aside
+        finite = np.isfinite(key)
+        if np.count_nonzero(finite) < limit:
+            return None
+        tau = float(np.partition(np.where(finite, key, -np.inf),
+                                 n - limit)[n - limit])
+    else:
+        tau = float(np.partition(key, n - limit)[n - limit])
+    if fn.kind == "reciprocal-euclidean":
+        # the distance at the threshold sets how far apart in key two
+        # rows must be for their float64 similarities to differ
+        r = np.sqrt(max(qq - 2.0 * tau + 4.0 * err, 0.0))
+        e64 = e_d + 2.0 ** -40 * r * (r + fn.delta)
+    theta = tau - 2.0 * err - 4.0 * e64
+    # compare in the key's dtype (float32 for dot-product) against theta
+    # rounded down, never up
+    with np.errstate(over="ignore"):
+        t = key.dtype.type(theta)
+    if t > theta:
+        t = np.nextafter(t, key.dtype.type(-np.inf))
+    keep = key >= t
+    if finite is not None:
+        keep |= ~finite
+    keep = np.flatnonzero(keep)
+    if keep.size > _max_survivors(n):
+        return None
+    sims = fn.batch_ids(q, data, keep)
+    order = rank(sims, keep, limit)
+    if sims[order[-1]] <= upper(theta + err):
+        return None
+    return CandidatePool(ids=keep[order], sims=sims[order])
 
 
 def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,

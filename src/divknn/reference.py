@@ -33,8 +33,7 @@ ENUMERATION_GUARD = 10_000_000
 def _weight_matrix(q, data: VectorSet, attrs: AttributeTable,
                    fn: SimilarityFn) -> np.ndarray:
     """(n, c) matrix whose row v spreads sigma(q, v) over atb(v)."""
-    sims = fn.batch(q, data.data, row_norms=data.norms,
-                    row_sqnorms=data.sqnorms)
+    sims = fn.scan(q, data)
     w = np.zeros((data.n, attrs.c), dtype=np.float64)
     rows = np.repeat(np.arange(attrs.n), np.diff(attrs.indptr))
     w[rows, attrs.indices] = sims[rows]
@@ -91,8 +90,7 @@ def brute_force_opt_recursive(q, k: int, params: WelfareParams,
     path on tiny instances. Welfare is recomputed per leaf via the scalar
     welfare functions."""
     n = data.n
-    sims = fn.batch(q, data.data, row_norms=data.norms,
-                    row_sqnorms=data.sqnorms)
+    sims = fn.scan(q, data)
     best: list = [None, -math.inf]
 
     def value(util: np.ndarray) -> float:

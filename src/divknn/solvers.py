@@ -101,6 +101,7 @@ def _exact_greedy(q, k: int, params: WelfareParams, data: VectorSet,
     greedy over the concatenated lists."""
     if oracle is None:
         oracle = ExactScanOracle(data, attrs, fn)
+        q = fn.query(q)   # checked and normed once for the c scans
     ranked = prefetch_streams(q, k, attrs, oracle)
     bounds = np.zeros(len(ranked) + 1, dtype=np.intp)
     np.cumsum([len(r) for r in ranked], out=bounds[1:])

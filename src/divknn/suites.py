@@ -16,7 +16,10 @@ Covered properties:
 * the set-packing reduction round-trip (threshold met iff a perfect packing
   exists);
 * the two stylized behaviors: equal similarities spread across attributes,
-  single-attribute relevance concentrates on it.
+  single-attribute relevance concentrates on it;
+* the certified float32 filter of ``full_scan_pool`` over float32 bases:
+  the same ids and order as a whole-array float64 rank, and similarities
+  within the last-place differences of a gather's GEMV.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .core import (AttributeTable, SimilarityFn, VectorSet, WelfareParams,
                    log_nsw)
-from .multi import multi_nash_ann
+from .multi import full_scan_pool, multi_nash_ann
 from .oracle import AlphaOracleConfig, AlphaScanOracle
 from .reference import (_weight_matrix, brute_force_opt, ersp_reduction,
                         log_ineq_check, max_log_nsw, packing_exists,
@@ -346,6 +349,68 @@ def suite_ersp(trials: int = 100, seed: int = 8) -> SuiteResult:
     return SuiteResult("set-packing reduction round-trip", trials, bad)
 
 
+# ---------------------------------------------------------------------------
+# float32 scan suite
+# ---------------------------------------------------------------------------
+
+def random_float32_instance(rng: np.random.Generator, n_max: int = 300,
+                            d_max: int = 24):
+    """(q, x, fn, limit) with x a float32 base of one of four flavors:
+    Gaussian rows at a random scale; small integers under dot-product, so
+    dot products tie; copies of one row a few ulps apart in a component the
+    query barely weighs, so similarities differ by about 1e-9 relative,
+    below what float32 resolves; Gaussian rows plus a few whose float32 dot
+    product overflows. ``limit`` is 1, about k or n - 1."""
+    n = int(rng.integers(2, n_max + 1))
+    d = int(rng.integers(1, d_max + 1))
+    flavor = int(rng.integers(0, 4))
+    fn = _random_fn(rng)
+    q = rng.normal(size=d)
+    if flavor == 1:
+        fn = SimilarityFn("dot-product")
+        x = rng.integers(-2, 4, size=(n, d))
+        q = rng.integers(-1, 3, size=d).astype(np.float64)
+    elif flavor == 2:
+        x = np.tile(rng.normal(size=d).astype(np.float32), (n, 1))
+        x[:, 0] += rng.integers(-3, 4, size=n) * np.spacing(x[0, 0])
+        q[0] *= 0.02
+    else:
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if flavor == 3:
+            big = rng.choice(n, size=min(n, 3), replace=False)
+            x[big] = np.sign(x[big]) * 3e38 / math.sqrt(d)
+            q *= 10.0
+    limit = (1, min(10, n - 1), n - 1)[int(rng.integers(0, 3))]
+    return q, np.asarray(x, dtype=np.float32), fn, limit
+
+
+def float64_topk(q, x: np.ndarray, fn: SimilarityFn,
+                 limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and similarities of the ``limit`` best rows of x by one
+    whole-array float64 similarity call, ascending id on ties."""
+    sims = fn.batch(q, np.asarray(x, dtype=np.float64))
+    ids = np.lexsort((np.arange(len(sims)), -sims))[:limit]
+    return ids, sims[ids]
+
+
+def suite_float32_scan(trials: int = 200, seed: int = 9) -> SuiteResult:
+    """Over float32 bases, ``full_scan_pool`` with a limit below n (float32
+    scores, a certified threshold, float64 re-scoring of the survivors)
+    returns the ids and order of a whole-array float64 rank, and its
+    similarities to within the last-place differences of a GEMV."""
+    rng = np.random.default_rng(seed)
+    bad = 0
+    for _ in range(trials):
+        q, x, fn, limit = random_float32_instance(rng)
+        pool = full_scan_pool(q, VectorSet(x), fn, limit=limit)
+        ids, sims = float64_topk(q, x, fn, limit)
+        if not (np.array_equal(pool.ids, ids)
+                and np.allclose(pool.sims, sims, rtol=1e-12,
+                                atol=1e-12 * np.abs(sims).max())):
+            bad += 1
+    return SuiteResult("certified float32 scan", trials, bad)
+
+
 # registry used by the CLI
 SUITES = {
     "single-opt": suite_single_optimality,
@@ -357,4 +422,5 @@ SUITES = {
     "log-ineq": suite_log_inequality,
     "examples": suite_examples,
     "ersp": suite_ersp,
+    "float32-scan": suite_float32_scan,
 }

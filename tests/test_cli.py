@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from divknn import cli
+from divknn import cli, multi
 from divknn.cli import main
 from divknn.baselines import fetch_union, top_k
 from divknn.core import SimilarityFn, WelfareParams
@@ -246,16 +246,27 @@ def test_empty_vector_files_are_invalid_data(dataset, tmp_path, capsys):
 
 
 def _count_full_scans(monkeypatch, n):
-    """Record the query shape of each SimilarityFn.batch call over all n
-    base rows."""
-    scans = []
-    real = SimilarityFn.batch
+    """Record the query shape of each read of all n base rows: a
+    block_scores call (one GEMM or GEMV, float32 or float64), or a
+    SimilarityFn.batch call over n rows outside one."""
+    scans, inside = [], []
+    real_scores, real_batch = multi.block_scores, SimilarityFn.batch
+
+    def block_scores(q, *args, **kwargs):
+        scans.append(np.shape(getattr(q, "vec", q)))   # an array or a Query
+        inside.append(True)
+        try:
+            return real_scores(q, *args, **kwargs)
+        finally:
+            inside.pop()
 
     def batch(self, q, rows, *args, **kwargs):
-        if rows.shape[0] == n:
-            scans.append(np.shape(q))
-        return real(self, q, rows, *args, **kwargs)
+        if rows.shape[0] == n and not inside:
+            scans.append(np.shape(self.query(q).vec))
+        return real_batch(self, q, rows, *args, **kwargs)
 
+    monkeypatch.setattr(multi, "block_scores", block_scores)
+    monkeypatch.setattr(cli, "block_scores", block_scores)
     monkeypatch.setattr(SimilarityFn, "batch", batch)
     return scans
 

@@ -61,12 +61,15 @@ def test_vectorset_finite_check_per_block(monkeypatch):
     big = np.full((10, 3), 1e200)
     vs = VectorSet(big)
     assert np.isinf(vs.sqnorms).all() and np.isinf(vs.norms).all()
-    for ints in (np.full((6, 2), 2**62, dtype=np.int64),
-                 np.arange(12, dtype=np.uint8).reshape(6, 2)):
+    # int64 is stored in float64, uint8 in float32: both hold the values
+    for ints, dtype in ((np.full((6, 2), 2**62, dtype=np.int64), np.float64),
+                        (np.arange(12, dtype=np.uint8).reshape(6, 2),
+                         np.float32)):
         vs = VectorSet(ints)
-        assert vs.data.tobytes() == ints.astype(np.float64).tobytes()
+        assert vs.data.tobytes() == ints.astype(dtype).tobytes()
+        wide = ints.astype(np.float64)
         assert vs.sqnorms.tobytes() == np.einsum(
-            "ij,ij->i", vs.data, vs.data).tobytes()
+            "ij,ij->i", wide, wide).tobytes()
 
 
 def test_vectorset_setup_pass_peak_memory():
