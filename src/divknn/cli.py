@@ -255,11 +255,10 @@ def cmd_run(args) -> int:
                          f"base has {data.n}")
     if data.d != queries.d:
         raise ValueError("base and query dimensions differ")
-    if fn.kind == "one-plus-cosine":
+    if fn.kind == "one-plus-cosine" and data.min_norm == 0.0:
         zero = np.flatnonzero(data.norms == 0.0)
-        if zero.size:
-            raise ValueError(f"{args.base}: vector {zero[0]} is zero; "
-                             "one-plus-cosine needs nonzero vectors")
+        raise ValueError(f"{args.base}: vector {zero[0]} is zero; "
+                         "one-plus-cosine needs nonzero vectors")
 
     qidx = np.arange(queries.n)
     if args.num_queries is not None and args.num_queries < queries.n:

@@ -16,6 +16,8 @@ because utilities are sums of similarities and the welfare objectives assume
 nonnegative utility. A base whose values are float32 or uint8 is stored in
 float32, half the bytes of float64; every similarity, norm and utility is
 computed from float64 upcasts of its rows and accumulates in 64-bit floats.
+A row's norm is always the square root of its float64 squared norm,
+``np.sqrt(np.einsum("ij,ij->i", rows, rows))``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ class VectorSet:
 
     The matrix is stored in float32 when the input's dtype converts to
     float32 without loss (float32 or uint8, as fvecs and bvecs files give),
-    and in float64 otherwise. The per-row norms and squared norms are
-    float64, computed at construction from float64 upcasts of blocks of
-    rows, in the same pass that rejects NaN and Inf entries; they equal the
-    whole-array formulas on a float64 copy of the matrix.
+    and in float64 otherwise. The per-row squared norms are float64, taken
+    at construction from float64 upcasts of blocks of rows in the same pass
+    that rejects NaN and Inf entries, and equal ``np.einsum("ij,ij->i")``
+    on a float64 copy of the matrix. The norms are their square roots,
+    ``np.sqrt(sqnorms)``.
     """
 
     def __init__(self, data) -> None:
@@ -54,19 +57,25 @@ class VectorSet:
         # actual use of its vectors fails with a dimension/id error
         if arr.shape[0] > 0 and arr.shape[1] < 1:
             raise ValueError("dimension must be >= 1")
-        norms = np.empty(arr.shape[0], dtype=np.float64)
-        sqnorms = np.empty(arr.shape[0], dtype=np.float64)
+        n = arr.shape[0]
+        sqnorms = np.empty(n, dtype=np.float64)
+        # float32 rows are upcast into one reused float64 block
+        wide = (np.empty((min(n, _NORM_BLOCK), arr.shape[1]))
+                if arr.dtype == np.float32 else None)
         # a NaN or Inf entry makes its row's squared norm non-finite; a
         # non-finite squared norm of finite entries (an overflow) is told
         # apart by the exact test
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, arr.shape[0], _NORM_BLOCK):
-                block = np.asarray(arr[lo:lo + _NORM_BLOCK], dtype=np.float64)
-                sq = np.einsum("ij,ij->i", block, block)
+            for lo in range(0, n, _NORM_BLOCK):
+                block = arr[lo:lo + _NORM_BLOCK]
+                if wide is not None:
+                    block = wide[:len(block)]
+                    np.copyto(block, arr[lo:lo + len(block)])
+                sq = np.einsum("ij,ij->i", block, block,
+                               out=sqnorms[lo:lo + len(block)])
                 if not np.isfinite(sq).all() and not np.isfinite(block).all():
                     raise ValueError("vector payload contains NaN or Inf")
-                sqnorms[lo:lo + len(block)] = sq
-                norms[lo:lo + len(block)] = np.linalg.norm(block, axis=1)
+        norms = np.sqrt(sqnorms)
         for a in (arr, norms, sqnorms):
             a.setflags(write=False)
         self._data = arr
@@ -91,7 +100,7 @@ class VectorSet:
 
     @property
     def norms(self) -> np.ndarray:
-        """Per-row Euclidean norms."""
+        """Per-row Euclidean norms: ``np.sqrt(sqnorms)``."""
         return self._norms
 
     @property
@@ -129,26 +138,40 @@ class AttributeTable:
         flat = np.asarray(indices, dtype=np.intp)
         if lengths.ndim != 1 or flat.shape != (lengths.sum(),):
             raise ValueError("indices must be 1-D with sum(lengths) entries")
-        if np.any(lengths < 1):
+        fewest, most = ((lengths.min(), lengths.max()) if len(lengths)
+                        else (1, 1))
+        if fewest < 1:
             raise ValueError(f"vector {np.argmin(lengths)} has no attributes")
-        rows = np.repeat(np.arange(len(lengths)), lengths)
-        outside = (flat < 0) | (flat >= self.c)
-        if outside.any():
-            raise ValueError(f"vector {rows[np.argmax(outside)]} has "
-                             f"attribute id outside [0, {self.c})")
-        # sorts each row; rows given in order cost one linear pass
-        flat = flat[np.argsort(rows * self.c + flat, kind="stable")]
-        dup = (flat[1:] == flat[:-1]) & (rows[1:] == rows[:-1])
-        if dup.any():
-            raise ValueError(f"vector {rows[np.argmax(dup)]} has duplicate "
-                             "attributes")
         self.indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
         np.cumsum(lengths, out=self.indptr[1:])
+        if flat.size and (flat.min() < 0 or flat.max() >= self.c):
+            entry = np.argmax((flat < 0) | (flat >= self.c))
+            vector = np.searchsorted(self.indptr, entry, side="right") - 1
+            raise ValueError(f"vector {vector} has attribute id outside "
+                             f"[0, {self.c})")
+        if most > 1:
+            # rows whose ids strictly ascend are sorted and hold no
+            # duplicates; only other input pays for the sort and the check
+            ascends = flat[1:] > flat[:-1]
+            ascends[self.indptr[1:-1] - 1] = True
+            if not ascends.all():
+                rows = np.repeat(np.arange(len(lengths)), lengths)
+                flat = flat[np.argsort(rows * self.c + flat, kind="stable")]
+                dup = (flat[1:] == flat[:-1]) & (rows[1:] == rows[:-1])
+                if dup.any():
+                    raise ValueError(f"vector {rows[np.argmax(dup)]} has "
+                                     "duplicate attributes")
+        if flat is indices or flat.base is not None:
+            flat = flat.copy()   # never keep an array the caller can write
         self.indices = flat
         # a stable sort by attribute keeps each list's ids ascending; keys of
         # the narrowest unsigned type let numpy use radix sort
-        members = rows[np.argsort(flat.astype(np.min_scalar_type(self.c)),
-                                  kind="stable")]
+        members = np.argsort(flat.astype(np.min_scalar_type(self.c)),
+                             kind="stable")
+        if fewest == most:   # m ids per vector: entry e is vector e // m
+            np.floor_divide(members, most, out=members)
+        else:
+            members = np.repeat(np.arange(len(lengths)), lengths)[members]
         for arr in (self.indptr, self.indices, members):
             arr.setflags(write=False)
         self.inverted: tuple[np.ndarray, ...] = tuple(np.split(
@@ -164,7 +187,7 @@ class AttributeTable:
                                  "nonempty groups")
             self.classes = cls
         # single-attribute setting: the label array is ``indices`` itself
-        self._labels = self.indices if np.all(lengths == 1) else None
+        self._labels = self.indices if most == 1 else None
 
     @classmethod
     def from_labels(cls, labels, c: int,
@@ -299,7 +322,7 @@ class SimilarityFn:
 
         if self.kind == "one-plus-cosine":
             if row_norms is None:
-                row_norms = np.linalg.norm(rows, axis=1)
+                row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
                 _reject_zero_norms(row_norms)
             s = dots()
             s /= row_norms

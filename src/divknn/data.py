@@ -335,16 +335,18 @@ def _build_table(path: str, vids, lengths, ids, c: int,
     try:  # an id beyond 64 bits raises OverflowError here
         vid_arr = np.asarray(vids, dtype=np.intp)
         id_arr = np.asarray(ids, dtype=np.intp)
-        order = np.argsort(vid_arr, kind="stable")
-        # sorted ids must read 0..N-1; a mismatch is a repeat or a gap
-        gap = vid_arr[order] != np.arange(len(order))
-        if gap.any():
-            i = int(np.argmax(gap))
-            if vid_arr[order[i]] < i:
-                raise ValueError(f"duplicate vector id {i - 1}")
-            raise ValueError(f"missing attribute row for vector id {i}")
         len_arr = np.asarray(lengths, dtype=np.intp)
-        if np.any(vid_arr[1:] < vid_arr[:-1]):
+        # N strictly ascending integers from 0 to N - 1 are 0..N-1
+        if not (vid_arr[0] == 0 and vid_arr[-1] == len(vid_arr) - 1
+                and (vid_arr[1:] > vid_arr[:-1]).all()):
+            order = np.argsort(vid_arr, kind="stable")
+            # sorted ids must read 0..N-1; a mismatch is a repeat or a gap
+            gap = vid_arr[order] != np.arange(len(order))
+            if gap.any():
+                i = int(np.argmax(gap))
+                if vid_arr[order[i]] < i:
+                    raise ValueError(f"duplicate vector id {i - 1}")
+                raise ValueError(f"missing attribute row for vector id {i}")
             # out of id order: a stable sort by vector id keeps rows whole
             id_arr = id_arr[np.argsort(np.repeat(vid_arr, len_arr),
                                        kind="stable")]

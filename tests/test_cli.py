@@ -230,6 +230,22 @@ def test_run_rejects_zero_base_vector_at_load(tmp_path, capsys):
     assert main(run + ["--similarity", "dot-product"]) == 0
 
 
+def test_run_names_the_first_of_several_zero_base_vectors(tmp_path, capsys):
+    x = np.random.default_rng(93).normal(size=(30, 4)).astype(np.float32)
+    x[[21, 9, 14]] = 0.0
+    base, queries = str(tmp_path / "z.fvecs"), str(tmp_path / "q.fvecs")
+    write_fvecs(base, x)
+    write_fvecs(queries, x[:3] + 1.0)
+    attrs = str(tmp_path / "a.txt")
+    assert main(["gen-attrs", "--base", base, "--mode", "prob",
+                 "--out", attrs]) == 0
+    capsys.readouterr()
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--algo", "fetch-union", "--k", "3", "--out",
+                 str(tmp_path / "z.csv")]) == 4
+    assert f"{base}: vector 9 is zero;" in capsys.readouterr().err
+
+
 def test_empty_vector_files_are_invalid_data(dataset, tmp_path, capsys):
     base, queries, attrs = dataset
     empty = tmp_path / "empty.fvecs"

@@ -46,8 +46,9 @@ def test_vectorset_norms_match_whole_array_formulas(monkeypatch, n, d):
     monkeypatch.setattr(core, "_NORM_BLOCK", 4)
     x = np.random.default_rng(n * 100 + d).normal(size=(n, d)) * 1e3
     vs = VectorSet(x)
-    assert vs.norms.tobytes() == np.linalg.norm(x, axis=1).tobytes()
-    assert vs.sqnorms.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
+    sqnorms = np.einsum("ij,ij->i", x, x)
+    assert vs.norms.tobytes() == np.sqrt(sqnorms).tobytes()
+    assert vs.sqnorms.tobytes() == sqnorms.tobytes()
 
 
 def test_vectorset_finite_check_per_block(monkeypatch):
@@ -82,6 +83,35 @@ def test_vectorset_setup_pass_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * x.nbytes
+
+
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+def test_vectorset_norms_are_roots_of_the_float64_sqnorms(monkeypatch, n,
+                                                          dtype):
+    # blocks of 4 rows: n = 10 ends on a ragged block of 2
+    monkeypatch.setattr(core, "_NORM_BLOCK", 4)
+    rng = np.random.default_rng(n)
+    x = (rng.integers(0, 256, size=(n, 7)) if dtype == np.uint8
+         else rng.normal(size=(n, 7)) * 1e3).astype(dtype)
+    vs = VectorSet(x)
+    wide = x.astype(np.float64)
+    sqnorms = np.einsum("ij,ij->i", wide, wide)
+    assert vs.sqnorms.tobytes() == sqnorms.tobytes()
+    assert vs.norms.tobytes() == np.sqrt(sqnorms).tobytes()
+
+
+def test_vectorset_float32_setup_peak_memory():
+    # one reused float64 block plus the two norm arrays, nothing per block
+    n, d = 20_000, 64
+    x = np.random.default_rng(84).standard_normal((n, d), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        VectorSet(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * (core._NORM_BLOCK * d * 8 + 2 * n * 8)
 
 
 def test_vectorset_shape_checks():
@@ -134,6 +164,48 @@ def test_attribute_table_builders_agree():
     # gather returns constructor input: rows 2 and 0 as a new table
     g = AttributeTable(*t.gather([2, 0]), c=3)
     assert g.indices.tolist() == [0, 1, 0, 2]
+
+
+@pytest.mark.parametrize("fewest, most", [(1, 3), (1, 1), (3, 3)])
+def test_attribute_table_ascending_and_shuffled_rows_agree(fewest, most):
+    # rows in ascending order skip the sort, shuffled rows take it; both
+    # give the same table, whose inverted lists are its transpose, for
+    # ragged rows, one id a vector and three ids per vector
+    rng = np.random.default_rng(fewest * 10 + most)
+    atb = [sorted(rng.choice(6, size=rng.integers(fewest, most + 1),
+                             replace=False)) for _ in range(200)]
+    shuffled = [list(rng.permutation(row)) for row in atb]
+    for t in (AttributeTable.from_rows(atb, c=6),
+              AttributeTable.from_rows(shuffled, c=6)):
+        assert t.indices.tolist() == [a for row in atb for a in row]
+        for a in range(6):
+            assert t.inverted[a].tolist() == [v for v, row in enumerate(atb)
+                                              if a in row]
+
+
+def test_attribute_table_ascent_is_checked_within_rows():
+    # ascending rows may descend across a row boundary
+    assert AttributeTable.from_rows([[1, 2], [0, 1], [2]], c=3).indices \
+        .tolist() == [1, 2, 0, 1, 2]
+    for dup in ([[0, 1], [2, 1, 2]], [[1, 0, 1]], [[0, 1], [1, 1]]):
+        with pytest.raises(ValueError, match=f"vector {len(dup) - 1} has "
+                           "duplicate"):
+            AttributeTable.from_rows(dup, c=3)
+
+
+def test_attribute_table_keeps_its_own_arrays():
+    for lengths, ids in ((np.ones(4, dtype=np.intp),
+                          np.array([2, 0, 1, 2], dtype=np.intp)),
+                         (np.full(2, 2, dtype=np.intp),
+                          np.array([0, 2, 1, 2], dtype=np.intp))):
+        t = AttributeTable(lengths, ids, c=3)
+        ids[:] = 0                       # the caller's array stays writable
+        assert t.indices.tolist() == ([2, 0, 1, 2] if t.is_single
+                                      else [0, 2, 1, 2])
+    # a strided view, as the attribute-file parser passes, is copied too
+    grid = np.array([[0, 1], [1, 0], [2, 2]], dtype=np.intp)
+    t = AttributeTable(np.ones(3, dtype=np.intp), grid[:, 1], c=3)
+    assert t.indices.flags.c_contiguous and t.labels.tolist() == [1, 0, 2]
 
 
 def test_attribute_table_single_mode():
@@ -237,8 +309,8 @@ def test_similarity_block_is_exact_on_integer_dot_products():
 def test_similarity_single_query_is_the_documented_transform():
     rng = np.random.default_rng(14)
     rows, q = rng.normal(size=(300, 12)), rng.normal(size=12)
-    norms = np.linalg.norm(rows, axis=1)
     sqnorms = np.einsum("ij,ij->i", rows, rows)
+    norms = np.sqrt(sqnorms)
     cos = SimilarityFn("one-plus-cosine").batch(q, rows)
     assert np.array_equal(cos, rows @ q / norms / np.linalg.norm(q) + 1.0)
     rec = SimilarityFn("reciprocal-euclidean", delta=0.05).batch(q, rows)
@@ -246,6 +318,17 @@ def test_similarity_single_query_is_the_documented_transform():
     assert np.array_equal(rec, 1.0 / (np.sqrt(np.maximum(d2, 0.0)) + 0.05))
     dot = SimilarityFn("dot-product").batch(q, rows)
     assert np.array_equal(dot, np.maximum(rows @ q, 0.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_norms_itself_as_the_base_does(dtype):
+    # batch without row_norms takes the norm the VectorSet stores
+    rng = np.random.default_rng(16)
+    vs = VectorSet(rng.normal(size=(300, 12)).astype(dtype))
+    fn = SimilarityFn("one-plus-cosine")
+    for q in (rng.normal(size=12), rng.normal(size=(3, 12))):
+        assert fn.batch(q, vs.data).tobytes() == fn.batch(
+            q, vs.data, row_norms=vs.norms).tobytes()
 
 
 def test_similarity_block_errors_match_single_queries():
