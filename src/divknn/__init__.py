@@ -15,8 +15,8 @@ from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
 from .oracle import (AlphaOracleConfig, AlphaScanOracle, ExactScanOracle,
                      RankedList, alpha_topk, exact_topk)
 from .solvers import GreedyStats, nash_ann, p_mean_ann
-from .multi import (CandidatePool, full_scan_pool, multi_div_ann,
-                    multi_nash_ann, multi_p_mean_ann)
+from .multi import (CandidatePool, block_pools, full_scan_pool,
+                    multi_div_ann, multi_nash_ann, multi_p_mean_ann)
 from .baselines import div_ann, fetch_union, top_k
 from .reference import (ErspInstance, brute_force_opt, ersp_reduction,
                         log_ineq_check, packing_exists, random_ersp)
@@ -24,8 +24,8 @@ from .metrics import (MetricsReport, approx_ratio, attribute_counts,
                       compute_report, distinct_count, entropy,
                       inverse_simpson, recall)
 from .data import (PRESETS, Preset, cluster_attrs, prob_attrs, read_attrs,
-                   read_bvecs, read_fvecs, read_ivecs, read_vectors,
-                   write_attrs, write_bvecs, write_fvecs, write_ivecs)
+                   read_bvecs, read_fvecs, read_vectors, write_attrs,
+                   write_bvecs, write_fvecs)
 
 __version__ = "0.1.0"
 
@@ -35,15 +35,15 @@ __all__ = [
     "AlphaOracleConfig", "AlphaScanOracle", "ExactScanOracle", "RankedList",
     "alpha_topk", "exact_topk",
     "GreedyStats", "nash_ann", "p_mean_ann",
-    "CandidatePool", "full_scan_pool", "multi_div_ann", "multi_nash_ann",
-    "multi_p_mean_ann",
+    "CandidatePool", "block_pools", "full_scan_pool", "multi_div_ann",
+    "multi_nash_ann", "multi_p_mean_ann",
     "div_ann", "fetch_union", "top_k",
     "ErspInstance", "brute_force_opt", "ersp_reduction", "log_ineq_check",
     "packing_exists", "random_ersp",
     "MetricsReport", "approx_ratio", "attribute_counts", "compute_report",
     "distinct_count", "entropy", "inverse_simpson", "recall",
     "PRESETS", "Preset", "cluster_attrs", "prob_attrs",
-    "read_attrs", "read_bvecs", "read_fvecs", "read_ivecs", "read_vectors",
-    "write_attrs", "write_bvecs", "write_fvecs", "write_ivecs",
+    "read_attrs", "read_bvecs", "read_fvecs", "read_vectors",
+    "write_attrs", "write_bvecs", "write_fvecs",
     "__version__",
 ]

@@ -23,19 +23,19 @@ match the long flag names (dashes or underscores).
 
 ``run`` splits the selected queries, in order, into ceil(m / 8) near-equal
 consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
-``multi-*``) one GEMM per block reads the base once for all its queries:
-over a float32 base (fvecs, bvecs) ranked to at most an eighth of its
-rows it gives float32 scores, which each query's certified filter turns
-into its exact float64 ranking after re-scoring only the rows that survive
-(``multi.full_scan_pool``); otherwise it gives the float64 similarities.
-Each query ranks once, and that ranking gives both its pool and the exact
-top-k reference of the relevance metrics. ``nash``, ``pmean`` and ``div``
-never scan the base in their solve, so their report scans once per query
-for the reference. ``--threads`` runs blocks concurrently, each holding 8
-score rows of n float32 (float64 where the block is scored in float64)
-while in flight. Timing uses a monotonic clock; a query's latency is its
-share of its block's scan (scan time over block size) plus its own ranking
-and solve (not dataset load, not metric evaluation), and QPS is the query
+``multi-*``) one ``multi.block_pools`` call per block reads the base once
+for all its queries, with one GEMM: float32 dot products, which each
+query's certified filter turns into its exact float64 ranking, over a
+float32 base (fvecs, bvecs) ranked to at most an eighth of its rows; the
+float64 similarities otherwise. Each query ranks once, and that ranking
+gives both its pool and the exact top-k reference of the relevance
+metrics. ``nash``, ``pmean`` and ``div`` never scan the base in their
+solve, so their report scans once per query for the reference.
+``--threads`` runs blocks concurrently, each holding 8 score rows of n
+float32 (float64 where the block is scored in float64) while in flight.
+Timing uses a monotonic clock; a query's latency is its share of its
+block's scan and ranking (their time over the block size) plus its own
+solve (not dataset load, not metric evaluation), and QPS is the query
 count over the batch wall time. All timing lands in the ``latency_us``
 column, and the block split depends on the query list alone, so output is
 reproducible modulo that column at a fixed seed, for any thread count.
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,8 +58,8 @@ from .core import SimilarityFn, WelfareParams
 from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
-from .multi import CandidatePool, block_scores, full_scan_pool, \
-    multi_div_ann, multi_nash_ann, multi_p_mean_ann
+from .multi import CandidatePool, block_pools, multi_div_ann, \
+    multi_nash_ann, multi_p_mean_ann
 from .solvers import nash_ann, p_mean_ann
 from . import suites
 
@@ -141,55 +142,29 @@ def cmd_gen_attrs(args) -> int:
 def _make_runner(algo: str, k: int, p: float, eta: float,
                  kprime: Optional[int], pool_l: Optional[int], data, attrs,
                  fn):
-    """The per-query closure ``run(q, scores)``, which returns the selection
-    and the exact top-k reference of its report (None when the report must
-    scan for it), and the limit its scan ranks to (None: every row).
-    ``scores`` is q's row of its block's :func:`block_scores` for that limit
-    for SCAN_ALGOS and None for the others."""
+    """``solve(q, pool)`` for ``algo`` and the limit its pool is ranked to
+    (None: every row). SCAN_ALGOS are handed q's pool; ``nash``, ``pmean``
+    and ``div`` are handed None and never scan the base."""
     params = WelfareParams(p=p if algo in WELFARE_P_ALGOS else 0.0, eta=eta)
-
-    def scanned(solve, limit):
-        # rank is a total order on (similarity, id), so one ranking to
-        # max(limit, k) rows holds the pool (its head limit rows) and the
-        # exact top-k (its head k rows)
-        top_l = None if limit is None else max(limit, k)
-
-        def run(q, scores):
-            top = full_scan_pool(q, data, fn, scores=scores, limit=top_l)
-            pool = (top if limit is None or limit >= k
-                    else CandidatePool(ids=top.ids[:limit],
-                                       sims=top.sims[:limit]))
-            return solve(q, pool), top.ids[:k]
-        return run, top_l
-
-    if algo == "ann":
-        return scanned(lambda q, pool: top_k(
-            q, k, data, fn, attrs=attrs, params=params, pool=pool), k)
-    # the per-attribute gathers of these need not reproduce the full
-    # scan's similarity bits, so the report scans for its own reference
-    if algo == "div":
-        return lambda q, scores: (div_ann(q, k, kprime, data, attrs, fn,
-                                          params=params), None), None
-    if algo == "nash":
-        return lambda q, scores: (nash_ann(q, k, params, data, attrs, fn),
-                                  None), None
-    if algo == "pmean":
-        return lambda q, scores: (p_mean_ann(q, k, params, data, attrs, fn),
-                                  None), None
-    if algo == "multi-nash":
-        return scanned(lambda q, pool: multi_nash_ann(
-            q, k, eta, data, attrs, fn, pool=pool), pool_l)
-    if algo == "multi-pmean":
-        return scanned(lambda q, pool: multi_p_mean_ann(
-            q, k, params, data, attrs, fn, pool=pool), pool_l)
-    if algo == "multi-div":
-        return scanned(lambda q, pool: multi_div_ann(
-            q, k, kprime, data, attrs, fn, pool=pool, eta=eta), pool_l)
-    if algo == "fetch-union":
-        L = pool_l if pool_l is not None else 200 * k
-        return scanned(lambda q, pool: fetch_union(
-            q, k, L, params, data, attrs, fn, pool=pool), L)
-    raise UsageError(f"unknown algorithm {algo!r}")
+    L = pool_l if pool_l is not None else 200 * k
+    return {
+        "ann": (lambda q, pool: top_k(q, k, data, fn, attrs=attrs,
+                                      params=params, pool=pool), k),
+        "div": (lambda q, pool: div_ann(q, k, kprime, data, attrs, fn,
+                                        params=params), None),
+        "nash": (lambda q, pool: nash_ann(q, k, params, data, attrs, fn),
+                 None),
+        "pmean": (lambda q, pool: p_mean_ann(q, k, params, data, attrs, fn),
+                  None),
+        "multi-nash": (lambda q, pool: multi_nash_ann(
+            q, k, eta, data, attrs, fn, pool=pool), pool_l),
+        "multi-pmean": (lambda q, pool: multi_p_mean_ann(
+            q, k, params, data, attrs, fn, pool=pool), pool_l),
+        "multi-div": (lambda q, pool: multi_div_ann(
+            q, k, kprime, data, attrs, fn, pool=pool, eta=eta), pool_l),
+        "fetch-union": (lambda q, pool: fetch_union(
+            q, k, L, params, data, attrs, fn, pool=pool), L),
+    }[algo]
 
 
 def cmd_run(args) -> int:
@@ -227,10 +202,11 @@ def cmd_run(args) -> int:
         raise UsageError(f"--pool-L is incompatible with --algo {algo}")
     if p is None:
         p = 0.0
-    if p > 1.0:
+    # written so that NaN fails every check
+    if not -math.inf < p <= 1.0:
         raise UsageError("--p must lie in (-inf, 1]")
-    if not eta > 0:
-        raise UsageError("--eta must be > 0")
+    if not 0 < eta < math.inf:
+        raise UsageError("--eta must be finite and > 0")
     if threads < 1:
         raise UsageError("--threads must be >= 1")
     if args.num_queries is not None and args.num_queries < 1:
@@ -266,22 +242,31 @@ def cmd_run(args) -> int:
         qidx = np.sort(rng.choice(queries.n, size=args.num_queries,
                                   replace=False))
 
-    runner, limit = _make_runner(algo, k, p, eta, kprime, pool_l, data,
-                                 attrs, fn)
+    solve, limit = _make_runner(algo, k, p, eta, kprime, pool_l, data,
+                                attrs, fn)
+    # rank is a total order on (similarity, id), so one ranking to
+    # max(limit, k) rows holds the pool (its head limit rows) and the exact
+    # top-k reference of the report (its head k rows)
+    top_l = None if limit is None else max(limit, k)
     base2 = args.entropy_base == "2"
 
     def work(block: np.ndarray):
         # one GEMM reads the base once for the whole block
         t0 = time.perf_counter()
-        scores = (block_scores(queries.data[block], data, fn, limit)
-                  if algo in SCAN_ALGOS else [None] * len(block))
+        tops = (block_pools(queries.data[block], data, fn, top_l)
+                if algo in SCAN_ALGOS else [None] * len(block))
         share = (time.perf_counter() - t0) / len(block)
         out = []
-        for qi, row in zip(block, scores):
+        for qi, top in zip(block, tops):
             q = queries.data[qi]
             t1 = time.perf_counter()
-            sel, ref = runner(q, row)
+            pool = (top if top is None or limit is None or limit >= k
+                    else CandidatePool(ids=top.ids[:limit],
+                                       sims=top.sims[:limit]))
+            sel = solve(q, pool)
             latency_us = (share + time.perf_counter() - t1) * 1e6
+            # without a ranking the report scans for its own reference
+            ref = None if top is None else top.ids[:k]
             rep = compute_report(sel.ids, q, k, data, attrs, fn, base2=base2,
                                  truncated=sel.truncated, o_ids=ref)
             out.append((qi, rep, latency_us))

@@ -23,6 +23,7 @@ A row's norm is always the square root of its float64 squared norm,
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -400,7 +401,7 @@ def _reject_zero_norms(norms) -> None:
 
 @dataclass(frozen=True)
 class WelfareParams:
-    """Welfare exponent p in (-inf, 1] and smoothing eta > 0.
+    """Welfare exponent p in (-inf, 1] and finite smoothing eta > 0.
 
     p = 0 denotes the Nash (geometric-mean) objective; it is a tagged special
     case, not a limit evaluation.
@@ -410,9 +411,10 @@ class WelfareParams:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
-        if not self.p <= 1:
+        # written so that NaN fails both checks
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and > 0")
+        if not -math.inf < self.p <= 1:
             raise ValueError("p must lie in (-inf, 1]")
 
     @property

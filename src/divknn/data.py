@@ -4,7 +4,6 @@ Binary vector containers (bit-exact):
 
   fvecs  per record: little-endian int32 d, then d little-endian float32
   bvecs  per record: little-endian int32 d, then d unsigned bytes
-  ivecs  per record: little-endian int32 d, then d little-endian int32
 
 Every record in a file must share the same d; the record count is inferred
 from the file size, and truncated files are rejected. Files are read in
@@ -52,13 +51,13 @@ from .core import AttributeTable, VectorSet
 _BLOCK_RECORDS = 4096
 
 
-def _read_records(path: str, payload_dtype, out_dtype) -> np.ndarray:
-    """Read every record's payload into an (n, d) ``out_dtype`` array."""
+def _read_records(path: str, payload_dtype) -> np.ndarray:
+    """Read every record's payload into an (n, d) float32 array."""
     payload_dtype = np.dtype(payload_dtype)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size == 0:
-            return np.empty((0, 0), dtype=out_dtype)
+            return np.empty((0, 0), dtype=np.float32)
         if size < 4:
             raise ValueError(f"{path}: truncated file (no dimension header)")
         d = int(np.frombuffer(f.read(4), dtype="<i4")[0])
@@ -69,7 +68,7 @@ def _read_records(path: str, payload_dtype, out_dtype) -> np.ndarray:
             raise ValueError(f"{path}: file size {size} is not a multiple of "
                              f"the record size {rec}")
         n = size // rec
-        out = np.empty((n, d), dtype=out_dtype)
+        out = np.empty((n, d), dtype=np.float32)
         buf = np.empty((min(n, _BLOCK_RECORDS), rec), dtype=np.uint8)
         f.seek(0)
         for lo in range(0, n, _BLOCK_RECORDS):
@@ -85,7 +84,7 @@ def _read_records(path: str, payload_dtype, out_dtype) -> np.ndarray:
 
 def read_fvecs(path: str) -> VectorSet:
     """Load an fvecs file (int32 dim + float32 payload per record)."""
-    out = _read_records(path, "<f4", np.float32)
+    out = _read_records(path, "<f4")
     try:
         return VectorSet(out)
     except ValueError:  # the only check VectorSet can fail on this array
@@ -94,12 +93,7 @@ def read_fvecs(path: str) -> VectorSet:
 
 def read_bvecs(path: str) -> VectorSet:
     """Load a bvecs file (int32 dim + uint8 payload per record)."""
-    return VectorSet(_read_records(path, np.uint8, np.float32))
-
-
-def read_ivecs(path: str) -> np.ndarray:
-    """Load an ivecs file (int32 dim + int32 payload) as an int array."""
-    return _read_records(path, "<i4", np.int64)
+    return VectorSet(_read_records(path, np.uint8))
 
 
 def _write_records(path: str, data: np.ndarray, payload_dtype) -> None:
@@ -117,10 +111,6 @@ def write_fvecs(path: str, data: np.ndarray) -> None:
 
 def write_bvecs(path: str, data: np.ndarray) -> None:
     _write_records(path, data, np.uint8)
-
-
-def write_ivecs(path: str, data: np.ndarray) -> None:
-    _write_records(path, data, "<i4")
 
 
 def read_vectors(path: str) -> VectorSet:

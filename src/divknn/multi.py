@@ -75,40 +75,33 @@ def _max_survivors(n: int) -> int:
 
 
 def _filters(data: VectorSet, limit: int | None) -> bool:
-    """Whether ``full_scan_pool(limit=limit)`` ranks ``data`` through the
+    """Whether a pool of ``limit`` rows of ``data`` is ranked through the
     float32 filter."""
     return data.data.dtype == np.float32 and limit is not None and \
         limit < data.n and limit <= _max_survivors(data.n)
 
 
-def block_scores(q, data: VectorSet, fn: SimilarityFn,
-                 limit: int | None = None) -> np.ndarray:
-    """What ``full_scan_pool(limit=limit)`` ranks from, for one query or a
-    (b, d) block, in one pass over the base: float32 dot products with the
-    float32-rounded queries (one sgemv or sgemm) where it filters a float32
-    base, the float64 similarities otherwise."""
-    if not _filters(data, limit):
-        return fn.scan(q, data)
-    # a query beyond float32's range or an overflowing dot product gives
-    # inf or NaN scores, which full_scan_pool handles. A block is scored as
-    # base times queries, which sgemm runs about 1.5x faster than the
-    # query-major product, and transposed so each query's row is contiguous.
+def _f32_scores(q, data: VectorSet, fn: SimilarityFn) -> np.ndarray:
+    """float32 dot products of the float32-rounded query, or (b, d) block
+    of queries, with every row, in one sgemv or sgemm. A block is scored as
+    base times queries, which sgemm runs about 1.5x faster than the
+    query-major product, and transposed so each query's row is contiguous.
+    A query beyond float32's range or an overflowing dot product gives inf
+    or NaN scores, which :func:`_ranked_pool` handles."""
+    fn.check_rows(data)
     with np.errstate(over="ignore", invalid="ignore"):
-        q32 = np.asarray(fn.query(q).vec, dtype=np.float32)
+        q32 = q.vec.astype(np.float32)
         return np.ascontiguousarray((data.data @ q32.T).T)
 
 
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
-                   limit: int | None = None,
-                   scores: np.ndarray | None = None) -> CandidatePool:
+                   limit: int | None = None) -> CandidatePool:
     """Pool of the ``limit`` most similar vectors (all of them by default),
-    with their float64 similarities.
+    with their float64 similarities; :func:`block_pools` makes the same
+    pools for a block of queries in one pass over the base.
 
-    A caller that already holds q's row of :func:`block_scores` for the
-    same ``limit`` (one row of a query block's) passes it as ``scores``,
-    and the base is not read again. Over a float64 base, and for
-    ``limit=None``, ``limit >= n`` or a limit above
-    :func:`_max_survivors` (an eighth of a large base), every row's
+    Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
+    above :func:`_max_survivors` (an eighth of a large base), every row's
     float64 similarity is ranked. Over a float32 base a smaller ``limit``
     goes through :func:`_filtered_pool`: float32 scores, a certified
     threshold, and float64 only for the rows that survive it. Both give
@@ -117,17 +110,37 @@ def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
     GEMV, whose last bits may differ from those of a whole-array scan.
     """
     q = fn.query(q)
-    if _filters(data, limit) and np.abs(q.vec).max() <= _F32_MAX and \
-            (scores is None or scores.dtype == np.float32):
-        fn.check_rows(data)
-        if scores is None:
-            scores = block_scores(q, data, fn, limit)
-        pool = _filtered_pool(q, data, fn, limit, scores)
+    # a query beyond float32's range is ranked in float64 at once
+    scores = (_f32_scores(q, data, fn) if _filters(data, limit)
+              and np.abs(q.vec).max() <= _F32_MAX else fn.scan(q, data))
+    return _ranked_pool(q, data, fn, limit, scores)
+
+
+def block_pools(qs, data: VectorSet, fn: SimilarityFn,
+                limit: int | None = None) -> list[CandidatePool]:
+    """``[full_scan_pool(q, data, fn, limit) for q in qs]`` for a (b, d)
+    block of queries, reading the base once for the whole block: one sgemm
+    where the pools are filtered, one float64 block scan otherwise. A row
+    of the block's GEMM may differ from the single query's GEMV in the
+    last place, so similarities may too, and ids only where two rows' true
+    similarities are that close."""
+    qs = fn.query(qs)
+    scores = (_f32_scores(qs, data, fn) if _filters(data, limit)
+              else fn.scan(qs, data))
+    return [_ranked_pool(fn.query(v), data, fn, limit, row)
+            for v, row in zip(qs.vec, scores)]
+
+
+def _ranked_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
+                 scores: np.ndarray) -> CandidatePool:
+    """The pool from one query's float32 scores, through the filter, or
+    its float64 similarities. A query beyond float32's range, or a filter
+    that cannot certify its pool, ranks every row in float64 instead."""
+    if scores.dtype == np.float32:
+        pool = (_filtered_pool(q, data, fn, limit, scores)
+                if np.abs(q.vec).max() <= _F32_MAX else None)
         if pool is not None:
             return pool
-    if scores is None or scores.dtype != np.float64:
-        # no scores given, a query beyond float32's range, or a filter
-        # that could not certify its pool: rank every row in float64
         scores = fn.scan(q, data)
     ids = rank(scores, limit=limit)
     return CandidatePool(ids=ids, sims=scores[ids])

@@ -98,7 +98,11 @@ def _exact_greedy(q, k: int, params: WelfareParams, data: VectorSet,
                   attrs: AttributeTable, fn: SimilarityFn, oracle,
                   stats: GreedyStats | None) -> Selection:
     """Prefetch every attribute's top-k through the oracle, then run the
-    greedy over the concatenated lists."""
+    greedy over the concatenated lists: the body of :func:`nash_ann` and
+    :func:`p_mean_ann`."""
+    attrs.require_single()
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if oracle is None:
         oracle = ExactScanOracle(data, attrs, fn)
         q = fn.query(q)   # checked and normed once for the c scans
@@ -121,9 +125,6 @@ def nash_ann(q, k: int, params: WelfareParams, data: VectorSet,
     size-k subsets. If fewer than k prefetched vectors exist in total, the
     returned selection is truncated rather than an error.
     """
-    attrs.require_single()
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not params.is_nash:
         raise ValueError("nash_ann requires p = 0; use p_mean_ann for p != 0")
     return _exact_greedy(q, k, params, data, attrs, fn, oracle, stats)
@@ -134,13 +135,7 @@ def p_mean_ann(q, k: int, params: WelfareParams, data: VectorSet,
                stats: GreedyStats | None = None) -> Selection:
     """Greedy p-mean selection of k vectors (single-attribute setting).
 
-    p = 0 dispatches to :func:`nash_ann`. With an exact oracle the result
-    maximizes M_p over all size-k subsets, for every p in (-inf, 1].
+    p = 0 runs the Nash greedy of :func:`nash_ann`. With an exact oracle the
+    result maximizes M_p over all size-k subsets, for every p in (-inf, 1].
     """
-    if params.is_nash:
-        return nash_ann(q, k, params, data, attrs, fn, oracle=oracle,
-                        stats=stats)
-    attrs.require_single()
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return _exact_greedy(q, k, params, data, attrs, fn, oracle, stats)

@@ -175,6 +175,10 @@ def test_run_bad_settings_are_usage_errors(tmp_path):
                  "--pool-L", "0"]) == 2
     assert main(["run", *missing, "--algo", "fetch-union", "--k", "3",
                  "--pool-L", "2"]) == 2
+    # NaN and infinite welfare settings are found before any file is read
+    for flags in (["--p", "nan"], ["--p=-inf"], ["--eta", "inf"]):
+        assert main(["run", *missing, "--algo", "pmean", "--k", "3",
+                     *flags]) == 2, flags
     for flags in (["--c", "1"], ["--chunks", "0"]):
         assert main(["gen-attrs", "--base", missing[1], "--mode", "clus",
                      "--out", missing[-1], *flags]) == 2
@@ -263,26 +267,36 @@ def test_empty_vector_files_are_invalid_data(dataset, tmp_path, capsys):
 
 def _count_full_scans(monkeypatch, n):
     """Record the query shape of each read of all n base rows: a
-    block_scores call (one GEMM or GEMV, float32 or float64), or a
-    SimilarityFn.batch call over n rows outside one."""
+    block_pools call (one GEMM or GEMV, float32 or float64), or a
+    per-query scan inside one or outside: a float32 sgemv, or a
+    SimilarityFn.batch call over n rows."""
     scans, inside = [], []
-    real_scores, real_batch = multi.block_scores, SimilarityFn.batch
+    real_pools, real_f32 = multi.block_pools, multi._f32_scores
+    real_batch = SimilarityFn.batch
 
-    def block_scores(q, *args, **kwargs):
-        scans.append(np.shape(getattr(q, "vec", q)))   # an array or a Query
+    def block_pools(qs, *args, **kwargs):
+        scans.append(np.shape(qs))
         inside.append(True)
         try:
-            return real_scores(q, *args, **kwargs)
+            return real_pools(qs, *args, **kwargs)
         finally:
             inside.pop()
 
+    def f32_scores(q, data, fn):
+        if not inside:
+            scans.append(np.shape(q.vec))
+        return real_f32(q, data, fn)
+
     def batch(self, q, rows, *args, **kwargs):
-        if rows.shape[0] == n and not inside:
-            scans.append(np.shape(self.query(q).vec))
+        shape = np.shape(self.query(q).vec)
+        # a block's own float64 scan is its block_pools call
+        if rows.shape[0] == n and not (inside and len(shape) == 2):
+            scans.append(shape)
         return real_batch(self, q, rows, *args, **kwargs)
 
-    monkeypatch.setattr(multi, "block_scores", block_scores)
-    monkeypatch.setattr(cli, "block_scores", block_scores)
+    monkeypatch.setattr(multi, "block_pools", block_pools)
+    monkeypatch.setattr(cli, "block_pools", block_pools)
+    monkeypatch.setattr(multi, "_f32_scores", f32_scores)
     monkeypatch.setattr(SimilarityFn, "batch", batch)
     return scans
 

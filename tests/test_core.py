@@ -454,6 +454,9 @@ def test_welfare_errors():
         WelfareParams(p=0.0, eta=0.0)
     with pytest.raises(ValueError):
         WelfareParams(p=1.5, eta=1.0)
+    for p, eta in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            WelfareParams(p=p, eta=eta)
     with pytest.raises(ValueError):
         welfare(np.array([-0.1, 1.0]), WelfareParams())
     with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 from divknn import data as data_io
 from divknn.core import AttributeTable, SimilarityFn, VectorSet
 from divknn.data import (PRESETS, cluster_attrs, prob_attrs, read_attrs,
-                         read_bvecs, read_fvecs, read_ivecs, write_attrs,
-                         write_bvecs, write_fvecs, write_ivecs)
+                         read_bvecs, read_fvecs, write_attrs, write_bvecs,
+                         write_fvecs)
 
 
 # ---------------------------------------------------------------------------
@@ -52,16 +52,6 @@ def test_bvecs_round_trip(tmp_path):
     write_bvecs(str(path), original)
     back = read_bvecs(str(path))
     assert np.array_equal(back.data.astype(np.uint8), original)
-
-
-def test_ivecs_round_trip(tmp_path):
-    original = np.array([[3, 1, 4], [1, 5, 9],
-                         [-2**31, 2**31 - 1, 0]], dtype=np.int32)
-    path = tmp_path / "rt.ivecs"
-    write_ivecs(str(path), original)
-    back = read_ivecs(str(path))
-    assert back.dtype == np.int64
-    assert np.array_equal(back, original)
 
 
 def test_read_vectors_dispatch(tmp_path):
@@ -136,7 +126,6 @@ def reference_records(path: str, payload_dtype) -> np.ndarray:
 CONTAINERS = {  # name -> (writer, reader returning an array, payload dtype)
     "fvecs": (write_fvecs, lambda p: read_fvecs(p).data, "<f4"),
     "bvecs": (write_bvecs, lambda p: read_bvecs(p).data, np.uint8),
-    "ivecs": (write_ivecs, read_ivecs, "<i4"),
 }
 BLOCK = 4    # small block, so record counts around it stay tiny
 
@@ -195,9 +184,8 @@ def test_block_reader_matches_whole_file_reader(tmp_files, kind, n, d,
         assert got == want
     else:
         # fvecs and bvecs payloads are stored in float32, which holds them
-        dtype = np.int64 if kind == "ivecs" else np.float32
-        assert got.dtype == dtype and got.shape == want.shape
-        assert got.tobytes() == want.astype(dtype).tobytes()
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_fvecs_read_peak_memory_is_about_the_matrix(tmp_path):

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from divknn import core, data as data_io
+from divknn import core, data as data_io, multi
 from divknn.core import AttributeTable, SimilarityFn, VectorSet, WelfareParams
-from divknn.multi import block_scores, full_scan_pool
+from divknn.multi import _max_survivors, block_pools, full_scan_pool
 from divknn.oracle import exact_topk
 from divknn.solvers import nash_ann, p_mean_ann
 from divknn.suites import float64_topk
@@ -149,7 +149,7 @@ def test_margin_covers_the_query_rounding(defeats, kind, q, x):
     fn = KINDS[kind]
     sims = fn.batch(q, x.astype(np.float64))
     assert sims[1] > sims[0] > sims[2]          # row 1 is the best
-    g = block_scores(q, VectorSet(x), fn, limit=1)
+    g = multi._f32_scores(fn.query(q), VectorSet(x), fn)
     norms = np.linalg.norm(x.astype(np.float64), axis=1)
     key = g if kind == "dot-product" else g / norms
     rounding = q - q.astype(np.float32)
@@ -210,11 +210,13 @@ def test_filter_gathers_at_most_an_eighth_of_a_large_base(monkeypatch):
     vs = VectorSet(x)
     q = rng.normal(size=8)
     for fn in KINDS.values():
-        assert block_scores(q, vs, fn, limit=5000).dtype == np.float32
-        assert block_scores(q, vs, fn, limit=5001).dtype == np.float64
         for limit in (5000, 5001, n - 1):
             gathered.clear()
             assert_pool_is_exact(q, x, fn, limit)
+            assert (5000 <= gathered[0] <= 5000 + 8 if limit == 5000
+                    else gathered == [])
+            gathered.clear()                     # a block decides alike
+            block_pools(q[None], vs, fn, limit)
             assert (5000 <= gathered[0] <= 5000 + 8 if limit == 5000
                     else gathered == [])
     ties = np.ones((n, 8), dtype=np.float32)
@@ -224,24 +226,77 @@ def test_filter_gathers_at_most_an_eighth_of_a_large_base(monkeypatch):
     assert pool.ids.tolist() == list(range(10)) and gathered == []
 
 
-def test_block_scores_are_float32_and_match_single_queries():
+def test_block_pools_score_a_block_in_float32_and_match_single_queries(
+        monkeypatch):
     rng = np.random.default_rng(41)
     x = rng.standard_normal((3000, 16), dtype=np.float32)
     vs = VectorSet(x)
     qs = rng.normal(size=(8, 16))
+    scored = []
+    real = multi._f32_scores
+
+    def f32_scores(q, data, fn):
+        g = real(q, data, fn)
+        scored.append((g.dtype, g.shape))
+        return g
+
+    monkeypatch.setattr(multi, "_f32_scores", f32_scores)
     for fn in KINDS.values():
-        block = block_scores(qs, vs, fn, limit=20)
-        assert block.dtype == np.float32 and block.shape == (8, 3000)
-        for q, row in zip(qs, block):
-            want = full_scan_pool(q, vs, fn, limit=20)
-            got = full_scan_pool(q, vs, fn, limit=20, scores=row)
-            assert got.ids.tolist() == want.ids.tolist()
-            # the block's sgemm and the single query's sgemv may keep
-            # different survivors, whose gathers differ in the last place
-            np.testing.assert_allclose(got.sims, want.sims, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want.sims).max())
-        # no filter without a limit below n: the float64 similarities
-        assert block_scores(qs, vs, fn).dtype == np.float64
+        for limit in (20, None):
+            scored.clear()
+            pools = block_pools(qs, vs, fn, limit=limit)
+            # one sgemm for the block; no filter without a limit below n
+            assert scored == ([(np.float32, (8, 3000))] if limit else [])
+            for q, got in zip(qs, pools):
+                want = full_scan_pool(q, vs, fn, limit=limit)
+                assert got.ids.tolist() == want.ids.tolist()
+                # the block's sgemm and the single query's sgemv may keep
+                # different survivors, whose gathers differ in the last
+                # place, as may the float64 GEMM and GEMV
+                np.testing.assert_allclose(
+                    got.sims, want.sims, rtol=1e-12,
+                    atol=1e-12 * np.abs(want.sims).max())
+
+
+@given(n=st.sampled_from([2, 40, 4100, 9000]), d=st.integers(1, 8),
+       b=st.integers(1, 4), kind=st.sampled_from(sorted(KINDS)),
+       which=st.integers(0, 5), float32=st.booleans(),
+       beyond=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_pools_equal_single_query_pools(n, d, b, kind, which, float32,
+                                              beyond, seed):
+    # limits 1, k, the filter's most survivors and one above, n - 1 and
+    # every row; over float32 bases with n above 4096 the filter applies
+    # up to _max_survivors(n) and the float64 scan above it
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    vs = VectorSet(x.astype(np.float32) if float32 else x)
+    qs = rng.normal(size=(b, d))
+    if beyond:
+        qs[rng.integers(b)] *= 1e39      # beyond float32's range
+    limit = (1, 10, _max_survivors(n), _max_survivors(n) + 1, n - 1,
+             None)[which]
+    fn = KINDS[kind]
+    pools = block_pools(qs, vs, fn, limit=limit)
+    assert len(pools) == b
+    for q, got in zip(qs, pools):
+        want = full_scan_pool(q, vs, fn, limit=limit)
+        assert got.ids.tolist() == want.ids.tolist()
+        np.testing.assert_allclose(got.sims, want.sims, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.sims).max())
+
+
+def test_zero_query_in_a_block_is_rejected_as_one_query():
+    rng = np.random.default_rng(47)
+    vs = VectorSet(rng.standard_normal((100, 4), dtype=np.float32))
+    qs = rng.normal(size=(3, 4))
+    qs[1] = 0.0
+    fn = KINDS["one-plus-cosine"]
+    message = "^zero query vector under one-plus-cosine$"
+    for limit in (5, None):
+        with pytest.raises(ValueError, match=message):
+            full_scan_pool(qs[1], vs, fn, limit=limit)
+        with pytest.raises(ValueError, match=message):
+            block_pools(qs, vs, fn, limit=limit)
 
 
 def test_query_beyond_float32_range_is_ranked_in_float64():

@@ -7,7 +7,7 @@ import inspect
 import pathlib
 import sys
 
-from divknn import baselines, core, multi, solvers
+from divknn import baselines, cli, core, multi, solvers
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +49,20 @@ def test_scan_signatures_are_kept():
     assert params[1:5] == ["q", "rows", "row_norms", "row_sqnorms"]
     params = list(inspect.signature(multi.full_scan_pool).parameters)
     assert params[:4] == ["q", "data", "fn", "limit"]
+
+
+def test_frozen_benchmark_calls_bind():
+    # the call shapes of perfbench/workloads.py::solve, of the self-test's
+    # suboptimal solve (top_k with attrs and params by name) and of the
+    # harness's cli.main(argv): a signature change that breaks them fails
+    x = object()
+    sig = inspect.signature
+    sig(core.WelfareParams).bind(p=x, eta=x)
+    sig(solvers.nash_ann).bind(x, x, x, x, x, x)
+    sig(solvers.p_mean_ann).bind(x, x, x, x, x, x)
+    sig(baselines.fetch_union).bind(x, x, x, x, x, x, x)
+    sig(multi.full_scan_pool).bind(x, x, x, limit=x)
+    sig(multi.multi_nash_ann).bind(x, x, x, x, x, x, pool=x)
+    sig(multi.multi_p_mean_ann).bind(x, x, x, x, x, x, pool=x)
+    sig(baselines.top_k).bind(x, x, x, x, attrs=x, params=x)
+    sig(cli.main).bind(x)
