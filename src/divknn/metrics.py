@@ -82,7 +82,8 @@ def entropy(ids: Sequence[int], attrs: AttributeTable,
     l with p_l > 0 (optionally only over one attribute class)."""
     p = _shares(ids, attrs, restrict)
     p = p[p > 0]
-    h = float(-np.sum(p * np.log(p)))
+    # 0 - sum rather than -sum: one attribute gives 0.0, not -0.0
+    h = 0.0 - float(np.sum(p * np.log(p)))
     return h / math.log(2.0) if base2 else h
 
 

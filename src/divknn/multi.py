@@ -12,9 +12,12 @@ objective; only the attributes of v move, so the score is a sum over atb(v):
 * p in (0,1]: marginal of sum_l (u_l + eta)^p, maximized.
 * p < 0:      the same marginal, minimized (largest decrease wins).
 
-Every round evaluates every remaining candidate's marginal exactly, in one
-batch over the pool's (candidate, attribute) entries; there is no lazy heap
-of stale upper bounds. Ties go to the earliest candidate in pool order.
+The greedy is exact: every round picks the remaining candidate with the
+best marginal, ties to the earliest in pool order; there is no lazy heap of
+stale upper bounds. A pick changes the utility of its own attributes only,
+so the engine keeps one marginal per (candidate, attribute) entry,
+recomputes after each pick only the entries of the attributes it touched,
+and sums each candidate's entries once per round.
 
 ``multi_div_ann`` is the hard-capped baseline: greedy by similarity, skipping
 any candidate that would lift some attribute above k' picks. It may stall
@@ -276,23 +279,32 @@ def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
         raise ValueError("empty candidate pool")
     nash, p, eta = params.is_nash, params.p, params.eta
     sign = 1.0 if (nash or p > 0) else -1.0  # maximize sign * marginal
-    # one entry per (candidate, attribute) pair, candidates in pool order
+
+    def f(x, out=None):
+        return np.log(x, out=out) if nash else np.power(x, p, out=out)
+
+    # one entry per (candidate, attribute) pair, sorted by attribute with a
+    # stable radix sort, so the entries of attribute a are the slice
+    # bounds[a]:bounds[a + 1]; rows ascend, so each candidate's entries
+    # still come in the order of its row
     lengths, attr = attrs.gather(pool.ids)
-    starts = np.cumsum(lengths) - lengths
-    s = np.repeat(pool.sims, lengths)
+    order = np.argsort(attr.astype(np.min_scalar_type(attrs.c)),
+                       kind="stable")
+    owner = np.repeat(np.arange(len(pool)), lengths)[order]
+    s = pool.sims[owner]
+    bounds = np.zeros(attrs.c + 1, dtype=np.intp)
+    np.cumsum(np.bincount(attr, minlength=attrs.c), out=bounds[1:])
+    # entry marginals f(u_a + eta + s) - f(u_a + eta), with f(u + eta)
+    # evaluated once per attribute; at u = 0 every attribute's is ue[0]
     u = np.zeros(attrs.c, dtype=np.float64)
+    ue = u + eta
+    g = f(ue[0] + s) - f(ue)[0]
     taken = np.zeros(len(pool), dtype=bool)
     chosen: list[int] = []
     kk = min(k, len(pool))
-    for _ in range(kk):
-        # the same values as (u[attr] + eta) + s and f(u[attr] + eta), with
-        # f evaluated once per attribute rather than once per entry
-        ue = u + eta
-        if nash:
-            g = np.log(ue[attr] + s) - np.log(ue)[attr]
-        else:
-            g = np.power(ue[attr] + s, p) - np.power(ue, p)[attr]
-        key = sign * np.add.reduceat(g, starts)
+    while True:
+        # a candidate's key adds its entries from 0 in row order
+        key = sign * np.bincount(owner, weights=g, minlength=len(pool))
         # argmax takes the first of equal keys, i.e. the lowest pool index;
         # a NaN marginal (inf - inf) never wins, and when no candidate left
         # scores above -inf the first one left is taken
@@ -301,8 +313,21 @@ def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
         if key[i] == -np.inf:
             i = int(np.argmin(taken))
         taken[i] = True
-        chosen.append(int(pool.ids[i]))
-        u[attr[starts[i]:starts[i] + lengths[i]]] += pool.sims[i]
+        v = int(pool.ids[i])
+        chosen.append(v)
+        row = attrs.indices[attrs.indptr[v]:attrs.indptr[v + 1]]
+        u[row] += pool.sims[i]
+        if len(chosen) == kk:
+            break
+        # the pick moved its own attributes only: recompute their entries,
+        # with f(u + eta) taken over all c attributes as in the first pass
+        ue = u + eta
+        fue = f(ue)
+        for a in row.tolist():
+            lo, hi = bounds[a], bounds[a + 1]
+            np.add(ue[a], s[lo:hi], out=g[lo:hi])
+            f(g[lo:hi], out=g[lo:hi])
+            g[lo:hi] -= fue[a]
     return Selection(ids=tuple(chosen), utilities=u,
                      objective=welfare(u, params), truncated=kk < k)
 

@@ -161,8 +161,10 @@ def test_run_bad_settings_are_usage_errors(tmp_path):
     missing = ["--base", str(tmp_path / "b.fvecs"), "--queries",
                str(tmp_path / "q.fvecs"), "--attrs", str(tmp_path / "a.txt"),
                "--out", str(tmp_path / "x.csv")]
-    assert main(["run", *missing, "--algo", "ann", "--k", "3",
-                 "--similarity", "reciprocal-euclidean", "--delta", "0"]) == 2
+    for delta in ("0", "inf", "nan"):
+        assert main(["run", *missing, "--algo", "ann", "--k", "3",
+                     "--similarity", "reciprocal-euclidean",
+                     "--delta", delta]) == 2, delta
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("k=three\n")
     assert main(["run", *missing, "--algo", "ann", "--config", str(cfg)]) == 2

@@ -208,6 +208,33 @@ def test_attribute_table_keeps_its_own_arrays():
     assert t.indices.flags.c_contiguous and t.labels.tolist() == [1, 0, 2]
 
 
+def _csr_gather(t, ids):
+    """CSR entries of rows ``ids``, read one row slice at a time."""
+    rows = [t.indices[t.indptr[v]:t.indptr[v + 1]] for v in ids]
+    return ([len(r) for r in rows],
+            np.concatenate(rows).tolist() if rows else [])
+
+
+@pytest.mark.parametrize("width", [1, 4, None])
+def test_attribute_table_gather_matches_csr_rows(width):
+    rng = np.random.default_rng(7)
+    n, c = 50, 12
+    if width is None:
+        t = AttributeTable.from_rows(
+            [rng.choice(c, size=rng.integers(1, 5), replace=False)
+             for _ in range(n)], c=c)
+    else:
+        t = AttributeTable(np.full(n, width),
+                           rng.permuted(np.tile(np.arange(c), (n, 1)),
+                                        axis=1)[:, :width].ravel(), c=c)
+    # a fixed width takes the one-row-gather path; a ragged table the CSR
+    assert t.width == width
+    for ids in ([], [3], rng.integers(0, n, size=40), np.arange(n)[::-1]):
+        lengths, entries = t.gather(ids)
+        assert (lengths.tolist(), entries.tolist()) == _csr_gather(t, ids)
+        assert lengths.dtype == entries.dtype == np.intp
+
+
 def test_attribute_table_single_mode():
     t = AttributeTable.from_labels([0, 1, 1], c=2)
     assert t.is_single
@@ -461,6 +488,17 @@ def test_welfare_errors():
         welfare(np.array([-0.1, 1.0]), WelfareParams())
     with pytest.raises(ValueError):
         log_nsw(np.array([-0.1]), 1.0)
+
+
+def test_delta_and_log_nsw_eta_must_be_finite_and_positive():
+    # NaN fails every check too
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SimilarityFn("reciprocal-euclidean", delta=bad)
+        with pytest.raises(ValueError):
+            log_nsw(np.array([0.5, 1.0]), bad)
+    assert SimilarityFn("reciprocal-euclidean", delta=1e300).delta == 1e300
+    assert log_nsw(np.array([0.0]), 1.0) == 0.0
 
 
 def test_generalized_mean_ordering():

@@ -130,6 +130,23 @@ def test_per_class_restriction_and_share_sums():
         entropy(ids, AttributeTable.from_rows(atb, c=4), restrict=0)
 
 
+def test_entropy_of_one_attribute_is_positive_zero():
+    # -sum(1 * log 1) would be -0.0, which a CSV writes as "-0"
+    attrs = AttributeTable.from_rows([[0, 2], [0, 2], [1, 3]], c=4,
+                                     classes=[[0, 1], [2, 3]])
+    for h in (entropy([0, 1], attrs), entropy([0, 1], attrs, restrict=0),
+              entropy([0, 1], attrs, restrict=1),
+              entropy([0, 1], attrs, restrict=1, base2=True)):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    # whole selection over a single-attribute table, and through the report
+    data = VectorSet([[4.0], [3.0], [2.0]])
+    rep = compute_report([0, 1], [1.0], 2, data, attrs,
+                         SimilarityFn("dot-product"))
+    assert math.copysign(1.0, rep.per_class[0][1]) == 1.0
+    single = AttributeTable.from_labels([1, 1, 0], c=2)
+    assert math.copysign(1.0, entropy([0, 1], single)) == 1.0
+
+
 def test_compute_report_fields():
     rng = np.random.default_rng(63)
     q, data, attrs, fn, k = random_single_instance(rng)

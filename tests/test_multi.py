@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from divknn.core import (AttributeTable, SimilarityFn, VectorSet,
                          WelfareParams, log_nsw, utilities, welfare)
@@ -126,6 +127,50 @@ def test_engine_ties_and_pools_match_scalar():
         for p in (0.0, -2.0, 0.5):
             _assert_engine_matches_scalar(q, 12, data, attrs, fn, 0.5, p,
                                           pool=pool)
+
+
+@st.composite
+def _greedy_cases(draw):
+    """A table (one-per-class or ragged) over 1-D vectors whose dot-product
+    similarities tie often, with k and a pool: all of P, or the top m rows,
+    which may be fewer than k."""
+    n = draw(st.integers(1, 16))
+    c = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        # one-per-class: classes are consecutive runs of [0, c)
+        cuts = draw(st.sets(st.integers(1, c - 1), max_size=3)) if c > 1 \
+            else set()
+        edges = [0, *sorted(cuts), c]
+        classes = [list(range(a, b)) for a, b in zip(edges, edges[1:])]
+        rows = [[draw(st.sampled_from(cls)) for cls in classes]
+                for _ in range(n)]
+        attrs = AttributeTable.from_rows(rows, c=c, classes=classes)
+    else:
+        rows = [draw(st.lists(st.integers(0, c - 1), min_size=1,
+                              max_size=c, unique=True)) for _ in range(n)]
+        attrs = AttributeTable.from_rows(rows, c=c)
+    # small integers tie; negative values clamp to similarity 0
+    values = draw(st.lists(st.one_of(
+        st.integers(-1, 3).map(float),
+        st.floats(-1.0, 3.0, allow_nan=False)), min_size=n, max_size=n))
+    data = VectorSet(np.array(values)[:, None])
+    fn = SimilarityFn("dot-product")
+    k = draw(st.integers(1, n + 2))
+    limit = draw(st.none() | st.integers(1, n))
+    pool = None if limit is None else full_scan_pool([1.0], data, fn, limit)
+    return data, attrs, fn, k, pool
+
+
+# p = -200 at eta = 1e-3: (u + eta)^p overflows, so marginals are infinite,
+# and NaN (inf - inf) where a similarity is 0
+@pytest.mark.parametrize("p, eta", [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5),
+                                    (-1.0, 0.5), (-200.0, 1e-3)])
+@given(case=_greedy_cases())
+def test_incremental_engine_matches_scalar_property(p, eta, case):
+    data, attrs, fn, k, pool = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_engine_matches_scalar([1.0], k, data, attrs, fn, eta, p,
+                                      pool=pool)
 
 
 def test_single_attribute_coincides_with_stream_greedy():
