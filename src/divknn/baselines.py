@@ -11,19 +11,21 @@ for one scan instead of one per attribute.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, utilities, welfare)
-from .multi import CandidatePool, full_scan_pool
-from .oracle import ExactScanOracle, rank
-from .solvers import GreedyStats, greedy_select
+from .multi import _caller_pool
+from .oracle import RankedList, exact_topk, rank
+from .solvers import GreedyStats, greedy_select, prefetch_streams
 
 
 def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
           attrs: AttributeTable | None = None,
           params: WelfareParams | None = None,
-          pool: CandidatePool | None = None) -> Selection:
+          pool: RankedList | None = None) -> Selection:
     """The k most similar vectors, ties by ascending id.
 
     Utilities and objective are filled when an attribute table (and
@@ -34,8 +36,7 @@ def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
     if k < 1:
         raise ValueError("k must be >= 1")
     q = fn.query(q)
-    if pool is None:
-        pool = full_scan_pool(q, data, fn, limit=k)
+    pool = _caller_pool(q, data, fn, k, pool)
     ids = pool.ids[:k].tolist()
     truncated = len(ids) < k
     if attrs is None:
@@ -55,11 +56,11 @@ def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
     if k < 1 or kprime < 1:
         raise ValueError("k and kprime must be >= 1")
     if oracle is None:
-        oracle = ExactScanOracle(data, attrs, fn)
+        oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
         q = fn.query(q)   # checked and normed once for the c scans
-    capped = [oracle(q, a, kprime) for a in range(attrs.c)]
-    ids = np.concatenate([r.ids for r in capped])
-    chosen = ids[rank(np.concatenate([r.sims for r in capped]), ids, k)]
+    capped = prefetch_streams(q, kprime, attrs, oracle)
+    chosen = rank(np.concatenate([r.sims for r in capped]),
+                  np.concatenate([r.ids for r in capped]), k).ids
     params = params or WelfareParams()
     u = utilities(q, chosen, data, attrs, fn)
     return Selection(ids=tuple(chosen.tolist()), utilities=u,
@@ -69,7 +70,7 @@ def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
 def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
                 attrs: AttributeTable, fn: SimilarityFn,
                 stats: GreedyStats | None = None,
-                pool: CandidatePool | None = None) -> Selection:
+                pool: RankedList | None = None) -> Selection:
     """Welfare greedy restricted to the top-L global candidates.
 
     The pool is fetched in one pass regardless of attributes, grouped into
@@ -83,8 +84,7 @@ def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
         raise ValueError("k must be >= 1")
     if L < k:
         raise ValueError("pool size L must be >= k")
-    if pool is None:
-        pool = full_scan_pool(q, data, fn, limit=L)
+    pool = _caller_pool(q, data, fn, L, pool)
     labels = attrs.labels[pool.ids]
     # group the pool by attribute in one stable pass; within an attribute
     # the pool order (similarity descending) is preserved. Keys of the

@@ -18,8 +18,9 @@ a zero base vector under one-plus-cosine, rejected at load, or a zero query
 under one-plus-cosine, which aborts the whole batch).
 
 ``run`` resolves its settings with precedence flags > config file > preset
-defaults. Config files are ``key=value`` lines with ``#`` comments; keys
-match the long flag names (dashes or underscores).
+defaults. Config files are ``key=value`` lines with ``#`` comments; a key
+is a long flag name of one of the settings in ``CONFIG_KEYS``, in any case,
+with dashes or underscores. Any other key is a usage error.
 
 ``run`` splits the selected queries, in order, into ceil(m / 8) near-equal
 consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
@@ -58,8 +59,9 @@ from .core import SimilarityFn, WelfareParams
 from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
-from .multi import CandidatePool, block_pools, multi_div_ann, \
-    multi_nash_ann, multi_p_mean_ann
+from .multi import block_pools, multi_div_ann, multi_nash_ann, \
+    multi_p_mean_ann
+from .oracle import RankedList
 from .solvers import nash_ann, p_mean_ann
 from . import suites
 
@@ -72,6 +74,9 @@ POOLED_ALGOS = ("multi-nash", "multi-pmean", "multi-div", "fetch-union")
 SCAN_ALGOS = ("ann",) + POOLED_ALGOS
 # queries per similarity GEMM in ``run``
 _QUERY_BLOCK = 8
+# the settings a ``run`` config file may hold
+CONFIG_KEYS = ("algo", "k", "p", "eta", "kprime", "pool_l", "threads",
+               "seed", "similarity", "delta")
 
 
 class UsageError(Exception):
@@ -96,7 +101,7 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
+            cfg[key.strip().replace("-", "_").lower()] = val.strip()
     return cfg
 
 
@@ -169,6 +174,10 @@ def _make_runner(algo: str, k: int, p: float, eta: float,
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config) if args.config else {}
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{args.config}: unknown config key {key!r}; "
+                             f"accepted: {', '.join(CONFIG_KEYS)}")
     preset = PRESETS.get(args.preset) if args.preset else None
     if args.preset and preset is None:
         raise UsageError(f"unknown preset {args.preset!r}; "
@@ -261,8 +270,8 @@ def cmd_run(args) -> int:
             q = queries.data[qi]
             t1 = time.perf_counter()
             pool = (top if top is None or limit is None or limit >= k
-                    else CandidatePool(ids=top.ids[:limit],
-                                       sims=top.sims[:limit]))
+                    else RankedList(ids=top.ids[:limit],
+                                    sims=top.sims[:limit]))
             sel = solve(q, pool)
             latency_us = (share + time.perf_counter() - t1) * 1e6
             # without a ranking the report scans for its own reference

@@ -1,4 +1,14 @@
-"""Multi-attribute greedy solvers over a candidate pool.
+"""Candidate pools from a scan of the base, and the multi-attribute greedy
+solvers over them.
+
+A pool is the :class:`~divknn.oracle.RankedList` of the vectors most
+similar to a query, made by :func:`~divknn.oracle.rank` like every
+per-attribute oracle list. :func:`block_pools` is the one scan path: it
+reads the base once for a block of queries and ranks each query's row,
+through a certified float32 filter over a float32 base; a single query is
+a block of one (:func:`full_scan_pool`). Every solver that takes a
+``pool`` checks a pool handed in for distinct ids, and otherwise scans for
+its own.
 
 In the multi-attribute setting exact welfare maximization is intractable, so
 these solvers greedily grow the answer one vector at a time. Each round
@@ -27,30 +37,11 @@ general); the result is then truncated rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
+from .core import (AttributeTable, Query, Selection, SimilarityFn, VectorSet,
                    WelfareParams, welfare)
-from .oracle import rank
-
-
-@dataclass(frozen=True, eq=False)
-class CandidatePool:
-    """Candidates for one query: distinct ids sorted by similarity
-    descending, ascending id on ties."""
-
-    ids: np.ndarray    # intp
-    sims: np.ndarray   # float64
-
-    def __post_init__(self) -> None:
-        ordered = np.sort(self.ids)
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise ValueError("pool ids must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.ids)
+from .oracle import RankedList, rank
 
 
 # unit roundoffs of float32 and float64
@@ -85,10 +76,11 @@ def _filters(data: VectorSet, limit: int | None) -> bool:
 
 
 def _f32_scores(q, data: VectorSet, fn: SimilarityFn) -> np.ndarray:
-    """float32 dot products of the float32-rounded query, or (b, d) block
-    of queries, with every row, in one sgemv or sgemm. A block is scored as
-    base times queries, which sgemm runs about 1.5x faster than the
-    query-major product, and transposed so each query's row is contiguous.
+    """float32 dot products of the float32-rounded (b, d) block of queries
+    with every row, in one sgemm (numpy's sgemv for a block of one). The
+    block is scored as base times queries, which sgemm runs about 1.5x
+    faster than the query-major product, and transposed so each query's
+    row is contiguous.
     A query beyond float32's range or an overflowing dot product gives inf
     or NaN scores, which :func:`_ranked_pool` handles."""
     fn.check_rows(data)
@@ -98,35 +90,36 @@ def _f32_scores(q, data: VectorSet, fn: SimilarityFn) -> np.ndarray:
 
 
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
-                   limit: int | None = None) -> CandidatePool:
-    """Pool of the ``limit`` most similar vectors (all of them by default),
-    with their float64 similarities; :func:`block_pools` makes the same
-    pools for a block of queries in one pass over the base.
-
-    Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
-    above :func:`_max_survivors` (an eighth of a large base), every row's
-    float64 similarity is ranked. Over a float32 base a smaller ``limit``
-    goes through :func:`_filtered_pool`: float32 scores, a certified
-    threshold, and float64 only for the rows that survive it. Both give
-    the same ids and order, up to rows whose float64 similarities differ
-    only in the last place: the filter scores its survivors by a gather's
-    GEMV, whose last bits may differ from those of a whole-array scan.
-    """
+                   limit: int | None = None) -> RankedList:
+    """The pool of the ``limit`` most similar vectors to ``q`` (all of
+    them by default): ``block_pools`` of the block that holds q alone."""
     q = fn.query(q)
-    # a query beyond float32's range is ranked in float64 at once
-    scores = (_f32_scores(q, data, fn) if _filters(data, limit)
-              and np.abs(q.vec).max() <= _F32_MAX else fn.scan(q, data))
-    return _ranked_pool(q, data, fn, limit, scores)
+    return block_pools(Query(q.vec[None], q.norms, q.sqnorms), data, fn,
+                       limit)[0]
 
 
 def block_pools(qs, data: VectorSet, fn: SimilarityFn,
-                limit: int | None = None) -> list[CandidatePool]:
-    """``[full_scan_pool(q, data, fn, limit) for q in qs]`` for a (b, d)
-    block of queries, reading the base once for the whole block: one sgemm
-    where the pools are filtered, one float64 block scan otherwise. A row
-    of the block's GEMM may differ from the single query's GEMV in the
-    last place, so similarities may too, and ids only where two rows' true
-    similarities are that close."""
+                limit: int | None = None) -> list[RankedList]:
+    """For each query of a (b, d) block, the :class:`RankedList` of the
+    ``limit`` vectors most similar to it (all of them by default, a limit
+    is >= 1), with their float64 similarities, reading the base once for
+    the whole block.
+
+    Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
+    above :func:`_max_survivors` (an eighth of a large base), the block is
+    scored in float64 by one scan of every row and each query's row is
+    ranked. Over a float32 base a smaller ``limit`` takes one sgemm of the
+    base with the block, and each query goes through
+    :func:`_filtered_pool`: its float32 scores, a certified threshold, and
+    float64 only for the rows that survive it. Both give the same ids and
+    order, up to rows whose float64 similarities differ only in the last
+    place: the filter scores its survivors by a gather's GEMV, whose last
+    bits may differ from those of a whole-array scan, and a row of a
+    block's GEMM may differ in the last place from the same query's in
+    another block.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     qs = fn.query(qs)
     scores = (_f32_scores(qs, data, fn) if _filters(data, limit)
               else fn.scan(qs, data))
@@ -135,7 +128,7 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
 
 
 def _ranked_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
-                 scores: np.ndarray) -> CandidatePool:
+                 scores: np.ndarray) -> RankedList:
     """The pool from one query's float32 scores, through the filter, or
     its float64 similarities. A query beyond float32's range, or a filter
     that cannot certify its pool, ranks every row in float64 instead."""
@@ -145,12 +138,11 @@ def _ranked_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
         if pool is not None:
             return pool
         scores = fn.scan(q, data)
-    ids = rank(scores, limit=limit)
-    return CandidatePool(ids=ids, sims=scores[ids])
+    return rank(scores, limit=limit)
 
 
 def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
-                   g: np.ndarray) -> CandidatePool | None:
+                   g: np.ndarray) -> RankedList | None:
     """The top-``limit`` pool over a float32 base from its float32 scores
     ``g``, re-scoring only the rows that survive a certified threshold; None
     when more rows survive than :func:`_max_survivors` allows (ties at the
@@ -259,22 +251,31 @@ def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
     keep = np.flatnonzero(keep)
     if keep.size > _max_survivors(n):
         return None
-    sims = fn.batch_ids(q, data, keep)
-    order = rank(sims, keep, limit)
-    if sims[order[-1]] <= upper(theta + err):
-        return None
-    return CandidatePool(ids=keep[order], sims=sims[order])
+    pool = rank(fn.batch_ids(q, data, keep), keep, limit)
+    return None if pool.sims[-1] <= upper(theta + err) else pool
+
+
+def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
+                 pool: RankedList | None) -> RankedList:
+    """The pool a caller handed in, checked for distinct ids, or when it
+    handed in none the ``limit``-row pool of :func:`full_scan_pool`, which
+    :func:`rank` made distinct."""
+    if pool is None:
+        return full_scan_pool(q, data, fn, limit)
+    ordered = np.sort(pool.ids)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("pool ids must be distinct")
+    return pool
 
 
 def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
                  attrs: AttributeTable, fn: SimilarityFn,
-                 pool: CandidatePool | None) -> Selection:
+                 pool: RankedList | None) -> Selection:
     """Shared greedy engine behind :func:`multi_nash_ann` and
     :func:`multi_p_mean_ann`; the pool defaults to all of P."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if pool is None:
-        pool = full_scan_pool(q, data, fn)
+    pool = _caller_pool(q, data, fn, None, pool)
     if len(pool) == 0:
         raise ValueError("empty candidate pool")
     nash, p, eta = params.is_nash, params.p, params.eta
@@ -334,7 +335,7 @@ def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
 
 def multi_nash_ann(q, k: int, eta: float, data: VectorSet,
                    attrs: AttributeTable, fn: SimilarityFn,
-                   pool: CandidatePool | None = None) -> Selection:
+                   pool: RankedList | None = None) -> Selection:
     """Greedy log-Nash-welfare maximization over a pool (or all of P).
 
     The (1 - 1/e) guarantee on log Nash welfare holds for eta = 1 over the
@@ -347,7 +348,7 @@ def multi_nash_ann(q, k: int, eta: float, data: VectorSet,
 
 def multi_p_mean_ann(q, k: int, params: WelfareParams, data: VectorSet,
                      attrs: AttributeTable, fn: SimilarityFn,
-                     pool: CandidatePool | None = None) -> Selection:
+                     pool: RankedList | None = None) -> Selection:
     """Greedy p-mean heuristic over a pool: maximize the per-round change of
     sum (u_l + eta)^p for p > 0, minimize it for p < 0; p = 0 runs the Nash
     greedy of :func:`multi_nash_ann`. No approximation guarantee is
@@ -357,7 +358,7 @@ def multi_p_mean_ann(q, k: int, params: WelfareParams, data: VectorSet,
 
 def multi_div_ann(q, k: int, kprime: int, data: VectorSet,
                   attrs: AttributeTable, fn: SimilarityFn,
-                  pool: CandidatePool | None = None,
+                  pool: RankedList | None = None,
                   eta: float = 1.0) -> Selection:
     """Similarity-greedy selection under a hard per-attribute cap k'.
 
@@ -367,8 +368,7 @@ def multi_div_ann(q, k: int, kprime: int, data: VectorSet,
     """
     if k < 1 or kprime < 1:
         raise ValueError("k and kprime must be >= 1")
-    if pool is None:
-        pool = full_scan_pool(q, data, fn)
+    pool = _caller_pool(q, data, fn, None, pool)
     if len(pool) == 0:
         raise ValueError("empty candidate pool")
     counts = np.zeros(attrs.c, dtype=np.intp)

@@ -1,18 +1,23 @@
-"""The ranking rule and the per-attribute top-k neighbor oracles.
+"""The ranked-list type, the ranking rule and the per-attribute oracles.
 
-:func:`rank` orders candidates by similarity descending, ascending vector id
-on ties; every top-k in the package goes through it. ``exact_topk`` is a
-brute-force scan over one inverted list: the true top-min(k, |D_l|) vectors
-of the attribute by that rule. ``alpha_topk`` is a synthetic degraded
-oracle for test harnesses: it returns real vectors whose i-th best
-similarity is at least ``alpha`` times the i-th best exact similarity, for
-every rank i.
+A :class:`RankedList` holds candidates with distinct ids, best first, and
+:func:`rank` is how one is made: by similarity descending, ascending id on
+ties. Every top-k in the package goes through it, so the per-attribute
+oracle lists here and the global candidate pools of :mod:`divknn.multi`
+are the same type.
 
-Both are exposed behind a small callable interface ``(q, attribute, k) ->
-RankedList`` so that an external index backend can be slotted in later.
-Oracles are stateless with respect to queries; the degraded oracle derives
-its randomness from (seed, query bytes, attribute), so results do not depend
-on thread count or call order.
+``exact_topk`` is a brute-force scan over one inverted list: the true
+top-min(k, |D_l|) vectors of the attribute by that rule. ``alpha_topk`` is
+a synthetic degraded oracle for test harnesses: it returns real vectors
+whose i-th best similarity is at least ``alpha`` times the i-th best exact
+similarity, for every rank i.
+
+A solver takes its oracle as a plain callable ``(q, attribute, k) ->
+RankedList``, such as ``functools.partial(exact_topk, data=data,
+attrs=attrs, fn=fn)``, so an external index backend can be slotted in
+later. Oracles are stateless with respect to queries; the degraded oracle
+derives its randomness from (seed, query bytes, attribute), so results do
+not depend on thread count or call order.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from .core import AttributeTable, SimilarityFn, VectorSet
 
 @dataclass(frozen=True, eq=False)
 class RankedList:
-    """Vectors of one attribute ranked by similarity, best first."""
+    """Candidates with distinct ids ranked by similarity, best first."""
 
-    attribute: int
     ids: np.ndarray    # intp, ascending id within equal similarity
     sims: np.ndarray   # float64, non-increasing
 
@@ -49,18 +53,11 @@ class AlphaOracleConfig:
             raise ValueError("alpha must lie in (0, 1]")
 
 
-def _ranked(attribute: int, ids: np.ndarray, sims: np.ndarray) -> RankedList:
-    ids = np.asarray(ids, dtype=np.intp)
-    sims = np.asarray(sims, dtype=np.float64)
-    ids.setflags(write=False)
-    sims.setflags(write=False)
-    return RankedList(attribute=int(attribute), ids=ids, sims=sims)
-
-
 def rank(sims: np.ndarray, ids: np.ndarray | None = None,
-         limit: int | None = None) -> np.ndarray:
-    """Positions of the ``limit`` best candidates (all by default), ordered
-    by similarity descending, ascending id on ties. Ids must be distinct;
+         limit: int | None = None) -> RankedList:
+    """The ``limit`` best candidates (all by default; a limit is >= 1),
+    ordered by similarity descending, ascending id on ties, as a
+    :class:`RankedList` with read-only arrays. Ids must be distinct;
     without them a candidate's id is its position."""
     n = len(sims)
     if limit is not None and limit < n:
@@ -79,26 +76,23 @@ def rank(sims: np.ndarray, ids: np.ndarray | None = None,
     if np.any(ranked[1:] == ranked[:-1]):
         # the unstable sort leaves equal similarities in any order
         order = np.lexsort((cand if ids is None else ids[cand], -cand_sims))
-    return cand[order[:limit]]
+    pos = cand[order[:limit]]
+    out = RankedList(ids=pos if ids is None else ids[pos], sims=sims[pos])
+    out.ids.setflags(write=False)
+    out.sims.setflags(write=False)
+    return out
 
 
 def exact_topk(q, attribute: int, k: int, data: VectorSet,
                attrs: AttributeTable, fn: SimilarityFn) -> RankedList:
-    """True top-min(k, |D_l|) of attribute l by sigma(q, .).
-
-    An empty inverted list yields an empty RankedList, not an error.
-    """
+    """True top-min(k, |D_l|) of attribute l by sigma(q, .); an empty
+    inverted list yields an empty list."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (0 <= attribute < attrs.c):
         raise ValueError(f"attribute id {attribute} outside [0, {attrs.c})")
     members = attrs.inverted[attribute]
-    if len(members) == 0:
-        return _ranked(attribute, np.empty(0, dtype=np.intp),
-                       np.empty(0, dtype=np.float64))
-    sims = fn.batch_ids(q, data, members)
-    order = rank(sims, members, k)
-    return _ranked(attribute, members[order], sims[order])
+    return rank(fn.batch_ids(q, data, members), members, k)
 
 
 def alpha_topk(q, attribute: int, k: int, data: VectorSet,
@@ -125,51 +119,24 @@ def alpha_topk(q, attribute: int, k: int, data: VectorSet,
     qhash = int.from_bytes(hashlib.blake2b(qbytes, digest_size=8).digest(), "little")
     rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, attribute, qhash, kk])
 
-    def suffix_ok(start: int, rank: int) -> bool:
+    def suffix_ok(start: int, r: int) -> bool:
         # consecutive picks from `start` must satisfy every remaining rank
-        for t in range(rank, kk):
-            if sims[start + (t - rank)] < cfg.alpha * sims[t]:
+        for t in range(r, kk):
+            if sims[start + (t - r)] < cfg.alpha * sims[t]:
                 return False
         return True
 
     picks: list[int] = []
     pos = 0
-    for rank in range(kk):
+    for r in range(kk):
         hi = pos
-        while (hi + 1 <= m - (kk - rank)
-               and sims[hi + 1] >= cfg.alpha * sims[rank]
-               and suffix_ok(hi + 1, rank)):
+        while (hi + 1 <= m - (kk - r)
+               and sims[hi + 1] >= cfg.alpha * sims[r]
+               and suffix_ok(hi + 1, r)):
             hi += 1
         pick = int(rng.integers(pos, hi + 1))
         picks.append(pick)
         pos = pick + 1
     idx = np.asarray(picks, dtype=np.intp)
-    return _ranked(attribute, full.ids[idx], sims[idx])
-
-
-class ExactScanOracle:
-    """Callable (q, attribute, k) -> RankedList backed by the exact scan."""
-
-    def __init__(self, data: VectorSet, attrs: AttributeTable,
-                 fn: SimilarityFn) -> None:
-        self.data = data
-        self.attrs = attrs
-        self.fn = fn
-
-    def __call__(self, q, attribute: int, k: int) -> RankedList:
-        return exact_topk(q, attribute, k, self.data, self.attrs, self.fn)
-
-
-class AlphaScanOracle:
-    """Callable oracle wrapping :func:`alpha_topk`; test harness use only."""
-
-    def __init__(self, data: VectorSet, attrs: AttributeTable,
-                 fn: SimilarityFn, cfg: AlphaOracleConfig) -> None:
-        self.data = data
-        self.attrs = attrs
-        self.fn = fn
-        self.cfg = cfg
-
-    def __call__(self, q, attribute: int, k: int) -> RankedList:
-        return alpha_topk(q, attribute, k, self.data, self.attrs, self.fn,
-                          self.cfg)
+    # a subsequence of a ranked list is ranked already
+    return rank(sims[idx], full.ids[idx])

@@ -23,12 +23,13 @@ attribute's marginal is recomputed; the others carry over unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, welfare)
-from .oracle import ExactScanOracle, RankedList
+from .oracle import RankedList, exact_topk
 
 
 @dataclass
@@ -104,7 +105,7 @@ def _exact_greedy(q, k: int, params: WelfareParams, data: VectorSet,
     if k < 1:
         raise ValueError("k must be >= 1")
     if oracle is None:
-        oracle = ExactScanOracle(data, attrs, fn)
+        oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
         q = fn.query(q)   # checked and normed once for the c scans
     ranked = prefetch_streams(q, k, attrs, oracle)
     bounds = np.zeros(len(ranked) + 1, dtype=np.intp)

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import (AttributeTable, SimilarityFn, VectorSet, WelfareParams,
                    log_nsw)
 from .multi import full_scan_pool, multi_nash_ann
-from .oracle import AlphaOracleConfig, AlphaScanOracle
+from .oracle import AlphaOracleConfig, alpha_topk
 from .reference import (_weight_matrix, brute_force_opt, ersp_reduction,
                         log_ineq_check, max_log_nsw, packing_exists,
                         random_ersp)
@@ -179,8 +180,8 @@ def suite_alpha_guarantee(trials: int = 200, seed: int = 2,
         q, data, attrs, fn, k = random_single_instance(rng)
         alpha = alphas[t % len(alphas)]
         params = WelfareParams(p=ps[t % len(ps)], eta=1.0)
-        oracle = AlphaScanOracle(data, attrs, fn,
-                                 AlphaOracleConfig(alpha=alpha, seed=seed + t))
+        oracle = partial(alpha_topk, data=data, attrs=attrs, fn=fn,
+                         cfg=AlphaOracleConfig(alpha=alpha, seed=seed + t))
         sel = p_mean_ann(q, k, params, data, attrs, fn, oracle=oracle)
         _, opt = brute_force_opt(q, k, params, data, attrs, fn)
         opt_w = math.exp(opt) if params.is_nash else opt

@@ -269,15 +269,16 @@ def test_empty_vector_files_are_invalid_data(dataset, tmp_path, capsys):
 
 def _count_full_scans(monkeypatch, n):
     """Record the query shape of each read of all n base rows: a
-    block_pools call (one GEMM or GEMV, float32 or float64), or a
-    per-query scan inside one or outside: a float32 sgemv, or a
-    SimilarityFn.batch call over n rows."""
+    block_pools call (one GEMM or GEMV, float32 or float64; a single
+    query's scan is a block of one), or a per-query scan inside one or
+    outside: a float32 sgemv, or a SimilarityFn.batch call over n rows."""
     scans, inside = [], []
     real_pools, real_f32 = multi.block_pools, multi._f32_scores
     real_batch = SimilarityFn.batch
 
     def block_pools(qs, *args, **kwargs):
-        scans.append(np.shape(qs))
+        # full_scan_pool hands in its query as a checked block of one
+        scans.append(np.shape(getattr(qs, "vec", qs)))
         inside.append(True)
         try:
             return real_pools(qs, *args, **kwargs)
@@ -331,7 +332,7 @@ def test_run_scans_the_base_once_per_block(dataset20, tmp_path, monkeypatch,
     if extra[1] in cli.SCAN_ALGOS:
         assert scans == [(7, 6), (7, 6), (6, 6)]
     else:
-        assert scans == [(6,)] * 20
+        assert scans == [(1, 6)] * 20
 
 
 def _int_dataset(tmp_path, k, n_queries=6):
@@ -530,6 +531,42 @@ def test_run_config_file_precedence(dataset, tmp_path):
                  out2]) == 0
     rows2 = read_csv(out2)
     assert rows2[1][eta_col] == "2"
+
+
+def test_run_config_keys_are_flag_names_in_any_case(dataset, tmp_path,
+                                                    monkeypatch):
+    base, queries, attrs = dataset
+    limits = []
+    real = cli.block_pools
+
+    def block_pools(qs, data, fn, limit=None):
+        limits.append(limit)
+        return real(qs, data, fn, limit)
+
+    monkeypatch.setattr(cli, "block_pools", block_pools)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pool-L=40\n")
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--algo", "fetch-union", "--k", "4", "--config",
+                 str(cfg), "--out", str(tmp_path / "ok.csv")]) == 0
+    assert limits == [40]   # the 8 queries make one block
+
+
+@pytest.mark.parametrize("line", ["preset=amazon", "num_queries=2",
+                                  "pool_lx=7", "entropy-base=2"])
+def test_run_unknown_config_key_is_a_usage_error(tmp_path, capsys, line):
+    # found before any file is read: the data files do not exist
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k=3\n{line}\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--base", str(tmp_path / "b.fvecs"), "--queries",
+                 str(tmp_path / "q.fvecs"), "--attrs", str(tmp_path / "a.txt"),
+                 "--algo", "ann", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    key = line.split("=")[0].replace("-", "_")
+    assert str(cfg) in err and repr(key) in err
+    assert not out.exists()
 
 
 def test_run_preset_defaults(dataset, tmp_path):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from divknn.baselines import fetch_union, top_k
 from divknn.core import (AttributeTable, SimilarityFn, VectorSet,
                          WelfareParams, log_nsw, utilities, welfare)
 from divknn.metrics import entropy
-from divknn.multi import (CandidatePool, full_scan_pool, multi_div_ann,
+from divknn.multi import (block_pools, full_scan_pool, multi_div_ann,
                           multi_nash_ann, multi_p_mean_ann)
+from divknn.oracle import RankedList
 from divknn.reference import brute_force_opt
 from divknn.solvers import nash_ann
 from divknn.suites import random_multi_instance, random_single_instance
@@ -21,10 +23,43 @@ def test_pool_sorted_and_distinct():
     pool = full_scan_pool(rng.normal(size=4), data, fn, limit=10)
     assert len(pool) == 10
     assert all(pool.sims[i] >= pool.sims[i + 1] for i in range(9))
-    with pytest.raises(ValueError):
-        CandidatePool(ids=np.array([1, 1]), sims=np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):  # duplicates need not be neighbours
-        CandidatePool(ids=np.array([3, 1, 3]), sims=np.array([1.0, 0.9, 0.5]))
+    assert len(set(pool.ids.tolist())) == 10
+
+
+@pytest.mark.parametrize("ids", [[1, 1], [3, 1, 3]])
+def test_every_pool_entry_point_rejects_duplicate_ids(ids):
+    # duplicates need not be neighbours; every entry point that takes a
+    # caller's pool checks it
+    data = VectorSet(np.eye(4))
+    attrs = AttributeTable.from_labels([0, 1, 0, 1], c=2)
+    fn = SimilarityFn("dot-product")
+    pool = RankedList(ids=np.array(ids, dtype=np.intp),
+                      sims=np.linspace(1.0, 0.5, len(ids)))
+    q = np.ones(4)
+    params = WelfareParams(p=0.0, eta=1.0)
+    calls = [
+        lambda: top_k(q, 1, data, fn, pool=pool),
+        lambda: fetch_union(q, 1, 2, params, data, attrs, fn, pool=pool),
+        lambda: multi_nash_ann(q, 1, 1.0, data, attrs, fn, pool=pool),
+        lambda: multi_p_mean_ann(q, 1, params, data, attrs, fn, pool=pool),
+        lambda: multi_div_ann(q, 1, 1, data, attrs, fn, pool=pool),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="pool ids must be distinct"):
+            call()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("limit", [0, -3])
+def test_pool_limit_below_one_is_an_error(dtype, limit):
+    rng = np.random.default_rng(32)
+    data = VectorSet(rng.normal(size=(40, 4)).astype(dtype))
+    fn = SimilarityFn("one-plus-cosine")
+    qs = rng.normal(size=(2, 4))
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        full_scan_pool(qs[0], data, fn, limit=limit)
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        block_pools(qs, data, fn, limit)
 
 
 def test_pool_tie_break_by_id():
@@ -240,8 +275,7 @@ def test_empty_pool_is_error():
     data = VectorSet([[1.0]])
     attrs = AttributeTable.from_labels([0], c=1)
     fn = SimilarityFn("dot-product")
-    pool = CandidatePool(ids=np.empty(0, dtype=np.intp),
-                         sims=np.empty(0))
+    pool = RankedList(ids=np.empty(0, dtype=np.intp), sims=np.empty(0))
     with pytest.raises(ValueError):
         multi_nash_ann([1.0], 1, eta=1.0, data=data, attrs=attrs, fn=fn,
                        pool=pool)

@@ -1,9 +1,37 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from divknn.core import AttributeTable, SimilarityFn, VectorSet
-from divknn.oracle import (AlphaOracleConfig, AlphaScanOracle,
-                           ExactScanOracle, alpha_topk, exact_topk)
+from divknn.oracle import AlphaOracleConfig, alpha_topk, exact_topk, rank
+
+
+@st.composite
+def _rank_inputs(draw):
+    """Tie-heavy integer similarities, ids absent or a permutation, and a
+    limit at the edges: 1, n - 1, n, n + 1 or None (those that are >= 1)."""
+    sims = np.array(draw(st.lists(st.integers(0, 4), max_size=60)),
+                    dtype=np.float64)
+    n = len(sims)
+    ids = (np.array(draw(st.permutations(range(n))), dtype=np.intp)
+           if draw(st.booleans()) else None)
+    limit = draw(st.sampled_from(
+        [None] + [m for m in (1, n - 1, n, n + 1) if m >= 1]))
+    return sims, ids, limit
+
+
+@given(_rank_inputs())
+def test_rank_is_the_lexsort_by_similarity_then_id(inputs):
+    sims, ids, limit = inputs
+    keys = np.arange(len(sims)) if ids is None else ids
+    order = np.lexsort((keys, -sims))[:limit]
+    got = rank(sims, ids, limit)
+    assert got.ids.dtype == np.intp and got.sims.dtype == np.float64
+    assert got.ids.tolist() == keys[order].tolist()
+    assert got.sims.tolist() == sims[order].tolist()
+    assert not got.ids.flags.writeable and not got.sims.flags.writeable
 
 
 def naive_topk(q, attribute, k, data, attrs, fn):
@@ -128,8 +156,8 @@ def test_alpha_deterministic_and_order_independent():
     data = VectorSet(rng.normal(size=(40, 6)))
     attrs = AttributeTable.from_labels(rng.integers(0, 4, 40), c=4)
     fn = SimilarityFn("one-plus-cosine")
-    oracle = AlphaScanOracle(data, attrs, fn,
-                             AlphaOracleConfig(alpha=0.6, seed=42))
+    oracle = partial(alpha_topk, data=data, attrs=attrs, fn=fn,
+                     cfg=AlphaOracleConfig(alpha=0.6, seed=42))
     q1, q2 = rng.normal(size=6), rng.normal(size=6)
     first = [oracle(q1, a, 5) for a in range(4)]
     # interleave other calls, then repeat: results must be unchanged
@@ -169,7 +197,7 @@ def test_exact_oracle_callable_wrapper():
     data = VectorSet(rng.normal(size=(20, 4)))
     attrs = AttributeTable.from_labels(rng.integers(0, 2, 20), c=2)
     fn = SimilarityFn("one-plus-cosine")
-    oracle = ExactScanOracle(data, attrs, fn)
+    oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
     q = rng.normal(size=4)
     direct = exact_topk(q, 1, 3, data, attrs, fn)
     got = oracle(q, 1, 3)

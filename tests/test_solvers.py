@@ -1,11 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from divknn.core import (AttributeTable, SimilarityFn, VectorSet,
                          WelfareParams, utilities, welfare)
-from divknn.oracle import AlphaOracleConfig, AlphaScanOracle, ExactScanOracle
+from divknn.oracle import AlphaOracleConfig, alpha_topk, exact_topk
 from divknn.reference import brute_force_opt
 from divknn.solvers import GreedyStats, nash_ann, p_mean_ann, prefetch_streams
 from divknn.suites import (complete_diversity_instance,
@@ -151,12 +152,12 @@ def test_attribute_stream_prefix_sums():
     # similarity sum is the utility of taking the whole list
     rng = np.random.default_rng(26)
     q, data, attrs, fn, k = random_single_instance(rng)
-    oracle = ExactScanOracle(data, attrs, fn)
+    oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
     streams = prefetch_streams(q, k, attrs, oracle)
-    assert [st.attribute for st in streams] == list(range(attrs.c))
-    for st in streams:
-        assert len(st) == min(k, len(attrs.inverted[st.attribute]))
-        expect = utilities(q, st.ids, data, attrs, fn)[st.attribute]
+    assert len(streams) == attrs.c
+    for a, st in enumerate(streams):
+        assert len(st) == min(k, len(attrs.inverted[a]))
+        expect = utilities(q, st.ids, data, attrs, fn)[a]
         assert float(np.sum(st.sims)) == pytest.approx(expect, rel=1e-12,
                                                        abs=1e-15)
 
@@ -166,7 +167,7 @@ def test_stream_marginals_match_cumulative_transform():
     # (prefix + eta)^p step by step
     rng = np.random.default_rng(27)
     q, data, attrs, fn, k = random_single_instance(rng)
-    oracle = ExactScanOracle(data, attrs, fn)
+    oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
     streams = prefetch_streams(q, k, attrs, oracle)
     eta = 0.7
     for st in streams:
@@ -206,8 +207,8 @@ def test_alpha_oracle_guarantee_spot():
     for alpha in (0.5, 0.9):
         q, data, attrs, fn, k = random_single_instance(rng)
         params = WelfareParams(p=0.0, eta=1.0)
-        oracle = AlphaScanOracle(data, attrs, fn,
-                                 AlphaOracleConfig(alpha=alpha, seed=3))
+        oracle = partial(alpha_topk, data=data, attrs=attrs, fn=fn,
+                         cfg=AlphaOracleConfig(alpha=alpha, seed=3))
         sel = nash_ann(q, k, params, data, attrs, fn, oracle=oracle)
         _, opt_log = brute_force_opt(q, k, params, data, attrs, fn)
         assert sel.objective >= alpha * math.exp(opt_log) * (1 - 1e-12)
