@@ -258,6 +258,12 @@ class Query:
     norms: Optional[list] = None
     sqnorms: Optional[list] = None
 
+    def row(self, i: int) -> "Query":
+        """Query i of a block, checked and normed with the block."""
+        return Query(self.vec[i],
+                     None if self.norms is None else self.norms[i:i + 1],
+                     None if self.sqnorms is None else self.sqnorms[i:i + 1])
+
 
 @dataclass(frozen=True)
 class SimilarityFn:
@@ -332,7 +338,7 @@ class SimilarityFn:
         if self.kind == "one-plus-cosine":
             if row_norms is None:
                 row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-                _reject_zero_norms(row_norms)
+                _reject_zero_norms(row_norms.min(initial=np.inf))
             s = dots()
             s /= row_norms
             s /= per_query(q.norms)
@@ -365,7 +371,7 @@ class SimilarityFn:
         rows = np.take(data.data, ids, axis=0)   # 2x faster than data[ids]
         if self.kind == "one-plus-cosine":
             norms = data.norms[ids]
-            _reject_zero_norms(norms)
+            _reject_zero_norms(norms.min(initial=np.inf))
             return self.batch(q, rows, row_norms=norms)
         if self.kind == "reciprocal-euclidean":
             return self.batch(q, rows, row_sqnorms=data.sqnorms[ids])
@@ -401,9 +407,10 @@ class SimilarityFn:
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _reject_zero_norms(norms) -> None:
-    """A zero row has no cosine: reject it under one-plus-cosine."""
-    if np.any(norms == 0.0):
+def _reject_zero_norms(least: float) -> None:
+    """A zero row has no cosine: reject it under one-plus-cosine, given the
+    least norm of the rows scored."""
+    if least == 0.0:
         raise ValueError("zero input vector under one-plus-cosine")
 
 

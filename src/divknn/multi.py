@@ -5,8 +5,10 @@ A pool is the :class:`~divknn.oracle.RankedList` of the vectors most
 similar to a query, made by :func:`~divknn.oracle.rank` like every
 per-attribute oracle list. :func:`block_pools` is the one scan path: it
 reads the base once for a block of queries and ranks each query's row,
-through a certified float32 filter over a float32 base; a single query is
-a block of one (:func:`full_scan_pool`). Every solver that takes a
+through the certified float32 filter of
+:func:`~divknn.oracle._filtered_pool` over a float32 base, the filter that
+also ranks large inverted lists; a single query is a block of one
+(:func:`full_scan_pool`). Every solver that takes a
 ``pool`` checks a pool handed in for distinct ids, and otherwise scans for
 its own.
 
@@ -41,38 +43,7 @@ import numpy as np
 
 from .core import (AttributeTable, Query, Selection, SimilarityFn, VectorSet,
                    WelfareParams, welfare)
-from .oracle import RankedList, rank
-
-
-# unit roundoffs of float32 and float64
-_U32 = 2.0 ** -24
-_U64 = 2.0 ** -53
-# relative slack on every bound: it covers the float64 rounding of the
-# stored norms and of computing the bound itself, for any d below 2^30
-_SAFE = 1.0 + 2.0 ** -20
-_F32_MAX = float(np.finfo(np.float32).max)
-
-
-def _gamma(m: int, u: float) -> float:
-    """Higham's gamma_m = m u / (1 - m u)."""
-    return m * u / (1.0 - m * u)
-
-
-def _max_survivors(n: int) -> int:
-    """Most rows the float32 filter gathers and re-scores over an n-row
-    base. Past an eighth of the base the gather and float64 upcast of the
-    survivors cost more than the blockwise float64 scan of every row (1M x
-    96, one BLAS thread: 136 against 159 ms per query at L = n/8, 234
-    against 167 ms at n/4). Below 32768 rows the bound is 4096 rows, a
-    gather small enough not to matter either way."""
-    return max(n // 8, 4096)
-
-
-def _filters(data: VectorSet, limit: int | None) -> bool:
-    """Whether a pool of ``limit`` rows of ``data`` is ranked through the
-    float32 filter."""
-    return data.data.dtype == np.float32 and limit is not None and \
-        limit < data.n and limit <= _max_survivors(data.n)
+from .oracle import RankedList, _filtered_pool, _filters, rank
 
 
 def _f32_scores(q, data: VectorSet, fn: SimilarityFn) -> np.ndarray:
@@ -106,25 +77,26 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     the whole block.
 
     Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
-    above :func:`_max_survivors` (an eighth of a large base), the block is
-    scored in float64 by one scan of every row and each query's row is
-    ranked. Over a float32 base a smaller ``limit`` takes one sgemm of the
-    base with the block, and each query goes through
-    :func:`_filtered_pool`: its float32 scores, a certified threshold, and
-    float64 only for the rows that survive it. Both give the same ids and
-    order, up to rows whose float64 similarities differ only in the last
-    place: the filter scores its survivors by a gather's GEMV, whose last
-    bits may differ from those of a whole-array scan, and a row of a
-    block's GEMM may differ in the last place from the same query's in
-    another block.
+    above :func:`~divknn.oracle._max_survivors` (an eighth of a large
+    base), the block is scored in float64 by one scan of every row and
+    each query's row is ranked. Over a float32 base a smaller ``limit``
+    takes one sgemm of the base with the block, and each query goes
+    through :func:`~divknn.oracle._filtered_pool`: its float32 scores, a
+    certified threshold, and float64 only for the rows that survive it.
+    Both give the same ids and order, up to rows whose float64
+    similarities differ only in the last place: the filter scores its
+    survivors by a gather's GEMV, whose last bits may differ from those of
+    a whole-array scan, and a row of a block's GEMM may differ in the last
+    place from the same query's in another block.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     qs = fn.query(qs)
-    scores = (_f32_scores(qs, data, fn) if _filters(data, limit)
+    scores = (_f32_scores(qs, data, fn) if _filters(data, limit, data.n)
               else fn.scan(qs, data))
-    return [_ranked_pool(fn.query(v), data, fn, limit, row)
-            for v, row in zip(qs.vec, scores)]
+    # each query was checked and normed with the block
+    return [_ranked_pool(qs.row(i), data, fn, limit, row)
+            for i, row in enumerate(scores)]
 
 
 def _ranked_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
@@ -133,126 +105,11 @@ def _ranked_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
     its float64 similarities. A query beyond float32's range, or a filter
     that cannot certify its pool, ranks every row in float64 instead."""
     if scores.dtype == np.float32:
-        pool = (_filtered_pool(q, data, fn, limit, scores)
-                if np.abs(q.vec).max() <= _F32_MAX else None)
+        pool = _filtered_pool(q, data, fn, limit, scores)
         if pool is not None:
             return pool
         scores = fn.scan(q, data)
     return rank(scores, limit=limit)
-
-
-def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
-                   g: np.ndarray) -> RankedList | None:
-    """The top-``limit`` pool over a float32 base from its float32 scores
-    ``g``, re-scoring only the rows that survive a certified threshold; None
-    when more rows survive than :func:`_max_survivors` allows (ties at the
-    threshold) or the certificate fails, and every row must be ranked in
-    float64.
-
-    Each kind ranks by a key in which its similarity increases: the dot
-    product P = x.q (dot-product), P / |x| (one-plus-cosine) or
-    P - |x|^2 / 2 (reciprocal-euclidean), estimated from g = fl32(x.q32)
-    with q32 = fl32(q). For every row with finite g, ``|key - K| <= err``
-    for the exact key K:
-
-    * |g - x.q32| <= gamma_d(u32) |x|.|q32| + d 2^-149 for a dot product
-      of d terms in any summation order, the last term covering products
-      that underflow (Higham, *Accuracy and Stability of Numerical
-      Algorithms*, 2002, section 3.1), and |x.q32 - x.q| <= |x| |q - q32|,
-      q's own float32 rounding; by Cauchy-Schwarz |x|.|q32| <= |x| |q32|.
-      So |g - P| <= |x| (|q - q32| + gamma_d(u32) |q32|) + d 2^-149.
-    * The key's own float64 arithmetic adds its rounding, u64 times its
-      magnitude per operation; the stored norms are within _SAFE of |x|.
-
-    A row whose float32 score overflowed (inf or NaN) always survives.
-
-    With tau the ``limit``-th best key, every row with key >= theta =
-    tau - 2 err - 4 e64 survives; e64 bounds the float64 path's own error
-    in key units. The survivors are scored by ``batch_ids`` and ranked by
-    ``rank``. A non-survivor has K < theta + err, so its float64
-    similarity is at most ``upper(theta + err)``, an upper bound that
-    counts every rounding of the float64 path. If the ``limit``-th
-    survivor's similarity exceeds that bound, each non-survivor ranks below
-    ``limit`` survivors, so the survivors' top-``limit`` is the whole
-    base's, ties included. The rows with key >= tau have K >= tau - err,
-    which puts their similarities above that bound by at least e64, so the
-    certificate fails only where the float64 similarity itself stops
-    separating rows: a threshold among dot products clamped to 0, or
-    reciprocal-euclidean distances rounded to 0.
-    """
-    n, d = data.n, data.d
-    v = q.vec
-    q32 = v.astype(np.float32).astype(np.float64)
-    nq32 = np.linalg.norm(q32)
-    nq = np.linalg.norm(v) * _SAFE
-    under = d * 2.0 ** -149
-    # bound on |g - P| per unit of |x|, q's rounding first
-    per_norm = (np.linalg.norm(v - q32) + _gamma(d, _U32) * nq32) * _SAFE
-    xmax = data.max_norm * _SAFE
-    if fn.kind == "dot-product":
-        key = g
-        err = (xmax * per_norm + under) * _SAFE
-        # gamma_{d+8}: the extra 8 u64 covers evaluating ``upper``
-        e64 = _gamma(d + 8, _U64) * xmax * nq * _SAFE
-
-        def upper(k):
-            return max(k + e64 * 2.0, 0.0)
-    elif fn.kind == "one-plus-cosine":
-        key = g / data.norms
-        err = (per_norm + 2.0 * _U64 * nq32
-               + 2.0 * under / data.min_norm) * _SAFE
-        qn = q.norms[0]
-        e64 = (_gamma(d, _U64) * nq + 16.0 * _U64 * qn) * _SAFE
-
-        def upper(k):
-            # 1 + (k + e64) / |q| bounds fl(fl(fl(p / |x|) / |q|) + 1);
-            # the second e64 covers evaluating it
-            return 1.0 + (k + e64 * 2.0) / qn
-    else:
-        with np.errstate(invalid="ignore"):   # inf - inf from an overflow
-            key = g - 0.5 * data.sqnorms
-        xsq = xmax * xmax * _SAFE
-        err = (xmax * per_norm + under
-               + 2.0 * _U64 * (xmax * nq32 + xsq)) * _SAFE
-        qq = q.sqnorms[0]
-        # float64 error of |x|^2 - 2 p + |q|^2, the squared distance
-        e_d = (2.0 * _gamma(d + 2, _U64) * xmax * nq
-               + 4.0 * _U64 * (xsq + qq + xmax * nq)) * _SAFE
-
-        def upper(k):
-            d2 = max(qq - 2.0 * k - 2.0 * e_d, 0.0)
-            return (1.0 + 16.0 * _U64) / (np.sqrt(d2) + fn.delta)
-
-    finite = None
-    if xmax * nq32 * (1.0 + _gamma(d, _U32)) >= _F32_MAX:
-        # some partial sum may overflow: non-finite keys are set aside
-        finite = np.isfinite(key)
-        if np.count_nonzero(finite) < limit:
-            return None
-        tau = float(np.partition(np.where(finite, key, -np.inf),
-                                 n - limit)[n - limit])
-    else:
-        tau = float(np.partition(key, n - limit)[n - limit])
-    if fn.kind == "reciprocal-euclidean":
-        # the distance at the threshold sets how far apart in key two
-        # rows must be for their float64 similarities to differ
-        r = np.sqrt(max(qq - 2.0 * tau + 4.0 * err, 0.0))
-        e64 = e_d + 2.0 ** -40 * r * (r + fn.delta)
-    theta = tau - 2.0 * err - 4.0 * e64
-    # compare in the key's dtype (float32 for dot-product) against theta
-    # rounded down, never up
-    with np.errstate(over="ignore"):
-        t = key.dtype.type(theta)
-    if t > theta:
-        t = np.nextafter(t, key.dtype.type(-np.inf))
-    keep = key >= t
-    if finite is not None:
-        keep |= ~finite
-    keep = np.flatnonzero(keep)
-    if keep.size > _max_survivors(n):
-        return None
-    pool = rank(fn.batch_ids(q, data, keep), keep, limit)
-    return None if pool.sims[-1] <= upper(theta + err) else pool
 
 
 def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,

@@ -17,9 +17,10 @@ Covered properties:
   exists);
 * the two stylized behaviors: equal similarities spread across attributes,
   single-attribute relevance concentrates on it;
-* the certified float32 filter of ``full_scan_pool`` over float32 bases:
-  the same ids and order as a whole-array float64 rank, and similarities
-  within the last-place differences of a gather's GEMV.
+* the certified float32 filter over float32 bases, through
+  ``full_scan_pool`` and over a subset of the rows as ``exact_topk`` runs
+  it on a large inverted list: the same ids and order as a float64 rank,
+  and similarities within the last-place differences of a gather's GEMV.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .core import (AttributeTable, SimilarityFn, VectorSet, WelfareParams,
                    log_nsw)
 from .multi import full_scan_pool, multi_nash_ann
-from .oracle import AlphaOracleConfig, alpha_topk
+from .oracle import AlphaOracleConfig, _filtered_pool, alpha_topk
 from .reference import (_weight_matrix, brute_force_opt, ersp_reduction,
                         log_ineq_check, max_log_nsw, packing_exists,
                         random_ersp)
@@ -398,16 +399,32 @@ def suite_float32_scan(trials: int = 200, seed: int = 9) -> SuiteResult:
     """Over float32 bases, ``full_scan_pool`` with a limit below n (float32
     scores, a certified threshold, float64 re-scoring of the survivors)
     returns the ids and order of a whole-array float64 rank, and its
-    similarities to within the last-place differences of a GEMV."""
+    similarities to within the last-place differences of a GEMV. The same
+    filter over a random subset of the rows returns, in base ids, the
+    float64 rank of that subset, or None, which sends its caller to that
+    rank. ``exact_topk`` filters only lists above 4096 rows, so the subset
+    goes to the filter directly."""
     rng = np.random.default_rng(seed)
+    # subsets draw from their own stream: the instances stay those of seed
+    sub_rng = np.random.default_rng([seed, 1])
     bad = 0
+
+    def same(pool, ids, sims):
+        return (np.array_equal(pool.ids, ids)
+                and np.allclose(pool.sims, sims, rtol=1e-12,
+                                atol=1e-12 * np.abs(sims).max()))
+
     for _ in range(trials):
         q, x, fn, limit = random_float32_instance(rng)
-        pool = full_scan_pool(q, VectorSet(x), fn, limit=limit)
+        vs = VectorSet(x)
         ids, sims = float64_topk(q, x, fn, limit)
-        if not (np.array_equal(pool.ids, ids)
-                and np.allclose(pool.sims, sims, rtol=1e-12,
-                                atol=1e-12 * np.abs(sims).max())):
+        m = int(sub_rng.integers(2, len(x) + 1))
+        sub = np.sort(sub_rng.choice(len(x), size=m, replace=False))
+        sub_limit = (1, min(10, m - 1), m - 1)[int(sub_rng.integers(0, 3))]
+        part = _filtered_pool(fn.query(q), vs, fn, sub_limit, ids=sub)
+        sub_ids, sub_sims = float64_topk(q, x[sub], fn, sub_limit)
+        if not (same(full_scan_pool(q, vs, fn, limit=limit), ids, sims)
+                and (part is None or same(part, sub[sub_ids], sub_sims))):
             bad += 1
     return SuiteResult("certified float32 scan", trials, bad)
 

@@ -14,8 +14,8 @@ from hypothesis import given, strategies as st
 
 from divknn import core, data as data_io, multi
 from divknn.core import AttributeTable, SimilarityFn, VectorSet, WelfareParams
-from divknn.multi import _max_survivors, block_pools, full_scan_pool
-from divknn.oracle import exact_topk
+from divknn.multi import block_pools, full_scan_pool
+from divknn.oracle import _max_survivors, exact_topk
 from divknn.solvers import nash_ann, p_mean_ann
 from divknn.suites import float64_topk
 
@@ -308,6 +308,129 @@ def test_query_beyond_float32_range_is_ranked_in_float64():
 
 
 # ---------------------------------------------------------------------------
+# the filter over an inverted list
+# ---------------------------------------------------------------------------
+
+# above the filter's 4096-row survivor floor, so exact_topk filters the list
+LIST_ROWS = 4500
+FLAVOURS = ("gaussian", "integer-ties", "near-duplicates", "overflow")
+
+
+def list_instance(flavour, d, rng):
+    """(q, x): a query and LIST_ROWS float32 rows in one of the flavours of
+    ``random_float32_instance``."""
+    q = rng.normal(size=d)
+    if flavour == "integer-ties":
+        # small integers: at d = 3 each row has many exact copies, so rows
+        # tie at the k-th place under every kind; no zero row, which
+        # one-plus-cosine rejects
+        x = rng.integers(-2, 4, size=(LIST_ROWS, d))
+        x[~x.any(axis=1)] = 1
+        q = rng.integers(-1, 3, size=d).astype(np.float64)
+    elif flavour == "near-duplicates":
+        x = np.tile(rng.normal(size=d).astype(np.float32), (LIST_ROWS, 1))
+        x[:, 0] += rng.integers(-3, 4, size=LIST_ROWS) * np.spacing(x[0, 0])
+        q[0] *= 0.02
+    else:
+        x = rng.normal(size=(LIST_ROWS, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if flavour == "overflow":
+            big = rng.choice(LIST_ROWS, size=3, replace=False)
+            x[big] = np.sign(x[big]) * 3e38 / math.sqrt(d)
+            q *= 10.0
+    return q, x.astype(np.float32)
+
+
+def with_other_list(x, other, rng):
+    """A float32 base whose attribute 0 holds the rows x and attribute 1
+    the rows ``other``, interleaved at random, so that a list position is
+    not a base id."""
+    labels = rng.permutation(np.repeat([0, 1], [len(x), len(other)]))
+    base = np.empty((len(labels), x.shape[1]), dtype=np.float32)
+    base[labels == 0] = x
+    base[labels == 1] = other
+    return VectorSet(base), AttributeTable.from_labels(labels, 2)
+
+
+def assert_list_is_exact(q, vs, attrs, fn, k):
+    members = attrs.inverted[0]
+    got = exact_topk(q, 0, k, vs, attrs, fn)
+    ids, sims = float64_topk(q, vs.data[members], fn, k)
+    assert got.ids.tolist() == members[ids].tolist()
+    np.testing.assert_allclose(got.sims, sims, rtol=1e-12,
+                               atol=1e-12 * np.abs(sims).max())
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_exact_topk_ranks_a_large_float32_list_exactly(kind, flavour):
+    rng = np.random.default_rng([sorted(KINDS).index(kind),
+                                 FLAVOURS.index(flavour)])
+    for d in (3, 16):
+        q, x = list_instance(flavour, d, rng)
+        other = rng.standard_normal((300, d), dtype=np.float32)
+        vs, attrs = with_other_list(x, other, rng)
+        for k in (1, 10):
+            assert_list_is_exact(q, vs, attrs, KINDS[kind], k)
+
+
+def large_list_with_extreme_rows_elsewhere(rng, d=16):
+    """A Gaussian list of LIST_ROWS rows, and another list holding a zero
+    row, a row of norm about 1e-30 and one of about 1e30."""
+    x = rng.standard_normal((LIST_ROWS, d), dtype=np.float32)
+    other = rng.standard_normal((300, d), dtype=np.float32)
+    other[0] = 0.0
+    other[1] *= 1e-30
+    other[2] *= 1e30
+    return with_other_list(x, other, rng)
+
+
+def test_large_list_filter_reads_its_own_norms(monkeypatch):
+    # the bounds come from the list's own norms: the other list's zero row
+    # raises nothing under one-plus-cosine, and its extreme norms do not
+    # widen the threshold, so the filter re-scores k plus a few rows
+    rescored = []
+    real = SimilarityFn.batch_ids
+
+    def batch_ids(self, q, data, ids):
+        rescored.append(len(ids))
+        return real(self, q, data, ids)
+
+    monkeypatch.setattr(SimilarityFn, "batch_ids", batch_ids)
+    rng = np.random.default_rng(48)
+    vs, attrs = large_list_with_extreme_rows_elsewhere(rng)
+    for fn in KINDS.values():
+        for k in (1, 10):
+            for _ in range(3):
+                rescored.clear()
+                assert_list_is_exact(rng.normal(size=16), vs, attrs, fn, k)
+                assert len(rescored) == 1 and k <= rescored[0] <= k + 8
+
+
+def test_zero_row_in_a_large_list_is_rejected_under_cosine():
+    rng = np.random.default_rng(49)
+    vs, attrs = large_list_with_extreme_rows_elsewhere(rng)
+    zero = attrs.inverted[1][np.flatnonzero(vs.norms[attrs.inverted[1]]
+                                            == 0.0)]
+    labels = attrs.labels.copy()
+    labels[zero] = 0                 # the zero row joins the large list
+    attrs = AttributeTable.from_labels(labels, 2)
+    with pytest.raises(ValueError, match="^zero input vector under "
+                                         "one-plus-cosine$"):
+        exact_topk(rng.normal(size=16), 0, 10, vs, attrs,
+                   KINDS["one-plus-cosine"])
+    for kind in ("dot-product", "reciprocal-euclidean"):
+        assert_list_is_exact(rng.normal(size=16), vs, attrs, KINDS[kind], 10)
+
+
+def test_query_beyond_float32_range_ranks_a_large_list_exactly():
+    rng = np.random.default_rng(50)
+    vs, attrs = large_list_with_extreme_rows_elsewhere(rng)
+    q = rng.normal(size=16) * 1e39       # beyond float32, not float64
+    for fn in KINDS.values():
+        assert_list_is_exact(q, vs, attrs, fn, 10)
+
+
+# ---------------------------------------------------------------------------
 # float64 paths over a float32 base
 # ---------------------------------------------------------------------------
 
@@ -361,8 +484,9 @@ def test_gathers_upcast_only_the_rows_they_take():
 # checks made once
 # ---------------------------------------------------------------------------
 
-def test_query_is_checked_once_per_exact_solve(monkeypatch):
-    # c = 20 attributes: the exact solvers make the query once, not per scan
+def count_query_checks(monkeypatch):
+    """The list that gets one entry per query (or block) checked and
+    normed: each ``SimilarityFn.query`` call on anything but a Query."""
     made = []
     real = SimilarityFn.query
 
@@ -372,6 +496,12 @@ def test_query_is_checked_once_per_exact_solve(monkeypatch):
         return real(self, q)
 
     monkeypatch.setattr(SimilarityFn, "query", query)
+    return made
+
+
+def test_query_is_checked_once_per_exact_solve(monkeypatch):
+    # c = 20 attributes: the exact solvers make the query once, not per scan
+    made = count_query_checks(monkeypatch)
     rng = np.random.default_rng(45)
     vs = VectorSet(rng.standard_normal((400, 8), dtype=np.float32))
     attrs = AttributeTable.from_labels(rng.integers(0, 20, size=400), 20)
@@ -381,6 +511,19 @@ def test_query_is_checked_once_per_exact_solve(monkeypatch):
             made.clear()
             solve(rng.normal(size=8), 5, params, vs, attrs, fn)
             assert len(made) == 1, kind
+
+
+def test_query_block_is_checked_once(monkeypatch):
+    # the block is checked and normed as a whole; its rows are not again
+    made = count_query_checks(monkeypatch)
+    rng = np.random.default_rng(51)
+    vs = VectorSet(rng.standard_normal((400, 8), dtype=np.float32))
+    qs = rng.normal(size=(5, 8))
+    for kind, fn in KINDS.items():
+        for limit in (10, None):
+            made.clear()
+            pools = block_pools(qs, vs, fn, limit)
+            assert len(pools) == 5 and len(made) == 1, kind
 
 
 def test_zero_row_under_cosine_is_found_without_a_scan():

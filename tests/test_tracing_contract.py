@@ -7,7 +7,7 @@ import inspect
 import pathlib
 import sys
 
-from divknn import baselines, cli, core, multi, solvers
+from divknn import baselines, cli, core, multi, oracle, solvers
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,6 +49,17 @@ def test_scan_signatures_are_kept():
     assert params[1:5] == ["q", "rows", "row_norms", "row_sqnorms"]
     params = list(inspect.signature(multi.full_scan_pool).parameters)
     assert params[:4] == ["q", "data", "fn", "limit"]
+
+
+def test_exact_topk_arguments_keep_their_names():
+    # the tracer counts each call's rows from exact_topk's ``attribute`` and
+    # ``attrs`` arguments, read by name: a rename, a reorder or a new
+    # required parameter fails here, not in the benchmark
+    x = object()
+    sig = inspect.signature(oracle.exact_topk)
+    assert list(sig.parameters) == ["q", "attribute", "k", "data", "attrs",
+                                    "fn"]
+    sig.bind(q=x, attribute=x, k=x, data=x, attrs=x, fn=x)
 
 
 def test_frozen_benchmark_calls_bind():
