@@ -225,6 +225,19 @@ class AttributeTable:
         entries = np.repeat(lo - starts, lengths) + np.arange(lengths.sum())
         return lengths, self.indices[entries]
 
+    def slots(self, ids) -> np.ndarray:
+        """(w, len(ids)) attribute ids of vectors ``ids``, w the most any
+        of them carries: row j of column i holds the j-th smallest
+        attribute of ``ids[i]``, or the pad id c, which no vector carries,
+        past its last one."""
+        lengths, attr = self.gather(ids)
+        if self.width:
+            return np.ascontiguousarray(attr.reshape(-1, self.width).T)
+        out = np.full((len(lengths), lengths.max(initial=0)), self.c,
+                      dtype=np.intp)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = attr
+        return np.ascontiguousarray(out.T)
+
     @property
     def is_single(self) -> bool:
         return self.width == 1

@@ -9,8 +9,8 @@ through the certified float32 filter of
 :func:`~divknn.oracle._filtered_pool` over a float32 base, the filter that
 also ranks large inverted lists; a single query is a block of one
 (:func:`full_scan_pool`). Every solver that takes a
-``pool`` checks a pool handed in for distinct ids, and otherwise scans for
-its own.
+``pool`` checks a pool handed in (one similarity per id, distinct ids of
+the base, similarities best first), and otherwise scans for its own.
 
 In the multi-attribute setting exact welfare maximization is intractable, so
 these solvers greedily grow the answer one vector at a time. Each round
@@ -26,10 +26,14 @@ objective; only the attributes of v move, so the score is a sum over atb(v):
 
 The greedy is exact: every round picks the remaining candidate with the
 best marginal, ties to the earliest in pool order; there is no lazy heap of
-stale upper bounds. A pick changes the utility of its own attributes only,
-so the engine keeps one marginal per (candidate, attribute) entry,
-recomputes after each pick only the entries of the attributes it touched,
-and sums each candidate's entries once per round.
+stale upper bounds. The engine keeps the marginals in a (w, m) slot
+matrix, w the most attributes any of the m candidates carries: slot j of
+candidate i holds the marginal of its j-th attribute, and the slots past a
+candidate's last attribute hold 0.0. A round's keys are w - 1 in-order
+adds of the matrix rows, ((g_0 + g_1) + g_2) + ..., and a pick changes the
+utility of its own attributes only, so after it only their entries are
+recomputed. A ragged table pays m * w marginals however few attributes
+most candidates carry: one vector with all c attributes makes it m * c.
 
 ``multi_div_ann`` is the hard-capped baseline: greedy by similarity, skipping
 any candidate that would lift some attribute above k' picks. It may stall
@@ -114,14 +118,21 @@ def _ranked_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
 
 def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
                  pool: RankedList | None) -> RankedList:
-    """The pool a caller handed in, checked for distinct ids, or when it
-    handed in none the ``limit``-row pool of :func:`full_scan_pool`, which
-    :func:`rank` made distinct."""
+    """The pool a caller handed in, checked to be a :class:`RankedList`
+    of the base: one similarity per id, distinct ids in [0, n), and
+    similarities best first. When it handed in none, the ``limit``-row
+    pool of :func:`full_scan_pool`, which :func:`rank` made so."""
     if pool is None:
         return full_scan_pool(q, data, fn, limit)
+    if len(pool.ids) != len(pool.sims):
+        raise ValueError("pool ids and sims must have the same length")
     ordered = np.sort(pool.ids)
+    if len(ordered) and (ordered[0] < 0 or ordered[-1] >= data.n):
+        raise ValueError(f"pool ids must lie in [0, {data.n})")
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("pool ids must be distinct")
+    if np.any(pool.sims[1:] > pool.sims[:-1]):
+        raise ValueError("pool sims must be non-increasing")
     return pool
 
 
@@ -141,36 +152,45 @@ def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
     def f(x, out=None):
         return np.log(x, out=out) if nash else np.power(x, p, out=out)
 
-    # one entry per (candidate, attribute) pair, sorted by attribute with a
-    # stable radix sort, so the entries of attribute a are the slice
-    # bounds[a]:bounds[a + 1]; rows ascend, so each candidate's entries
-    # still come in the order of its row
-    lengths, attr = attrs.gather(pool.ids)
-    order = np.argsort(attr.astype(np.min_scalar_type(attrs.c)),
-                       kind="stable")
-    owner = np.repeat(np.arange(len(pool)), lengths)[order]
-    s = pool.sims[owner]
-    bounds = np.zeros(attrs.c + 1, dtype=np.intp)
-    np.cumsum(np.bincount(attr, minlength=attrs.c), out=bounds[1:])
-    # entry marginals f(u_a + eta + s) - f(u_a + eta), with f(u + eta)
-    # evaluated once per attribute; at u = 0 every attribute's is ue[0]
+    # the marginals as a (w, m) slot matrix: slot j of candidate i holds the
+    # marginal of its j-th attribute, and a pad slot (attribute c) 0.0. One
+    # stable radix sort of the slots puts the matrix positions of attribute
+    # a's entries in order[bounds[a]:bounds[a + 1]]; the pads sort last
+    slots = attrs.slots(pool.ids).astype(np.min_scalar_type(attrs.c))
+    w, m = slots.shape
+    order = slots.ravel().argsort(kind="stable")
+    bounds = slots.ravel()[order].searchsorted(np.arange(attrs.c + 1))
+    order = order[:bounds[-1]]
+    bounds = bounds.tolist()
+    s = pool.sims[None].repeat(w, axis=0).ravel()[order]
+    # marginals f(u_a + eta + s) - f(u_a + eta), with f(u + eta) evaluated
+    # once per attribute; at u = 0 they depend on the candidate alone
     u = np.zeros(attrs.c, dtype=np.float64)
     ue = u + eta
-    g = f(ue[0] + s) - f(ue)[0]
-    taken = np.zeros(len(pool), dtype=bool)
+    g = np.where(slots < attrs.c, f(ue[0] + pool.sims) - f(ue)[0], 0.0)
+    flat = g.ravel()
+    # keys are sign * (((g0 + g1) + g2) + ...), the rows added in order,
+    # never pairwise as sum(axis=0) may; a pad adds 0.0, which changes no
+    # key. Under a negative sign each row is subtracted from the negated
+    # first, as (-a) - b is -(a + b) exactly. The first row's factor turns
+    # from sign to NaN when its candidate is taken
+    add = np.add if sign > 0 else np.subtract
+    weight = np.full(m, sign)
+    key = np.empty(m)
     chosen: list[int] = []
-    kk = min(k, len(pool))
+    kk = min(k, m)
     while True:
-        # a candidate's key adds its entries from 0 in row order
-        key = sign * np.bincount(owner, weights=g, minlength=len(pool))
+        np.multiply(g[0], weight, out=key)
+        for gj in g[1:]:
+            add(key, gj, out=key)
         # argmax takes the first of equal keys, i.e. the lowest pool index;
-        # a NaN marginal (inf - inf) never wins, and when no candidate left
-        # scores above -inf the first one left is taken
-        key[taken | np.isnan(key)] = -np.inf
-        i = int(np.argmax(key))
+        # fmax makes a NaN key (taken, or inf - inf) -inf, and when no
+        # candidate left scores above -inf the first one left is taken
+        np.fmax(key, -np.inf, out=key)
+        i = int(key.argmax())
         if key[i] == -np.inf:
-            i = int(np.argmin(taken))
-        taken[i] = True
+            i = int(np.isnan(weight).argmin())
+        weight[i] = np.nan
         v = int(pool.ids[i])
         chosen.append(v)
         row = attrs.indices[attrs.indptr[v]:attrs.indptr[v + 1]]
@@ -183,9 +203,10 @@ def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
         fue = f(ue)
         for a in row.tolist():
             lo, hi = bounds[a], bounds[a + 1]
-            np.add(ue[a], s[lo:hi], out=g[lo:hi])
-            f(g[lo:hi], out=g[lo:hi])
-            g[lo:hi] -= fue[a]
+            x = ue[a] + s[lo:hi]
+            f(x, out=x)
+            x -= fue[a]
+            flat[order[lo:hi]] = x
     return Selection(ids=tuple(chosen), utilities=u,
                      objective=welfare(u, params), truncated=kk < k)
 

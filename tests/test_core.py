@@ -233,6 +233,12 @@ def test_attribute_table_gather_matches_csr_rows(width):
         lengths, entries = t.gather(ids)
         assert (lengths.tolist(), entries.tolist()) == _csr_gather(t, ids)
         assert lengths.dtype == entries.dtype == np.intp
+        # slots: row j holds each vector's j-th attribute, or the pad c
+        rows = [t.indices[t.indptr[v]:t.indptr[v + 1]].tolist() for v in ids]
+        w = t.width or max(map(len, rows), default=0)
+        slots = t.slots(ids)
+        assert slots.flags.c_contiguous and slots.shape == (w, len(ids))
+        assert slots.T.tolist() == [r + [c] * (w - len(r)) for r in rows]
 
 
 def test_attribute_table_single_mode():

@@ -26,15 +26,31 @@ def test_pool_sorted_and_distinct():
     assert len(set(pool.ids.tolist())) == 10
 
 
-@pytest.mark.parametrize("ids", [[1, 1], [3, 1, 3]])
-def test_every_pool_entry_point_rejects_duplicate_ids(ids):
-    # duplicates need not be neighbours; every entry point that takes a
-    # caller's pool checks it
+@pytest.mark.parametrize("ids, sims, match", [
+    # duplicates need not be neighbours
+    pytest.param([1, 1], None, "pool ids must be distinct", id="dup-next"),
+    pytest.param([3, 1, 3], None, "pool ids must be distinct",
+                 id="dup-apart"),
+    # numpy would read row n - 1 for -1, and fail on 4
+    pytest.param([3, -1], None, r"pool ids must lie in \[0, 4\)",
+                 id="negative-id"),
+    pytest.param([0, 4], None, r"pool ids must lie in \[0, 4\)",
+                 id="id-past-n"),
+    pytest.param([0, 1, 2], [1.0, 0.5], "the same length", id="short-sims"),
+    pytest.param([0, 1], [1.0, 0.5, 0.2], "the same length",
+                 id="long-sims"),
+    pytest.param([0, 1, 2], [1.0, 0.5, 0.7], "must be non-increasing",
+                 id="unsorted-sims"),
+])
+def test_every_pool_entry_point_rejects_a_bad_pool(ids, sims, match):
+    # every entry point that takes a caller's pool checks it
     data = VectorSet(np.eye(4))
     attrs = AttributeTable.from_labels([0, 1, 0, 1], c=2)
     fn = SimilarityFn("dot-product")
+    if sims is None:
+        sims = np.linspace(1.0, 0.5, len(ids))
     pool = RankedList(ids=np.array(ids, dtype=np.intp),
-                      sims=np.linspace(1.0, 0.5, len(ids)))
+                      sims=np.array(sims, dtype=np.float64))
     q = np.ones(4)
     params = WelfareParams(p=0.0, eta=1.0)
     calls = [
@@ -45,7 +61,7 @@ def test_every_pool_entry_point_rejects_duplicate_ids(ids):
         lambda: multi_div_ann(q, 1, 1, data, attrs, fn, pool=pool),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="pool ids must be distinct"):
+        with pytest.raises(ValueError, match=match):
             call()
 
 
@@ -198,14 +214,41 @@ def _greedy_cases(draw):
 
 # p = -200 at eta = 1e-3: (u + eta)^p overflows, so marginals are infinite,
 # and NaN (inf - inf) where a similarity is 0
-@pytest.mark.parametrize("p, eta", [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5),
-                                    (-1.0, 0.5), (-200.0, 1e-3)])
+_P_ETA = [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (-1.0, 0.5), (-200.0, 1e-3)]
+
+
+@pytest.mark.parametrize("p, eta", _P_ETA)
 @given(case=_greedy_cases())
 def test_incremental_engine_matches_scalar_property(p, eta, case):
     data, attrs, fn, k, pool = case
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_engine_matches_scalar([1.0], k, data, attrs, fn, eta, p,
                                       pool=pool)
+
+
+@pytest.mark.parametrize("p, eta", _P_ETA)
+def test_engine_matches_scalar_on_padding_heavy_table(p, eta):
+    # vector 17 carries all c attributes and every other vector one, so
+    # every other column of the slot matrix is padding below its first row.
+    # The query sits next to vector 17, which is picked first and moves
+    # every attribute; vector 5, the next best, carries only attribute 0,
+    # the first of vector 17's, so in round 2 a marginal left stale on any
+    # other attribute would outrank it
+    rng = np.random.default_rng(43)
+    c, n = 6, 40
+    rows = [[int(a)] for a in rng.integers(0, c, n)]
+    rows[17], rows[5] = list(range(c)), [0]
+    attrs = AttributeTable.from_rows(rows, c=c)
+    x = rng.normal(size=(n, 3))
+    x[5] = x[17] + 0.05 * rng.normal(size=3)
+    data = VectorSet(x)
+    fn = SimilarityFn("one-plus-cosine")
+    q = data.data[17] + 0.3 * rng.normal(size=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pool in (None, full_scan_pool(q, data, fn, limit=25)):
+            for k in (1, 4, 12, n):
+                _assert_engine_matches_scalar(q, k, data, attrs, fn, eta, p,
+                                              pool=pool)
 
 
 def test_single_attribute_coincides_with_stream_greedy():
