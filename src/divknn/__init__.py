@@ -12,10 +12,10 @@ dataset ingestion, and a benchmark CLI.
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, log_nsw, utilities, welfare)
-from .oracle import AlphaOracleConfig, RankedList, alpha_topk, exact_topk
+from .oracle import (AlphaOracleConfig, RankedList, alpha_topk,
+                     block_pools, exact_topk, full_scan_pool)
 from .solvers import GreedyStats, nash_ann, p_mean_ann
-from .multi import (block_pools, full_scan_pool, multi_div_ann,
-                    multi_nash_ann, multi_p_mean_ann)
+from .multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
 from .baselines import div_ann, fetch_union, top_k
 from .reference import (ErspInstance, brute_force_opt, ersp_reduction,
                         log_ineq_check, packing_exists, random_ersp)
@@ -31,10 +31,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributeTable", "Selection", "SimilarityFn", "VectorSet",
     "WelfareParams", "log_nsw", "utilities", "welfare",
-    "AlphaOracleConfig", "RankedList", "alpha_topk", "exact_topk",
+    "AlphaOracleConfig", "RankedList", "alpha_topk", "block_pools",
+    "exact_topk", "full_scan_pool",
     "GreedyStats", "nash_ann", "p_mean_ann",
-    "block_pools", "full_scan_pool", "multi_div_ann", "multi_nash_ann",
-    "multi_p_mean_ann",
+    "multi_div_ann", "multi_nash_ann", "multi_p_mean_ann",
     "div_ann", "fetch_union", "top_k",
     "ErspInstance", "brute_force_opt", "ersp_reduction", "log_ineq_check",
     "packing_exists", "random_ersp",

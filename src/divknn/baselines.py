@@ -17,8 +17,7 @@ import numpy as np
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, utilities, welfare)
-from .multi import _caller_pool
-from .oracle import RankedList, exact_topk, rank
+from .oracle import RankedList, _caller_pool, exact_topk, rank
 from .solvers import GreedyStats, greedy_select, prefetch_streams
 
 

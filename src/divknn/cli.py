@@ -10,12 +10,14 @@ Three subcommands:
               violation
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad flag,
-config value or flag combination, found before any file is read; for
-``verify`` a --trials or --checks below 1 or an --alpha outside (0, 1],
-found before any suite runs), 3 I/O error, 4 invalid data (a malformed or
-empty vector file, a malformed attribute file, files that disagree in shape,
-a zero base vector under one-plus-cosine, rejected at load, or a zero query
-under one-plus-cosine, which aborts the whole batch).
+config value or flag combination, a --seed below 0 or a config file that
+is not ASCII, found before any other file is read; for ``verify`` a
+--trials or --checks below 1, a --seed below 0 or an --alpha outside
+(0, 1], found before any suite runs), 3 I/O error, 4 invalid data (a
+malformed or empty vector file, a malformed attribute file, files that
+disagree in shape, a zero base vector under one-plus-cosine, rejected at
+load, or a zero query under one-plus-cosine, which aborts the whole
+batch).
 
 ``run`` resolves its settings with precedence flags > config file > preset
 defaults. Config files are ``key=value`` lines with ``#`` comments; a key
@@ -24,7 +26,7 @@ with dashes or underscores. Any other key is a usage error.
 
 ``run`` splits the selected queries, in order, into ceil(m / 8) near-equal
 consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
-``multi-*``) one ``multi.block_pools`` call per block reads the base once
+``multi-*``) one ``oracle.block_pools`` call per block reads the base once
 for all its queries, with one GEMM: float32 dot products, which each
 query's certified filter turns into its exact float64 ranking, over a
 float32 base (fvecs, bvecs) ranked to at most an eighth of its rows; the
@@ -59,9 +61,8 @@ from .core import SimilarityFn, WelfareParams
 from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
-from .multi import block_pools, multi_div_ann, multi_nash_ann, \
-    multi_p_mean_ann
-from .oracle import RankedList
+from .multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
+from .oracle import RankedList, block_pools
 from .solvers import nash_ann, p_mean_ann
 from . import suites
 
@@ -92,16 +93,20 @@ def _fmt(x) -> str:
 
 
 def load_config(path: str) -> dict[str, str]:
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw.isascii():
+        raise UsageError(f"{path}: a config file must be ASCII")
     cfg: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_").lower()] = val.strip()
+    # bytes split at \n, \r\n and \r, as a file read as text does
+    for lineno, line in enumerate(raw.decode().splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, val = line.split("=", 1)
+        cfg[key.strip().replace("-", "_").lower()] = val.strip()
     return cfg
 
 
@@ -218,6 +223,8 @@ def cmd_run(args) -> int:
         raise UsageError("--eta must be finite and > 0")
     if threads < 1:
         raise UsageError("--threads must be >= 1")
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
     if args.num_queries is not None and args.num_queries < 1:
         raise UsageError("--num-queries must be >= 1")
     if kprime is not None and kprime < 1:
@@ -432,6 +439,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
+        # every command takes --seed; run also reads it from its config
+        if args.seed is not None and args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -185,7 +185,8 @@ class AttributeTable:
             cls = tuple(np.asarray(sorted(int(a) for a in grp), dtype=np.intp)
                         for grp in classes)
             flat = np.concatenate(cls) if cls else np.empty(0, dtype=np.intp)
-            if (len(flat) != self.c or len(np.unique(flat)) != self.c
+            # a partition of [0, c) sorts to 0, 1, ..., c - 1
+            if (not np.array_equal(np.sort(flat), np.arange(self.c))
                     or not all(map(len, cls))):
                 raise ValueError("classes must partition [0, c) into "
                                  "nonempty groups")

@@ -1,16 +1,6 @@
-"""Candidate pools from a scan of the base, and the multi-attribute greedy
-solvers over them.
-
-A pool is the :class:`~divknn.oracle.RankedList` of the vectors most
-similar to a query, made by :func:`~divknn.oracle.rank` like every
-per-attribute oracle list. :func:`block_pools` is the one scan path: it
-reads the base once for a block of queries and ranks each query's row,
-through the certified float32 filter of
-:func:`~divknn.oracle._filtered_pool` over a float32 base, the filter that
-also ranks large inverted lists; a single query is a block of one
-(:func:`full_scan_pool`). Every solver that takes a
-``pool`` checks a pool handed in (one similarity per id, distinct ids of
-the base, similarities best first), and otherwise scans for its own.
+"""The multi-attribute greedy solvers, over a candidate pool that
+:mod:`divknn.oracle` ranks: a pool handed in is checked there, and without
+one a solver scans for its own (:func:`~divknn.oracle.full_scan_pool`).
 
 In the multi-attribute setting exact welfare maximization is intractable, so
 these solvers greedily grow the answer one vector at a time. Each round
@@ -45,95 +35,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (AttributeTable, Query, Selection, SimilarityFn, VectorSet,
+from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, welfare)
-from .oracle import RankedList, _filtered_pool, _filters, rank
-
-
-def _f32_scores(q, data: VectorSet, fn: SimilarityFn) -> np.ndarray:
-    """float32 dot products of the float32-rounded (b, d) block of queries
-    with every row, in one sgemm (numpy's sgemv for a block of one). The
-    block is scored as base times queries, which sgemm runs about 1.5x
-    faster than the query-major product, and transposed so each query's
-    row is contiguous.
-    A query beyond float32's range or an overflowing dot product gives inf
-    or NaN scores, which :func:`_ranked_pool` handles."""
-    fn.check_rows(data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q32 = q.vec.astype(np.float32)
-        return np.ascontiguousarray((data.data @ q32.T).T)
-
-
-def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
-                   limit: int | None = None) -> RankedList:
-    """The pool of the ``limit`` most similar vectors to ``q`` (all of
-    them by default): ``block_pools`` of the block that holds q alone."""
-    q = fn.query(q)
-    return block_pools(Query(q.vec[None], q.norms, q.sqnorms), data, fn,
-                       limit)[0]
-
-
-def block_pools(qs, data: VectorSet, fn: SimilarityFn,
-                limit: int | None = None) -> list[RankedList]:
-    """For each query of a (b, d) block, the :class:`RankedList` of the
-    ``limit`` vectors most similar to it (all of them by default, a limit
-    is >= 1), with their float64 similarities, reading the base once for
-    the whole block.
-
-    Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
-    above :func:`~divknn.oracle._max_survivors` (an eighth of a large
-    base), the block is scored in float64 by one scan of every row and
-    each query's row is ranked. Over a float32 base a smaller ``limit``
-    takes one sgemm of the base with the block, and each query goes
-    through :func:`~divknn.oracle._filtered_pool`: its float32 scores, a
-    certified threshold, and float64 only for the rows that survive it.
-    Both give the same ids and order, up to rows whose float64
-    similarities differ only in the last place: the filter scores its
-    survivors by a gather's GEMV, whose last bits may differ from those of
-    a whole-array scan, and a row of a block's GEMM may differ in the last
-    place from the same query's in another block.
-    """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
-    qs = fn.query(qs)
-    scores = (_f32_scores(qs, data, fn) if _filters(data, limit, data.n)
-              else fn.scan(qs, data))
-    # each query was checked and normed with the block
-    return [_ranked_pool(qs.row(i), data, fn, limit, row)
-            for i, row in enumerate(scores)]
-
-
-def _ranked_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
-                 scores: np.ndarray) -> RankedList:
-    """The pool from one query's float32 scores, through the filter, or
-    its float64 similarities. A query beyond float32's range, or a filter
-    that cannot certify its pool, ranks every row in float64 instead."""
-    if scores.dtype == np.float32:
-        pool = _filtered_pool(q, data, fn, limit, scores)
-        if pool is not None:
-            return pool
-        scores = fn.scan(q, data)
-    return rank(scores, limit=limit)
-
-
-def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
-                 pool: RankedList | None) -> RankedList:
-    """The pool a caller handed in, checked to be a :class:`RankedList`
-    of the base: one similarity per id, distinct ids in [0, n), and
-    similarities best first. When it handed in none, the ``limit``-row
-    pool of :func:`full_scan_pool`, which :func:`rank` made so."""
-    if pool is None:
-        return full_scan_pool(q, data, fn, limit)
-    if len(pool.ids) != len(pool.sims):
-        raise ValueError("pool ids and sims must have the same length")
-    ordered = np.sort(pool.ids)
-    if len(ordered) and (ordered[0] < 0 or ordered[-1] >= data.n):
-        raise ValueError(f"pool ids must lie in [0, {data.n})")
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError("pool ids must be distinct")
-    if np.any(pool.sims[1:] > pool.sims[:-1]):
-        raise ValueError("pool sims must be non-increasing")
-    return pool
+# full_scan_pool is unused here: the benchmark calls and traces it by this name
+from .oracle import RankedList, _caller_pool, full_scan_pool  # noqa: F401
 
 
 def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,

@@ -1,20 +1,21 @@
-"""The ranked-list type, the ranking rule and the per-attribute oracles.
+"""Every top-L of the package: the ranked-list type, the ranking rule, the
+candidate pools and the per-attribute oracles.
 
 A :class:`RankedList` holds candidates with distinct ids, best first, and
-:func:`rank` is how one is made: by similarity descending, ascending id on
-ties. Every top-k in the package goes through it, so the per-attribute
-oracle lists here and the global candidate pools of :mod:`divknn.multi`
-are the same type.
-
+:func:`rank` makes one: by similarity descending, ascending id on ties.
+:func:`block_pools` ranks the pools of a block of queries, the vectors
+most similar to each, reading the base once (:func:`full_scan_pool` is a
+block of one); :func:`_caller_pool` checks a pool a solver is handed.
 ``exact_topk`` is the exact oracle over one inverted list: the true
-top-min(k, |D_l|) vectors of the attribute by that rule. It ranks the
-list's float64 similarities, or, for a list above 4096 rows of a float32
-base, goes through the certified float32 filter of :func:`_filtered_pool`,
-which re-scores in float64 only the rows that survive a proven threshold.
-The global pools of :mod:`divknn.multi` go through the same filter.
-``alpha_topk`` is a synthetic degraded oracle for test harnesses: it
-returns real vectors whose i-th best similarity is at least ``alpha``
-times the i-th best exact similarity, for every rank i.
+top-min(k, |D_l|) vectors of the attribute. ``alpha_topk`` is a degraded
+oracle for tests: its i-th best similarity is at least ``alpha`` times the
+i-th best exact one, for every rank i.
+
+Over a float32 base, pools of at most an eighth of the base and inverted
+lists above 4096 rows go through the certified float32 filter
+:func:`_filtered_pool`, which re-scores in float64 only the rows above a
+proven threshold; where it cannot certify, it ranks all its rows in
+float64 itself (:func:`_exact_rank`), so no caller has a fallback.
 
 A solver takes its oracle as a plain callable ``(q, attribute, k) ->
 RankedList``, such as ``functools.partial(exact_topk, data=data,
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttributeTable, SimilarityFn, VectorSet, _reject_zero_norms
+from .core import (AttributeTable, Query, SimilarityFn, VectorSet,
+                   _reject_zero_norms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,26 +147,105 @@ def exact_topk(q, attribute: int, k: int, data: VectorSet,
         raise ValueError(f"attribute id {attribute} outside [0, {attrs.c})")
     members = attrs.inverted[attribute]
     if len(members) > _SURVIVOR_FLOOR and _filters(data, k, len(members)):
-        q = fn.query(q)
-        pool = _filtered_pool(q, data, fn, k, ids=members)
-        if pool is not None:
-            return pool
-    return rank(fn.batch_ids(q, data, members), members, k)
+        return _filtered_pool(fn.query(q), data, fn, k, ids=members)
+    return _exact_rank(q, data, fn, k, members)
+
+
+def _exact_rank(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
+                ids: np.ndarray | None = None) -> RankedList:
+    """The top-``limit`` of the rows ``ids`` of ``data`` (every row by
+    default, by a scan), as base ids, ranked by float64 similarity."""
+    if ids is None:
+        return rank(fn.scan(q, data), limit=limit)
+    return rank(fn.batch_ids(q, data, ids), ids, limit)
+
+
+def _f32_scores(q, data: VectorSet, fn: SimilarityFn) -> np.ndarray:
+    """float32 dot products of the float32-rounded (b, d) block of queries
+    with every row, in one sgemm (numpy's sgemv for a block of one). The
+    block is scored as base times queries, which sgemm runs about 1.5x
+    faster than the query-major product, and transposed so each query's
+    row is contiguous.
+    A query beyond float32's range or an overflowing dot product gives inf
+    or NaN scores, which :func:`_filtered_pool` handles."""
+    fn.check_rows(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q32 = q.vec.astype(np.float32)
+        return np.ascontiguousarray((data.data @ q32.T).T)
+
+
+def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
+                   limit: int | None = None) -> RankedList:
+    """The pool of the ``limit`` most similar vectors to ``q`` (all of
+    them by default): ``block_pools`` of the block that holds q alone."""
+    q = fn.query(q)
+    return block_pools(Query(q.vec[None], q.norms, q.sqnorms), data, fn,
+                       limit)[0]
+
+
+def block_pools(qs, data: VectorSet, fn: SimilarityFn,
+                limit: int | None = None) -> list[RankedList]:
+    """For each query of a (b, d) block, the :class:`RankedList` of the
+    ``limit`` vectors most similar to it (all of them by default, a limit
+    is >= 1), with their float64 similarities, reading the base once for
+    the whole block.
+
+    Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
+    above :func:`_max_survivors` (an eighth of a large base), the block is
+    scored in float64 by one scan of every row and each query's row is
+    ranked. Over a float32 base a smaller ``limit`` takes one sgemm of the
+    base with the block, and each query goes through
+    :func:`_filtered_pool`: its float32 scores, a certified threshold, and
+    float64 only for the rows that survive it.
+    Both give the same ids and order, up to rows whose float64
+    similarities differ only in the last place: the filter scores its
+    survivors by a gather's GEMV, whose last bits may differ from those of
+    a whole-array scan, and a row of a block's GEMM may differ in the last
+    place from the same query's in another block.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
+    qs = fn.query(qs)
+    if _filters(data, limit, data.n):
+        # each query was checked and normed with the block
+        return [_filtered_pool(qs.row(i), data, fn, limit, row)
+                for i, row in enumerate(_f32_scores(qs, data, fn))]
+    return [rank(row, limit=limit) for row in fn.scan(qs, data)]
+
+
+def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
+                 pool: RankedList | None) -> RankedList:
+    """The pool a caller handed in, checked to be a :class:`RankedList`
+    of the base: one similarity per id, distinct ids in [0, n), and
+    similarities best first. When it handed in none, the ``limit``-row
+    pool of :func:`full_scan_pool`, which :func:`rank` made so."""
+    if pool is None:
+        return full_scan_pool(q, data, fn, limit)
+    if len(pool.ids) != len(pool.sims):
+        raise ValueError("pool ids and sims must have the same length")
+    ordered = np.sort(pool.ids)
+    if len(ordered) and (ordered[0] < 0 or ordered[-1] >= data.n):
+        raise ValueError(f"pool ids must lie in [0, {data.n})")
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("pool ids must be distinct")
+    if np.any(pool.sims[1:] > pool.sims[:-1]):
+        raise ValueError("pool sims must be non-increasing")
+    return pool
 
 
 def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
                    g: np.ndarray | None = None,
-                   ids: np.ndarray | None = None) -> RankedList | None:
+                   ids: np.ndarray | None = None) -> RankedList:
     """The top-``limit`` of the rows ``ids`` of a float32 base (every row
     by default), as base ids, from their float32 scores ``g`` (by default
     one sgemv of the gathered rows), re-scoring only the rows that survive
-    a certified threshold. ``limit`` is below the row count. None when q
-    is beyond float32's range, when more rows survive than
+    a certified threshold. ``limit`` is below the row count. When q is
+    beyond float32's range, when more rows survive than
     :func:`_max_survivors` allows (ties at the threshold) or when the
-    certificate fails: then every row must be ranked in float64. Every
-    bound below reads the norms of the rows ranked, never those of the
-    rest of the base; a zero row among them is an error under
-    one-plus-cosine.
+    certificate fails, :func:`_exact_rank` ranks all the rows by their
+    float64 similarities instead. Every bound below reads the norms of the
+    rows ranked, never those of the rest of the base; a zero row among
+    them is an error under one-plus-cosine.
 
     Each kind ranks by a key in which its similarity increases: the dot
     product P = x.q (dot-product), P / |x| (one-plus-cosine) or
@@ -199,7 +280,7 @@ def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
     """
     v = q.vec
     if abs(v).max() > _F32_MAX:
-        return None
+        return _exact_rank(q, data, fn, limit, ids)
     d = data.d
     if ids is None:
         n, norms, xmin, xmax = data.n, data.norms, data.min_norm, data.max_norm
@@ -258,7 +339,7 @@ def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
         # some partial sum may overflow: non-finite keys are set aside
         finite = np.isfinite(key)
         if np.count_nonzero(finite) < limit:
-            return None
+            return _exact_rank(q, data, fn, limit, ids)
         tau = float(np.partition(np.where(finite, key, -np.inf),
                                  n - limit)[n - limit])
     else:
@@ -280,11 +361,13 @@ def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
         keep |= ~finite
     keep = keep.nonzero()[0]
     if keep.size > _max_survivors(n):
-        return None
+        return _exact_rank(q, data, fn, limit, ids)
     if ids is not None:
         keep = ids[keep]
-    pool = rank(fn.batch_ids(q, data, keep), keep, limit)
-    return None if pool.sims[-1] <= upper(theta + err) else pool
+    pool = _exact_rank(q, data, fn, limit, keep)   # the survivors alone
+    if pool.sims[-1] <= upper(theta + err):        # not certified
+        return _exact_rank(q, data, fn, limit, ids)
+    return pool
 
 
 def alpha_topk(q, attribute: int, k: int, data: VectorSet,

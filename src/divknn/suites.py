@@ -33,8 +33,9 @@ import numpy as np
 
 from .core import (AttributeTable, SimilarityFn, VectorSet, WelfareParams,
                    log_nsw)
-from .multi import full_scan_pool, multi_nash_ann
-from .oracle import AlphaOracleConfig, _filtered_pool, alpha_topk
+from .multi import multi_nash_ann
+from .oracle import (AlphaOracleConfig, _filtered_pool, alpha_topk,
+                     full_scan_pool)
 from .reference import (_weight_matrix, brute_force_opt, ersp_reduction,
                         log_ineq_check, max_log_nsw, packing_exists,
                         random_ersp)
@@ -401,9 +402,9 @@ def suite_float32_scan(trials: int = 200, seed: int = 9) -> SuiteResult:
     returns the ids and order of a whole-array float64 rank, and its
     similarities to within the last-place differences of a GEMV. The same
     filter over a random subset of the rows returns, in base ids, the
-    float64 rank of that subset, or None, which sends its caller to that
-    rank. ``exact_topk`` filters only lists above 4096 rows, so the subset
-    goes to the filter directly."""
+    float64 rank of that subset, through its own float64 ranking where it
+    cannot certify. ``exact_topk`` filters only lists above 4096 rows, so
+    the subset goes to the filter directly."""
     rng = np.random.default_rng(seed)
     # subsets draw from their own stream: the instances stay those of seed
     sub_rng = np.random.default_rng([seed, 1])
@@ -424,7 +425,7 @@ def suite_float32_scan(trials: int = 200, seed: int = 9) -> SuiteResult:
         part = _filtered_pool(fn.query(q), vs, fn, sub_limit, ids=sub)
         sub_ids, sub_sims = float64_topk(q, x[sub], fn, sub_limit)
         if not (same(full_scan_pool(q, vs, fn, limit=limit), ids, sims)
-                and (part is None or same(part, sub[sub_ids], sub_sims))):
+                and same(part, sub[sub_ids], sub_sims)):
             bad += 1
     return SuiteResult("certified float32 scan", trials, bad)
 

@@ -3,14 +3,14 @@ import csv
 import numpy as np
 import pytest
 
-from divknn import cli, multi
+from divknn import cli, oracle
 from divknn.cli import main
 from divknn.baselines import fetch_union, top_k
 from divknn.core import SimilarityFn, WelfareParams
 from divknn.data import read_attrs, read_vectors, write_fvecs
 from divknn.metrics import compute_report
-from divknn.multi import full_scan_pool, multi_div_ann, multi_nash_ann, \
-    multi_p_mean_ann
+from divknn.multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
+from divknn.oracle import full_scan_pool
 from divknn.suites import SuiteResult
 
 
@@ -171,6 +171,13 @@ def test_run_bad_settings_are_usage_errors(tmp_path):
     cfg.write_text("similarity=cosine\n")
     assert main(["run", *missing, "--algo", "ann", "--k", "3",
                  "--config", str(cfg)]) == 2
+    cfg.write_text("seed=-1\n")
+    assert main(["run", *missing, "--algo", "ann", "--k", "3",
+                 "--num-queries", "5", "--config", str(cfg)]) == 2
+    cfg.write_bytes(b"k=3\n# caf\xc3\xa9\n")   # a non-ASCII byte
+    assert main(["run", *missing, "--algo", "ann", "--config", str(cfg)]) == 2
+    assert main(["run", *missing, "--algo", "ann", "--k", "3",
+                 "--seed", "-1", "--num-queries", "5"]) == 2
     assert main(["run", *missing, "--algo", "div", "--k", "3",
                  "--kprime", "0"]) == 2
     assert main(["run", *missing, "--algo", "multi-nash", "--k", "3",
@@ -181,7 +188,7 @@ def test_run_bad_settings_are_usage_errors(tmp_path):
     for flags in (["--p", "nan"], ["--p=-inf"], ["--eta", "inf"]):
         assert main(["run", *missing, "--algo", "pmean", "--k", "3",
                      *flags]) == 2, flags
-    for flags in (["--c", "1"], ["--chunks", "0"]):
+    for flags in (["--c", "1"], ["--chunks", "0"], ["--seed", "-1"]):
         assert main(["gen-attrs", "--base", missing[1], "--mode", "clus",
                      "--out", missing[-1], *flags]) == 2
 
@@ -273,7 +280,7 @@ def _count_full_scans(monkeypatch, n):
     query's scan is a block of one), or a per-query scan inside one or
     outside: a float32 sgemv, or a SimilarityFn.batch call over n rows."""
     scans, inside = [], []
-    real_pools, real_f32 = multi.block_pools, multi._f32_scores
+    real_pools, real_f32 = oracle.block_pools, oracle._f32_scores
     real_batch = SimilarityFn.batch
 
     def block_pools(qs, *args, **kwargs):
@@ -297,9 +304,9 @@ def _count_full_scans(monkeypatch, n):
             scans.append(shape)
         return real_batch(self, q, rows, *args, **kwargs)
 
-    monkeypatch.setattr(multi, "block_pools", block_pools)
+    monkeypatch.setattr(oracle, "block_pools", block_pools)
     monkeypatch.setattr(cli, "block_pools", block_pools)
-    monkeypatch.setattr(multi, "_f32_scores", f32_scores)
+    monkeypatch.setattr(oracle, "_f32_scores", f32_scores)
     monkeypatch.setattr(SimilarityFn, "batch", batch)
     return scans
 
@@ -641,7 +648,7 @@ def test_verify_alpha_flag():
 @pytest.mark.parametrize("flag, value", [
     ("--trials", "0"), ("--trials", "-3"), ("--checks", "0"),
     ("--checks", "-5"), ("--alpha", "0"), ("--alpha", "nan"),
-    ("--alpha", "1.5"), ("--alpha", "-0.5"),
+    ("--alpha", "1.5"), ("--alpha", "-0.5"), ("--seed", "-1"),
 ])
 def test_verify_bad_flags_are_usage_errors(monkeypatch, capsys, flag, value):
     # rejected before any suite runs

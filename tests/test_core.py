@@ -145,6 +145,9 @@ def test_attribute_table_validation():
         AttributeTable.from_rows([[3]], c=3)           # out of range
     with pytest.raises(ValueError):
         AttributeTable.from_rows([[0]], c=2, classes=[[0]])  # not a partition
+    for classes in ([[-1], [0]], [[0], [5]]):   # ids outside [0, c)
+        with pytest.raises(ValueError, match="partition"):
+            AttributeTable.from_labels([0, 1, 0], 2, classes=classes)
     with pytest.raises(ValueError, match="nonempty"):  # empty class
         AttributeTable.from_rows([[0], [1]], c=2, classes=[[], [0, 1]])
     with pytest.raises(ValueError, match="1-D"):

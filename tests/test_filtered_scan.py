@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from divknn import core, data as data_io, multi
+from divknn import core, data as data_io, oracle
 from divknn.core import AttributeTable, SimilarityFn, VectorSet, WelfareParams
-from divknn.multi import block_pools, full_scan_pool
-from divknn.oracle import _max_survivors, exact_topk
+from divknn.oracle import (_filtered_pool, _max_survivors, block_pools,
+                           exact_topk, full_scan_pool)
 from divknn.solvers import nash_ann, p_mean_ann
 from divknn.suites import float64_topk
 
@@ -149,7 +149,7 @@ def test_margin_covers_the_query_rounding(defeats, kind, q, x):
     fn = KINDS[kind]
     sims = fn.batch(q, x.astype(np.float64))
     assert sims[1] > sims[0] > sims[2]          # row 1 is the best
-    g = multi._f32_scores(fn.query(q), VectorSet(x), fn)
+    g = oracle._f32_scores(fn.query(q), VectorSet(x), fn)
     norms = np.linalg.norm(x.astype(np.float64), axis=1)
     key = g if kind == "dot-product" else g / norms
     rounding = q - q.astype(np.float32)
@@ -233,14 +233,14 @@ def test_block_pools_score_a_block_in_float32_and_match_single_queries(
     vs = VectorSet(x)
     qs = rng.normal(size=(8, 16))
     scored = []
-    real = multi._f32_scores
+    real = oracle._f32_scores
 
     def f32_scores(q, data, fn):
         g = real(q, data, fn)
         scored.append((g.dtype, g.shape))
         return g
 
-    monkeypatch.setattr(multi, "_f32_scores", f32_scores)
+    monkeypatch.setattr(oracle, "_f32_scores", f32_scores)
     for fn in KINDS.values():
         for limit in (20, None):
             scored.clear()
@@ -305,6 +305,55 @@ def test_query_beyond_float32_range_is_ranked_in_float64():
     q = rng.normal(size=4) * 1e39          # beyond float32, not float64
     for fn in KINDS.values():
         assert_pool_is_exact(q, x, fn, 7)
+
+
+def uncertifiable(case, rng):
+    """(kinds, q, x): a float32 base whose top 10 the filter cannot
+    certify, over every row and over any large subset of them."""
+    if case == "beyond-float32":
+        return sorted(KINDS), rng.normal(size=8) * 1e39, \
+            rng.standard_normal((300, 8), dtype=np.float32)
+    if case == "ties-past-max-survivors":
+        # every row ties: more survive than _max_survivors allows
+        return sorted(KINDS), np.ones(4), np.ones((6000, 4), np.float32)
+    # every dot product is negative, so every similarity is clamped to 0
+    # and the survivors' 10th similarity cannot be told from the rest
+    return ["dot-product"], np.ones(8), \
+        -abs(rng.standard_normal((300, 8), dtype=np.float32))
+
+
+@pytest.mark.parametrize("case", ["beyond-float32", "ties-past-max-survivors",
+                                  "clamped-dot-products"])
+def test_filter_ranks_its_own_rows_in_float64_when_it_cannot_certify(
+        monkeypatch, case):
+    ranked = []
+    real = oracle._exact_rank
+
+    def exact_rank(q, data, fn, limit, ids=None):
+        ranked.append(ids)
+        return real(q, data, fn, limit, ids)
+
+    monkeypatch.setattr(oracle, "_exact_rank", exact_rank)
+    kinds, q, x = uncertifiable(case, np.random.default_rng(52))
+    vs, limit = VectorSet(x), 10
+    for kind in kinds:
+        fn = KINDS[kind]
+        # the subset leaves out the base's own top 10, so a ranking of
+        # every row in place of the subset's shows
+        top, _ = float64_topk(q, x, fn, limit)
+        sub = np.setdiff1d(np.arange(len(x)), top)
+        for rows in (None, sub):
+            ranked.clear()
+            pool = _filtered_pool(fn.query(q), vs, fn, limit, ids=rows)
+            ids, sims = float64_topk(q, x if rows is None else x[rows], fn,
+                                     limit)
+            assert pool.ids.tolist() == (ids if rows is None
+                                         else rows[ids]).tolist(), kind
+            assert pool.sims.tobytes() == sims.tobytes(), kind
+            # the fallback ranked them, after the survivors alone where
+            # only the certificate failed
+            assert ranked[-1] is rows, kind
+            assert len(ranked) == 1 + (case == "clamped-dot-products"), kind
 
 
 # ---------------------------------------------------------------------------

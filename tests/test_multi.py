@@ -8,9 +8,8 @@ from divknn.baselines import fetch_union, top_k
 from divknn.core import (AttributeTable, SimilarityFn, VectorSet,
                          WelfareParams, log_nsw, utilities, welfare)
 from divknn.metrics import entropy
-from divknn.multi import (block_pools, full_scan_pool, multi_div_ann,
-                          multi_nash_ann, multi_p_mean_ann)
-from divknn.oracle import RankedList
+from divknn.multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
+from divknn.oracle import RankedList, block_pools, full_scan_pool
 from divknn.reference import brute_force_opt
 from divknn.solvers import nash_ann
 from divknn.suites import random_multi_instance, random_single_instance

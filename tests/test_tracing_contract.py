@@ -77,3 +77,11 @@ def test_frozen_benchmark_calls_bind():
     sig(multi.multi_p_mean_ann).bind(x, x, x, x, x, x, pool=x)
     sig(baselines.top_k).bind(x, x, x, x, attrs=x, params=x)
     sig(cli.main).bind(x)
+
+
+def test_multi_full_scan_pool_is_the_oracle_scan():
+    # the tracer replaces every module's binding of the object it finds at
+    # multi.full_scan_pool; a wrapper of multi's own would leave unseen the
+    # pools that oracle._caller_pool scans for top_k, fetch_union and the
+    # multi-attribute solvers
+    assert multi.full_scan_pool is oracle.full_scan_pool
