@@ -34,8 +34,11 @@ float64 similarities otherwise. Each query ranks once, and that ranking
 gives both its pool and the exact top-k reference of the relevance
 metrics. ``nash``, ``pmean`` and ``div`` never scan the base in their
 solve, so their report scans once per query for the reference.
-``--threads`` runs blocks concurrently, each holding 8 score rows of n
-float32 (float64 where the block is scored in float64) while in flight.
+``--threads`` runs blocks concurrently. While in flight a block holds 8
+score rows of at most 65536 float32 and one query's keys, about 4.5 MB at
+any n, since a float32 base above 65536 rows is scored by row blocks
+(``oracle.block_pools``); a block scored in float64 holds 8 rows of n
+float64.
 Timing uses a monotonic clock; a query's latency is its share of its
 block's scan and ranking (their time over the block size) plus its own
 solve (not dataset load, not metric evaluation), and QPS is the query

@@ -410,15 +410,21 @@ class SimilarityFn:
         self.check_rows(data)
         n = data.n
         step = _NORM_BLOCK if data.data.dtype == np.float32 else max(n, 1)
-        starts = list(range(0, max(n, 1), step))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            # one row would be a dot product, not a GEMV: the block before
-            # takes it, as the whole-array call's tail does
-            starts.pop()
         parts = [self.batch(q, data.data[lo:hi], row_norms=data.norms[lo:hi],
                             row_sqnorms=data.sqnorms[lo:hi])
-                 for lo, hi in zip(starts, starts[1:] + [n])]
+                 for lo, hi in _row_blocks(n, step)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _row_blocks(n: int, step: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of consecutive blocks of ``step`` rows that cover
+    n rows (one empty block when n is 0). A last block of one row would be
+    a dot product, not a GEMV or GEMM: the block before takes it, as the
+    whole-array call's tail does."""
+    starts = list(range(0, max(n, 1), step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _reject_zero_norms(least: float) -> None:

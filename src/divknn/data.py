@@ -227,6 +227,8 @@ _HEADER_RE = re.compile(r"^#c=(\d+)(?:;classes=(\d+(?:\+\d+)*))?$")
 # bytes of a data row on the vectorised path: digits, commas and newlines
 _ROW_BYTES = np.zeros(256, dtype=bool)
 _ROW_BYTES[list(b"0123456789,\n")] = True
+# bytes of a file body checked at a time, so no check is file-sized
+_CHECK_BYTES = 1 << 18
 
 
 def write_attrs(path: str, attrs: AttributeTable) -> None:
@@ -260,10 +262,9 @@ def _parse_attrs_fast(path: str):
     with open(path, "rb") as f:
         first = f.readline()
         body = np.fromfile(f, dtype=np.uint8)
-    # a body of line ends alone has no rows (and would make loadtxt warn)
-    if not first.endswith(b"\n") or not _ROW_BYTES[body].all() \
-            or (body == ord("\n")).all():
+    if not first.endswith(b"\n") or not _holds_rows(body):
         return None
+    del body   # loadtxt reads the file again
     header = _parse_header(first[:-1].decode("latin-1"))
     if header is None:
         return None
@@ -279,6 +280,19 @@ def _parse_attrs_fast(path: str):
         return None
     return (rows[:, 0], np.full(len(rows), rows.shape[1] - 1, dtype=np.intp),
             rows[:, 1:].ravel(), *header)
+
+
+def _holds_rows(body: np.ndarray) -> bool:
+    """Whether the bytes after the header hold rows of the vectorised path
+    alone: digits, commas and newlines, and not newlines alone (a body of
+    line ends has no rows, and would make loadtxt warn)."""
+    rows = False
+    for lo in range(0, len(body), _CHECK_BYTES):
+        part = body[lo:lo + _CHECK_BYTES]
+        if not _ROW_BYTES[part].all():
+            return False
+        rows = rows or not (part == ord("\n")).all()
+    return rows
 
 
 def _parse_attrs_lines(path: str):

@@ -13,9 +13,11 @@ i-th best exact one, for every rank i.
 
 Over a float32 base, pools of at most an eighth of the base and inverted
 lists above 4096 rows go through the certified float32 filter
-:func:`_filtered_pool`, which re-scores in float64 only the rows above a
-proven threshold; where it cannot certify, it ranks all its rows in
-float64 itself (:func:`_exact_rank`), so no caller has a fallback.
+:class:`_Filter`, which re-scores in float64 only the rows above a proven
+threshold; where it cannot certify, it ranks all its rows in float64
+itself (:func:`_exact_rank`), so no caller has a fallback. A pool over a
+base above ``_STREAM_ROWS`` rows streams the base through it by row
+blocks, so no query holds a row of n scores.
 
 A solver takes its oracle as a plain callable ``(q, attribute, k) ->
 RankedList``, such as ``functools.partial(exact_topk, data=data,
@@ -28,12 +30,12 @@ not depend on thread count or call order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (AttributeTable, Query, SimilarityFn, VectorSet,
-                   _reject_zero_norms)
+                   _reject_zero_norms, _row_blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +44,8 @@ class RankedList:
 
     ids: np.ndarray    # intp, ascending id within equal similarity
     sims: np.ndarray   # float64, non-increasing
+    # made by :func:`rank`, so ranked by construction
+    _ranked: bool = field(default=False, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -88,6 +92,7 @@ def rank(sims: np.ndarray, ids: np.ndarray | None = None,
     out = RankedList(ids=pos if ids is None else ids[pos], sims=sims[pos])
     out.ids.setflags(write=False)
     out.sims.setflags(write=False)
+    object.__setattr__(out, "_ranked", True)
     return out
 
 
@@ -160,18 +165,19 @@ def _exact_rank(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
     return rank(fn.batch_ids(q, data, ids), ids, limit)
 
 
-def _f32_scores(q, data: VectorSet, fn: SimilarityFn) -> np.ndarray:
+def _f32_scores(q, data: VectorSet, fn: SimilarityFn, lo: int = 0,
+                hi: int | None = None) -> np.ndarray:
     """float32 dot products of the float32-rounded (b, d) block of queries
-    with every row, in one sgemm (numpy's sgemv for a block of one). The
-    block is scored as base times queries, which sgemm runs about 1.5x
-    faster than the query-major product, and transposed so each query's
-    row is contiguous.
+    with the rows lo:hi (every row by default), in one sgemm (numpy's sgemv
+    for a block of one). The rows are scored as rows times queries, which
+    sgemm runs about 1.5x faster than the query-major product, and the
+    (b, hi - lo) result is transposed so each query's row is contiguous.
     A query beyond float32's range or an overflowing dot product gives inf
-    or NaN scores, which :func:`_filtered_pool` handles."""
+    or NaN scores, which :class:`_Filter` handles."""
     fn.check_rows(data)
     with np.errstate(over="ignore", invalid="ignore"):
         q32 = q.vec.astype(np.float32)
-        return np.ascontiguousarray((data.data @ q32.T).T)
+        return np.ascontiguousarray((data.data[lo:hi] @ q32.T).T)
 
 
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
@@ -183,6 +189,16 @@ def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
                        limit)[0]
 
 
+# rows per block of a streamed float32 scan. A block's scores and keys
+# stay in cache while each query keys and filters them. It is a multiple
+# of every BLAS kernel's row group, so rows group as in one call over the
+# whole base; a BLAS may still pick another kernel by size and round a
+# score differently, which the filter's bound covers, as it holds for any
+# summation order. It is above 50k rows, a base that one call scans faster
+# than blocks do (16384-row blocks: 1.47x slower)
+_STREAM_ROWS = 65536
+
+
 def block_pools(qs, data: VectorSet, fn: SimilarityFn,
                 limit: int | None = None) -> list[RankedList]:
     """For each query of a (b, d) block, the :class:`RankedList` of the
@@ -192,11 +208,19 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
 
     Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
     above :func:`_max_survivors` (an eighth of a large base), the block is
-    scored in float64 by one scan of every row and each query's row is
-    ranked. Over a float32 base a smaller ``limit`` takes one sgemm of the
-    base with the block, and each query goes through
-    :func:`_filtered_pool`: its float32 scores, a certified threshold, and
-    float64 only for the rows that survive it.
+    scored in float64 by one scan of every row, (b, n) float64 at once,
+    and each query's row is ranked. Over a float32 base a smaller
+    ``limit`` goes through each query's certified :class:`_Filter`: its
+    float32 scores, a certified threshold, and float64 only for the rows
+    that survive it. A base of at most ``_STREAM_ROWS`` rows (65536) is
+    scored by one sgemm with the block, and each query's filter reads its
+    whole row of n float32 scores. A larger base is streamed: each block
+    of ``_STREAM_ROWS`` rows takes one sgemm, and each query keeps the
+    block's rows at or above its running threshold before the next block
+    is scored. A block in flight then holds its scores twice (sgemm output
+    and transpose, 2 x 256 KB per query) plus one query's keys at a time
+    (256 KB float32 or 512 KB float64), about 4.5 MB for 8 queries at any
+    n, never a row of n scores.
     Both give the same ids and order, up to rows whose float64
     similarities differ only in the last place: the filter scores its
     survivors by a gather's GEMV, whose last bits may differ from those of
@@ -206,26 +230,43 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     qs = fn.query(qs)
-    if _filters(data, limit, data.n):
-        # each query was checked and normed with the block
-        return [_filtered_pool(qs.row(i), data, fn, limit, row)
-                for i, row in enumerate(_f32_scores(qs, data, fn))]
-    return [rank(row, limit=limit) for row in fn.scan(qs, data)]
+    if not _filters(data, limit, data.n):
+        return [rank(row, limit=limit) for row in fn.scan(qs, data)]
+    # each query was checked and normed with the block
+    filters = [_Filter(qs.row(i), data, fn, limit)
+               for i in range(len(qs.vec))]
+    blocks = _row_blocks(data.n, _STREAM_ROWS)
+    if len(blocks) == 1:
+        return [f.pool(g) for f, g in zip(filters, _f32_scores(qs, data, fn))]
+    # one block's float64 keys, made for one query at a time (dot-product
+    # keys are the scores themselves)
+    buf = (None if fn.kind == "dot-product"
+           else np.empty(max(hi - lo for lo, hi in blocks)))
+    for lo, hi in blocks:
+        scores = _f32_scores(qs, data, fn, lo, hi)
+        for f, g in zip(filters, scores):
+            f.take(g, lo, None if buf is None else buf[:hi - lo])
+        scores = g = None   # freed before the next block's sgemm
+    return [f.pool() for f in filters]
 
 
 def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
                  pool: RankedList | None) -> RankedList:
     """The pool a caller handed in, checked to be a :class:`RankedList`
     of the base: one similarity per id, distinct ids in [0, n), and
-    similarities best first. When it handed in none, the ``limit``-row
-    pool of :func:`full_scan_pool`, which :func:`rank` made so."""
+    similarities best first. One that :func:`rank` made has distinct ids
+    and its similarities best first already, so only its id range is
+    checked: it may rank another base. When the caller handed in none,
+    the ``limit``-row pool of :func:`full_scan_pool`."""
     if pool is None:
         return full_scan_pool(q, data, fn, limit)
     if len(pool.ids) != len(pool.sims):
         raise ValueError("pool ids and sims must have the same length")
-    ordered = np.sort(pool.ids)
-    if len(ordered) and (ordered[0] < 0 or ordered[-1] >= data.n):
+    ordered = pool.ids if pool._ranked else np.sort(pool.ids)
+    if len(ordered) and (ordered.min() < 0 or ordered.max() >= data.n):
         raise ValueError(f"pool ids must lie in [0, {data.n})")
+    if pool._ranked:
+        return pool
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("pool ids must be distinct")
     if np.any(pool.sims[1:] > pool.sims[:-1]):
@@ -238,14 +279,30 @@ def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
                    ids: np.ndarray | None = None) -> RankedList:
     """The top-``limit`` of the rows ``ids`` of a float32 base (every row
     by default), as base ids, from their float32 scores ``g`` (by default
-    one sgemv of the gathered rows), re-scoring only the rows that survive
-    a certified threshold. ``limit`` is below the row count. When q is
-    beyond float32's range, when more rows survive than
+    one sgemv of the gathered rows), through the certified
+    :class:`_Filter` over all the rows at once. ``limit`` is below the row
+    count. Where the filter cannot certify, :func:`_exact_rank` ranks all
+    the rows by their float64 similarities instead."""
+    f = _Filter(q, data, fn, limit, ids)
+    if g is None and not f.exact:
+        rows = data.data if ids is None else np.take(data.data, ids, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = rows @ q.vec.astype(np.float32)
+    return f.pool(g)
+
+
+class _Filter:
+    """The certified float32 filter of one query q for the top-``limit``
+    of the rows ``ids`` of a float32 base (every row by default), from
+    their float32 scores. :meth:`pool` takes the scores of every row at
+    once; a streamed scan hands them to :meth:`take` by blocks first.
+
+    When q is beyond float32's range, when more rows survive than
     :func:`_max_survivors` allows (ties at the threshold) or when the
-    certificate fails, :func:`_exact_rank` ranks all the rows by their
-    float64 similarities instead. Every bound below reads the norms of the
-    rows ranked, never those of the rest of the base; a zero row among
-    them is an error under one-plus-cosine.
+    certificate fails, :meth:`pool` ranks all the rows by their float64
+    similarities instead (:func:`_exact_rank`). Every bound below reads
+    the norms of the rows ranked, never those of the rest of the base; a
+    zero row among them is an error under one-plus-cosine.
 
     Each kind ranks by a key in which its similarity increases: the dot
     product P = x.q (dot-product), P / |x| (one-plus-cosine) or
@@ -278,96 +335,195 @@ def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
     separating rows: a threshold among dot products clamped to 0, or
     reciprocal-euclidean distances rounded to 0.
     """
-    v = q.vec
-    if abs(v).max() > _F32_MAX:
-        return _exact_rank(q, data, fn, limit, ids)
-    d = data.d
-    if ids is None:
-        n, norms, xmin, xmax = data.n, data.norms, data.min_norm, data.max_norm
-    else:
-        n, norms = len(ids), data.norms[ids]
-        xmin, xmax = float(norms.min()), float(norms.max())
-    if fn.kind == "one-plus-cosine":
-        _reject_zero_norms(xmin)
-    if g is None:
-        rows = data.data if ids is None else np.take(data.data, ids, axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = rows @ v.astype(np.float32)
-    q32 = v.astype(np.float32).astype(np.float64)
-    nq32 = np.linalg.norm(q32)
-    nq = np.linalg.norm(v) * _SAFE
-    under = d * 2.0 ** -149
-    # bound on |g - P| per unit of |x|, q's rounding first
-    per_norm = (np.linalg.norm(v - q32) + _gamma(d, _U32) * nq32) * _SAFE
-    xmax *= _SAFE
-    if fn.kind == "dot-product":
-        key = g
-        err = (xmax * per_norm + under) * _SAFE
-        # gamma_{d+8}: the extra 8 u64 covers evaluating ``upper``
-        e64 = _gamma(d + 8, _U64) * xmax * nq * _SAFE
 
-        def upper(k):
-            return max(k + e64 * 2.0, 0.0)
-    elif fn.kind == "one-plus-cosine":
-        key = g / norms
-        err = (per_norm + 2.0 * _U64 * nq32 + 2.0 * under / xmin) * _SAFE
-        qn = q.norms[0]
-        e64 = (_gamma(d, _U64) * nq + 16.0 * _U64 * qn) * _SAFE
+    def __init__(self, q, data: VectorSet, fn: SimilarityFn, limit: int,
+                 ids: np.ndarray | None = None) -> None:
+        self.q, self.data, self.fn, self.limit, self.ids = \
+            q, data, fn, limit, ids
+        # the rows a streamed scan kept, their keys, and its running
+        # threshold in the keys' dtype
+        self.pos = np.empty(0, dtype=np.intp)
+        self.key = np.empty(0, dtype=np.float32 if fn.kind == "dot-product"
+                            else np.float64)
+        self.t = -np.inf
+        v = q.vec
+        self.exact = abs(v).max() > _F32_MAX
+        if self.exact:
+            return
+        d = data.d
+        if ids is None:
+            self.n, norms = data.n, data.norms
+            xmin, xmax = data.min_norm, data.max_norm
+        else:
+            self.n, norms = len(ids), data.norms[ids]
+            xmin, xmax = float(norms.min()), float(norms.max())
+        if fn.kind == "one-plus-cosine":
+            _reject_zero_norms(xmin)
+        q32 = v.astype(np.float32).astype(np.float64)
+        nq32 = np.linalg.norm(q32)
+        nq = np.linalg.norm(v) * _SAFE
+        under = d * 2.0 ** -149
+        # bound on |g - P| per unit of |x|, q's rounding first
+        per_norm = (np.linalg.norm(v - q32) + _gamma(d, _U32) * nq32) * _SAFE
+        # some partial sum may overflow: non-finite keys are set aside
+        self.overflow = xmax * nq32 * (1.0 + _gamma(d, _U32)) >= _F32_MAX
+        xmax *= _SAFE
+        if fn.kind == "dot-product":
+            self.err = (xmax * per_norm + under) * _SAFE
+            # gamma_{d+8}: the extra 8 u64 covers evaluating ``upper``
+            self.e64 = _gamma(d + 8, _U64) * xmax * nq * _SAFE
+        elif fn.kind == "one-plus-cosine":
+            self.norms = norms
+            self.err = (per_norm + 2.0 * _U64 * nq32
+                        + 2.0 * under / xmin) * _SAFE
+            self.qn = q.norms[0]
+            self.e64 = (_gamma(d, _U64) * nq + 16.0 * _U64 * self.qn) * _SAFE
+        else:
+            self.sqnorms = data.sqnorms if ids is None else data.sqnorms[ids]
+            xsq = xmax * xmax * _SAFE
+            self.err = (xmax * per_norm + under
+                        + 2.0 * _U64 * (xmax * nq32 + xsq)) * _SAFE
+            self.qq = q.sqnorms[0]
+            # float64 error of |x|^2 - 2 p + |q|^2, the squared distance
+            self.e_d = (2.0 * _gamma(d + 2, _U64) * xmax * nq
+                        + 4.0 * _U64 * (xsq + self.qq + xmax * nq)) * _SAFE
 
-        def upper(k):
+    def keys(self, g: np.ndarray, lo: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """The keys of the rows lo, lo + 1, ... of the filter's rows from
+        their float32 scores g; float64 keys are made in ``out`` if given.
+        The float64 upcast of g is copied in first, so no ufunc mixes
+        float32 and float64 through a cast buffer."""
+        if self.fn.kind == "dot-product":
+            return g
+        hi = lo + len(g)
+        key = np.empty(len(g)) if out is None else out
+        key[...] = g
+        if self.fn.kind == "one-plus-cosine":
+            key /= self.norms[lo:hi]
+            return key
+        # g - |x|^2 / 2 as (2 g - |x|^2) / 2, the same float64 value:
+        # doubling and halving are exact, since every finite g - |x|^2 / 2
+        # is 0 or a normal number (g is a float32 value and |x|^2 >= 2^-298
+        # unless 0); an overflowed g stays inf or NaN
+        key *= 2.0
+        key -= self.sqnorms[lo:hi]
+        key *= 0.5
+        return key
+
+    def _lift(self, tau: float, dtype) -> float:
+        """Set the threshold for a ``limit``-th best key tau, and return
+        it: theta = tau - 2 err - 4 e64, compared in the keys' dtype
+        (float32 for dot-product) rounded down, never up."""
+        if self.fn.kind == "reciprocal-euclidean":
+            # the distance at the threshold sets how far apart in key two
+            # rows must be for their float64 similarities to differ; a
+            # lower tau gives a larger e64, so a lower theta
+            r = np.sqrt(max(self.qq - 2.0 * tau + 4.0 * self.err, 0.0))
+            e64 = self.e_d + 2.0 ** -40 * r * (r + self.fn.delta)
+        else:
+            e64 = self.e64
+        theta = tau - 2.0 * self.err - 4.0 * e64
+        with np.errstate(over="ignore"):
+            t = dtype.type(theta)
+        self.t = np.nextafter(t, dtype.type(-np.inf)) if t > theta else t
+        return theta
+
+    def upper(self, k: float) -> float:
+        """An upper bound on the float64 similarity of a row with exact
+        key below k, counting every rounding of the float64 path."""
+        kind = self.fn.kind
+        if kind == "dot-product":
+            return max(k + self.e64 * 2.0, 0.0)
+        if kind == "one-plus-cosine":
             # 1 + (k + e64) / |q| bounds fl(fl(fl(p / |x|) / |q|) + 1);
             # the second e64 covers evaluating it
-            return 1.0 + (k + e64 * 2.0) / qn
-    else:
-        with np.errstate(invalid="ignore"):   # inf - inf from an overflow
-            key = g - 0.5 * (data.sqnorms if ids is None
-                             else data.sqnorms[ids])
-        xsq = xmax * xmax * _SAFE
-        err = (xmax * per_norm + under
-               + 2.0 * _U64 * (xmax * nq32 + xsq)) * _SAFE
-        qq = q.sqnorms[0]
-        # float64 error of |x|^2 - 2 p + |q|^2, the squared distance
-        e_d = (2.0 * _gamma(d + 2, _U64) * xmax * nq
-               + 4.0 * _U64 * (xsq + qq + xmax * nq)) * _SAFE
+            return 1.0 + (k + self.e64 * 2.0) / self.qn
+        d2 = max(self.qq - 2.0 * k - 2.0 * self.e_d, 0.0)
+        return (1.0 + 16.0 * _U64) / (np.sqrt(d2) + self.fn.delta)
 
-        def upper(k):
-            d2 = max(qq - 2.0 * k - 2.0 * e_d, 0.0)
-            return (1.0 + 16.0 * _U64) / (np.sqrt(d2) + fn.delta)
+    def _tau(self, key: np.ndarray, in_place: bool = False) -> float | None:
+        """The ``limit``-th best key, of the finite ones where scores may
+        overflow; None when fewer keys are. ``in_place`` lets the partition
+        reorder key in place."""
+        if self.overflow:
+            finite = np.isfinite(key)
+            if np.count_nonzero(finite) < self.limit:
+                return None
+            key, in_place = np.where(finite, key, -np.inf), True
+        elif len(key) < self.limit:
+            return None
+        m = len(key) - self.limit
+        if in_place:
+            key.partition(m)
+            return float(key[m])
+        return float(np.partition(key, m)[m])
 
-    finite = None
-    if xmax * nq32 * (1.0 + _gamma(d, _U32)) >= _F32_MAX:
-        # some partial sum may overflow: non-finite keys are set aside
-        finite = np.isfinite(key)
-        if np.count_nonzero(finite) < limit:
+    def _kept(self, key: np.ndarray) -> np.ndarray:
+        """The positions of the keys at or above the threshold, and of the
+        non-finite ones where scores may overflow."""
+        keep = key >= self.t
+        if self.overflow:
+            keep |= ~np.isfinite(key)
+        return keep.nonzero()[0]
+
+    def take(self, g: np.ndarray, lo: int,
+             out: np.ndarray | None = None) -> None:
+        """Keep the rows lo, lo + 1, ... of a block, with float32 scores g,
+        whose keys reach the running threshold, then raise it; ``out``
+        takes the block's float64 keys.
+
+        The running threshold is that of the ``limit``-th best key seen so
+        far, which is at most the final tau: theta grows with tau, so
+        every row that survives the final threshold is kept. Until there
+        is one, a block sets it from its own keys.
+        """
+        if self.exact:
+            return
+        key = self.keys(g, lo, out)
+        if self.t == -np.inf:
+            # float64 keys are partitioned in place, then made again
+            own = key is not g
+            tau = self._tau(key, in_place=own)
+            if tau is not None:
+                self._lift(tau, key.dtype)
+            if own:
+                key = self.keys(g, lo, out)
+        keep = self._kept(key)
+        if not keep.size:
+            return
+        self.pos = np.concatenate((self.pos, keep + lo))
+        self.key = np.concatenate((self.key, key[keep]))
+        tau = self._tau(self.key)
+        if tau is not None:
+            self._lift(tau, key.dtype)
+            keep = self._kept(self.key)
+            self.pos, self.key = self.pos[keep], self.key[keep]
+
+    def pool(self, g: np.ndarray | None = None) -> RankedList:
+        """The top-``limit`` of the filter's rows, as base ids, from the
+        float32 scores g of every row, or by default from the rows that
+        :meth:`take` kept, which hold every row that survives."""
+        q, data, fn, limit, ids = self.q, self.data, self.fn, self.limit, \
+            self.ids
+        if self.exact:
             return _exact_rank(q, data, fn, limit, ids)
-        tau = float(np.partition(np.where(finite, key, -np.inf),
-                                 n - limit)[n - limit])
-    else:
-        tau = float(np.partition(key, n - limit)[n - limit])
-    if fn.kind == "reciprocal-euclidean":
-        # the distance at the threshold sets how far apart in key two
-        # rows must be for their float64 similarities to differ
-        r = np.sqrt(max(qq - 2.0 * tau + 4.0 * err, 0.0))
-        e64 = e_d + 2.0 ** -40 * r * (r + fn.delta)
-    theta = tau - 2.0 * err - 4.0 * e64
-    # compare in the key's dtype (float32 for dot-product) against theta
-    # rounded down, never up
-    with np.errstate(over="ignore"):
-        t = key.dtype.type(theta)
-    if t > theta:
-        t = np.nextafter(t, key.dtype.type(-np.inf))
-    keep = key >= t
-    if finite is not None:
-        keep |= ~finite
-    keep = keep.nonzero()[0]
-    if keep.size > _max_survivors(n):
-        return _exact_rank(q, data, fn, limit, ids)
-    if ids is not None:
-        keep = ids[keep]
-    pool = _exact_rank(q, data, fn, limit, keep)   # the survivors alone
-    if pool.sims[-1] <= upper(theta + err):        # not certified
-        return _exact_rank(q, data, fn, limit, ids)
-    return pool
+        key, pos = (self.key, self.pos) if g is None else (self.keys(g), None)
+        tau = self._tau(key)
+        if tau is None:   # fewer than limit finite keys
+            return _exact_rank(q, data, fn, limit, ids)
+        theta = self._lift(tau, key.dtype)
+        keep = self._kept(key)
+        if keep.size > _max_survivors(self.n):
+            return _exact_rank(q, data, fn, limit, ids)
+        if pos is not None:
+            keep = pos[keep]
+        if ids is not None:
+            keep = ids[keep]
+        pool = _exact_rank(q, data, fn, limit, keep)   # the survivors alone
+        if pool.sims[-1] <= self.upper(theta + self.err):   # not certified
+            return _exact_rank(q, data, fn, limit, ids)
+        return pool
 
 
 def alpha_topk(q, attribute: int, k: int, data: VectorSet,

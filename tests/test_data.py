@@ -525,6 +525,27 @@ def test_attrs_fast_path_matches_line_parser(tmp_files, text):
     assert table_or_error(read_attrs, path) == lines
 
 
+@pytest.mark.parametrize("at", ["first-chunk", "chunk-end", "last-chunk"])
+def test_attrs_file_with_any_byte_in_a_row(tmp_path, monkeypatch, at):
+    # the fast parse checks its bytes by chunks of _CHECK_BYTES (8 here):
+    # a file holding any one of the 256 byte values in a row takes the
+    # fast parse exactly when the byte is a digit, a comma or a newline,
+    # and reads as the line parser reads it, as a table or an error
+    monkeypatch.setattr(data_io, "_CHECK_BYTES", 8)
+    body = "".join(f"{i},{i % 3}\n" for i in range(12)).encode("ascii")
+    pos = {"first-chunk": 2, "chunk-end": 15, "last-chunk": len(body) - 2}
+    path = tmp_path / "a.txt"
+    for b in range(256):
+        path.write_bytes(b"#c=3\n" + body[:pos[at]] + bytes([b])
+                         + body[pos[at]:])
+        lines = table_or_error(via(data_io._parse_attrs_lines), path)
+        fast = table_or_error(via(data_io._parse_attrs_fast), path)
+        if bytes([b]) not in b"0123456789,\n":
+            assert fast is None, b
+        assert fast is None or fast == lines, b
+        assert table_or_error(read_attrs, path) == lines, b
+
+
 # ---------------------------------------------------------------------------
 # presets and bundles
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Each pool is compared with an independent whole-array float64 rank: one
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,170 @@ def test_filter_ranks_its_own_rows_in_float64_when_it_cannot_certify(
             # only the certificate failed
             assert ranked[-1] is rows, kind
             assert len(ranked) == 1 + (case == "clamped-dot-products"), kind
+
+
+# ---------------------------------------------------------------------------
+# the streamed scan: a base of more than one block of _STREAM_ROWS rows
+# ---------------------------------------------------------------------------
+
+BLOCK = 4096   # _STREAM_ROWS in these tests, so small bases span blocks
+
+
+def pools_both_ways(monkeypatch, qs, vs, fn, limit):
+    """(one-block, streamed): the block's pools and the first query's
+    ``full_scan_pool``, each with the ids of every float64 re-score, from
+    one sgemm of the whole base and from blocks of BLOCK rows."""
+    rescored = []
+    real = SimilarityFn.batch_ids
+
+    def batch_ids(self, q, data, ids):
+        rescored.append(ids.tolist())
+        return real(self, q, data, ids)
+
+    monkeypatch.setattr(SimilarityFn, "batch_ids", batch_ids)
+    out = []
+    for rows in (vs.n, BLOCK):
+        monkeypatch.setattr(oracle, "_STREAM_ROWS", rows)
+        rescored.clear()
+        pools = block_pools(qs, vs, fn, limit)
+        pools.append(full_scan_pool(qs[0], vs, fn, limit))
+        out.append((pools, list(rescored)))
+    return out
+
+
+def assert_same_pools(monkeypatch, qs, vs, fn, limit):
+    """The streamed scan re-scores the rows the one-block scan does and
+    returns its pools to the byte."""
+    (whole, whole_rescored), (streamed, streamed_rescored) = \
+        pools_both_ways(monkeypatch, qs, vs, fn, limit)
+    assert streamed_rescored == whole_rescored
+    for a, b in zip(whole, streamed):
+        assert a.ids.tobytes() == b.ids.tobytes()
+        assert a.sims.tobytes() == b.sims.tobytes()
+    return whole
+
+
+# Bases of at most 4 * BLOCK rows: on longer ones OpenBLAS's sgemv of a
+# single query may round rows differently from the same rows in blocks,
+# which the filter's bound covers but which may change its survivors
+@pytest.mark.parametrize("n", [2 * BLOCK + 1, 3 * BLOCK + 1, 4 * BLOCK,
+                               3 * BLOCK + 777])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_streamed_pools_equal_one_block_pools(monkeypatch, kind, n):
+    # limits 1, k and n / 8; n = m * BLOCK + 1 leaves a one-row tail,
+    # which the block before takes
+    rng = np.random.default_rng([n, sorted(KINDS).index(kind)])
+    x = rng.standard_normal((n, 8), dtype=np.float32)
+    vs, fn = VectorSet(x), KINDS[kind]
+    qs = rng.normal(size=(3, 8))
+    for limit in (1, 10, n // 8):
+        pools = assert_same_pools(monkeypatch, qs, vs, fn, limit)
+        ids, _ = float64_topk(qs[0], x, fn, limit)
+        assert pools[0].ids.tolist() == ids.tolist()
+
+
+def near_best_rows(n, kind, rng):
+    """(q, x): a base whose 40 best rows (best first: j = 0, 1, ...) have
+    keys about 2^-23 apart, inside the filter's margin, with the best 10
+    in the first block and the rest spread over the later blocks. The
+    other rows point away from q."""
+    d = 8
+    q = np.ones(d) / math.sqrt(d)
+    w = np.zeros(d)
+    w[:2] = 1.0, -1.0
+    w /= math.sqrt(2.0)
+    x = -np.abs(rng.normal(size=(n, d))) * 0.05
+    j = np.arange(40)[:, None]
+    near = q + 0.5 * w + j * 2.0 ** -23 * (w - q)
+    rows = np.concatenate([rng.choice(BLOCK, size=10, replace=False),
+                           rng.choice(np.arange(BLOCK, n), size=30,
+                                      replace=False)])
+    x[rows] = near
+    return q.astype(np.float32).astype(np.float64), x.astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_streamed_scan_keeps_rows_inside_the_margin(monkeypatch, kind):
+    # after the first block the running tau is the final one; the later
+    # blocks' rows within the margin below it survive in one sgemm, so the
+    # streamed scan keeps them too
+    rng = np.random.default_rng(60 + sorted(KINDS).index(kind))
+    n = 4 * BLOCK
+    q, x = near_best_rows(n, kind, rng)
+    vs, fn = VectorSet(x), KINDS[kind]
+    # one sgemm re-scores rows of the later blocks for a top 10 that the
+    # first block holds
+    (_, rescored), _ = pools_both_ways(monkeypatch, q[None], vs, fn, 10)
+    assert any(i >= BLOCK for i in rescored[0])
+    for limit in (1, 10):
+        assert_same_pools(monkeypatch, np.stack([q, q * 3.0]), vs, fn, limit)
+
+
+def test_streamed_ties_past_max_survivors_fall_back(monkeypatch):
+    # every third row is the best vector: its ties span every block and
+    # outnumber _max_survivors (4096 rows), so each pool is a float64 rank
+    # of every row
+    n = 3 * BLOCK + 1
+    rng = np.random.default_rng(61)
+    x = -np.abs(rng.standard_normal((n, 8), dtype=np.float32))
+    x[::3] = 1.0
+    vs = VectorSet(x)
+    ranked = []
+    real = oracle._exact_rank
+
+    def exact_rank(q, data, fn, limit, ids=None):
+        ranked.append(ids is None)
+        return real(q, data, fn, limit, ids)
+
+    monkeypatch.setattr(oracle, "_exact_rank", exact_rank)
+    qs = np.ones((2, 8)) + rng.normal(size=(2, 8)) * 1e-9
+    for kind in sorted(KINDS):
+        for limit in (1, 10):
+            ranked.clear()
+            pools = assert_same_pools(monkeypatch, qs, vs, KINDS[kind], limit)
+            assert ranked and all(ranked)
+            assert pools[0].ids.tolist() == list(range(0, 3 * limit, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_streamed_scan_near_float32_max_keeps_non_finite_scores(
+        monkeypatch, kind):
+    # a query within float32's range whose scores overflow on 40 rows
+    # spread over every block: each of their products is beyond float32's
+    # range, so they overflow in any summation order, and always survive
+    n = 3 * BLOCK + 1
+    rng = np.random.default_rng(62 + sorted(KINDS).index(kind))
+    x = rng.standard_normal((n, 8), dtype=np.float32) * 1e-3
+    q = np.sign(rng.normal(size=8)) * rng.uniform(0.5e38, 1e38, size=8)
+    big = rng.choice(n, size=40, replace=False)
+    x[big] = np.sign(q) * np.where(np.arange(40) % 2, 8.0, -8.0)[:, None]
+    vs, fn = VectorSet(x), KINDS[kind]
+    g = oracle._f32_scores(fn.query(q[None]), vs, fn)[0]
+    assert np.isinf(g[big]).all() and np.isfinite(np.delete(g, big)).all()
+    for limit in (1, 10, n // 8):
+        pools = assert_same_pools(monkeypatch, np.stack([q, -q]), vs, fn,
+                                  limit)
+        ids, _ = float64_topk(q, x, fn, limit)
+        assert pools[0].ids.tolist() == ids.tolist()
+
+
+def test_streamed_scan_holds_no_score_row_of_the_base(monkeypatch):
+    # on a four-block base, a pool's scan peaks below one n-length float32
+    # row: it holds a block's scores and keys, never the base's
+    monkeypatch.setattr(oracle, "_STREAM_ROWS", BLOCK)
+    n = 4 * BLOCK
+    rng = np.random.default_rng(63)
+    vs = VectorSet(rng.standard_normal((n, 8), dtype=np.float32))
+    for fn in KINDS.values():
+        q = fn.query(rng.normal(size=8))
+        full_scan_pool(q, vs, fn, 10)
+        tracemalloc.start()
+        try:
+            full_scan_pool(q, vs, fn, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n, fn.kind
 
 
 # ---------------------------------------------------------------------------

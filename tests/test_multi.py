@@ -64,6 +64,38 @@ def test_every_pool_entry_point_rejects_a_bad_pool(ids, sims, match):
             call()
 
 
+def test_a_pool_that_rank_made_is_not_sorted_again(monkeypatch):
+    # a pool from full_scan_pool has distinct ids and its sims best first
+    # by construction: only its id range is checked, for it may rank
+    # another base; a hand-made copy is checked in full
+    rng = np.random.default_rng(33)
+    data = VectorSet(rng.normal(size=(40, 4)))
+    attrs = AttributeTable.from_labels(rng.integers(0, 3, 40), c=3)
+    fn = SimilarityFn("one-plus-cosine")
+    q = rng.normal(size=4)
+    pool = full_scan_pool(q, data, fn, limit=20)
+    hand = RankedList(ids=pool.ids.copy(), sims=pool.sims.copy())
+    want = multi_nash_ann(q, 5, 1.0, data, attrs, fn, pool=hand)
+    sorted_arrays = []
+    real_sort = np.sort
+
+    def spy_sort(a, *args, **kwargs):
+        sorted_arrays.append(a)
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy_sort)
+    got = multi_nash_ann(q, 5, 1.0, data, attrs, fn, pool=pool)
+    assert got.ids == want.ids
+    assert not any(a is pool.ids for a in sorted_arrays)
+    multi_nash_ann(q, 5, 1.0, data, attrs, fn, pool=hand)
+    assert any(a is hand.ids for a in sorted_arrays)
+    monkeypatch.undo()
+    small = VectorSet(data.data[:10])
+    with pytest.raises(ValueError, match=r"pool ids must lie in \[0, 10\)"):
+        multi_nash_ann(q, 5, 1.0, small, AttributeTable.from_labels(
+            [0] * 10, c=1), fn, pool=pool)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("limit", [0, -3])
 def test_pool_limit_below_one_is_an_error(dtype, limit):
