@@ -75,8 +75,9 @@ def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
     The pool is fetched in one pass regardless of attributes, grouped into
     per-attribute lists (already similarity-sorted), and the same greedy
     rule as the exact solvers picks k vectors inside it. L = n recovers the
-    exact solver; L = k degenerates to plain top-k. A caller that already
-    holds ``full_scan_pool(q, data, fn, limit=L)`` passes it as ``pool``.
+    exact solver; L = k degenerates to plain top-k. A caller that holds
+    ``full_scan_pool(q, data, fn, limit=m)``, m >= L, passes it as ``pool``
+    and its head L rows are the candidates.
     """
     attrs.require_single()
     if k < 1:
@@ -84,7 +85,8 @@ def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
     if L < k:
         raise ValueError("pool size L must be >= k")
     pool = _caller_pool(q, data, fn, L, pool)
-    labels = attrs.labels[pool.ids]
+    ids, sims = pool.ids[:L], pool.sims[:L]
+    labels = attrs.labels[ids]
     # group the pool by attribute in one stable pass; within an attribute
     # the pool order (similarity descending) is preserved. Keys of the
     # narrowest unsigned type let numpy's stable sort use radix sort.
@@ -93,7 +95,7 @@ def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
     bounds = np.searchsorted(labels[order], np.arange(attrs.c + 1))
     if stats is not None:
         stats.pool_attributes = int(np.count_nonzero(np.diff(bounds)))
-    chosen, u, truncated = greedy_select(pool.ids[order], pool.sims[order],
-                                         bounds, k, params, stats)
+    chosen, u, truncated = greedy_select(ids[order], sims[order], bounds, k,
+                                         params, stats)
     return Selection(ids=tuple(chosen), utilities=u,
                      objective=welfare(u, params), truncated=truncated)

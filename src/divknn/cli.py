@@ -33,7 +33,9 @@ float32 base (fvecs, bvecs) ranked to at most an eighth of its rows; the
 float64 similarities otherwise. Each query ranks once, and that ranking
 gives both its pool and the exact top-k reference of the relevance
 metrics. ``nash``, ``pmean`` and ``div`` never scan the base in their
-solve, so their report scans once per query for the reference.
+solve, so their report scans once per query for the reference; their
+oracle (``oracle.block_pools`` for a list above 4096 rows of a float32
+base) scores at most 65536 list rows at a time, gathered 4096 at a time.
 ``--threads`` runs blocks concurrently. While in flight a block holds 8
 score rows of at most 65536 float32 and one query's keys, about 4.5 MB at
 any n, since a float32 base above 65536 rows is scored by row blocks

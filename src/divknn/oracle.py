@@ -3,21 +3,21 @@ candidate pools and the per-attribute oracles.
 
 A :class:`RankedList` holds candidates with distinct ids, best first, and
 :func:`rank` makes one: by similarity descending, ascending id on ties.
-:func:`block_pools` ranks the pools of a block of queries, the vectors
-most similar to each, reading the base once (:func:`full_scan_pool` is a
-block of one); :func:`_caller_pool` checks a pool a solver is handed.
-``exact_topk`` is the exact oracle over one inverted list: the true
-top-min(k, |D_l|) vectors of the attribute. ``alpha_topk`` is a degraded
-oracle for tests: its i-th best similarity is at least ``alpha`` times the
-i-th best exact one, for every rank i.
+:func:`block_pools` ranks, for a block of queries, the rows of the base
+or of an inverted list most similar to each, reading them once
+(:func:`full_scan_pool` is a block of one); :func:`_caller_pool` checks a
+pool a solver is handed. ``exact_topk`` is the exact oracle over one
+inverted list: the true top-min(k, |D_l|) vectors of the attribute.
+``alpha_topk`` is a degraded oracle for tests: its i-th best similarity is
+at least ``alpha`` times the i-th best exact one, for every rank i.
 
 Over a float32 base, pools of at most an eighth of the base and inverted
-lists above 4096 rows go through the certified float32 filter
-:class:`_Filter`, which re-scores in float64 only the rows above a proven
-threshold; where it cannot certify, it ranks all its rows in float64
-itself (:func:`_exact_rank`), so no caller has a fallback. A pool over a
-base above ``_STREAM_ROWS`` rows streams the base through it by row
-blocks, so no query holds a row of n scores.
+lists above 4096 rows go through :func:`block_pools` and its certified
+float32 filter :class:`_Filter`, which re-scores in float64 only the rows
+above a proven threshold; where it cannot certify, it ranks all its rows
+in float64 itself (:func:`_exact_rank`), so no caller has a fallback. More
+than ``_STREAM_ROWS`` rows stream through it by row blocks, so no query
+holds a row of n scores, nor a list its whole gathered rows.
 
 A solver takes its oracle as a plain callable ``(q, attribute, k) ->
 RankedList``, such as ``functools.partial(exact_topk, data=data,
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AttributeTable, Query, SimilarityFn, VectorSet,
-                   _reject_zero_norms, _row_blocks)
+from .core import (_NORM_BLOCK, AttributeTable, Query, SimilarityFn,
+                   VectorSet, _reject_zero_norms, _row_blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,88 +139,102 @@ def exact_topk(q, attribute: int, k: int, data: VectorSet,
     inverted list yields an empty list.
 
     The list's rows are gathered and scored in float64, except over a
-    float32 base for a list above 4096 rows: there one sgemv scores the
-    gathered float32 rows and :func:`_filtered_pool` re-scores in float64
-    only the rows above its certified threshold, with the same ids and
-    order. Below about 2000-4000 rows (d = 32) the filter costs more than
-    it saves. A query beyond float32's range, or a filter that cannot
-    certify its list, scores every row of the list in float64.
+    float32 base for a list above 4096 rows, which :func:`block_pools`
+    ranks as a block of one query through the certified filter, with the
+    same ids and order. Below about 2000-4000 rows (d = 32) the filter
+    costs more than it saves.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (0 <= attribute < attrs.c):
         raise ValueError(f"attribute id {attribute} outside [0, {attrs.c})")
+    q = _one_query(q, fn)
     members = attrs.inverted[attribute]
     if len(members) > _SURVIVOR_FLOOR and _filters(data, k, len(members)):
-        return _filtered_pool(fn.query(q), data, fn, k, ids=members)
+        return block_pools(_block_of_one(q), data, fn, k, members)[0]
     return _exact_rank(q, data, fn, k, members)
+
+
+def _one_query(q, fn: SimilarityFn) -> Query:
+    """q checked and normed as a single query, not a block of them."""
+    q = fn.query(q)
+    if q.vec.ndim != 1:
+        raise ValueError("a single query must be one vector")
+    return q
+
+
+def _block_of_one(q: Query) -> Query:
+    """The checked single query q as a block of one, normed with it."""
+    return Query(q.vec[None], q.norms, q.sqnorms)
 
 
 def _exact_rank(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
                 ids: np.ndarray | None = None) -> RankedList:
     """The top-``limit`` of the rows ``ids`` of ``data`` (every row by
     default, by a scan), as base ids, ranked by float64 similarity."""
-    if ids is None:
-        return rank(fn.scan(q, data), limit=limit)
-    return rank(fn.batch_ids(q, data, ids), ids, limit)
+    sims = fn.scan(q, data) if ids is None else fn.batch_ids(q, data, ids)
+    return rank(sims, ids, limit)
 
 
-def _f32_scores(q, data: VectorSet, fn: SimilarityFn, lo: int = 0,
-                hi: int | None = None) -> np.ndarray:
+def _f32_scores(qs: Query, data: VectorSet, ids: np.ndarray | None = None,
+                lo: int = 0, hi: int | None = None) -> np.ndarray:
     """float32 dot products of the float32-rounded (b, d) block of queries
-    with the rows lo:hi (every row by default), in one sgemm (numpy's sgemv
-    for a block of one). The rows are scored as rows times queries, which
-    sgemm runs about 1.5x faster than the query-major product, and the
-    (b, hi - lo) result is transposed so each query's row is contiguous.
-    A query beyond float32's range or an overflowing dot product gives inf
-    or NaN scores, which :class:`_Filter` handles."""
-    fn.check_rows(data)
+    with the rows lo:hi of the base, or the rows ``ids[lo:hi]`` gathered
+    ``_NORM_BLOCK`` at a time, each block still in cache for its sgemm
+    (15k x 32 rows, one BLAS thread: 330 against 440 us as one gather):
+    rows times queries (an sgemv for one query), 1.5x faster than the
+    query-major product, transposed so each query's row is contiguous. A
+    query beyond float32's range or an overflow gives inf or NaN scores,
+    which :class:`_Filter` handles."""
+    if qs.vec.shape[-1] != data.d:
+        raise ValueError("dimension mismatch between query and vectors")
     with np.errstate(over="ignore", invalid="ignore"):
-        q32 = q.vec.astype(np.float32)
-        return np.ascontiguousarray((data.data[lo:hi] @ q32.T).T)
+        q32 = qs.vec.astype(np.float32).T
+        if ids is None:
+            return np.ascontiguousarray((data.data[lo:hi] @ q32).T)
+        ids = ids[lo:hi]
+        g = np.empty((len(ids), len(qs.vec)), dtype=np.float32)
+        for a, b in _row_blocks(len(ids), _NORM_BLOCK):
+            np.matmul(np.take(data.data, ids[a:b], axis=0), q32, out=g[a:b])
+        return np.ascontiguousarray(g.T)
 
 
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
                    limit: int | None = None) -> RankedList:
     """The pool of the ``limit`` most similar vectors to ``q`` (all of
     them by default): ``block_pools`` of the block that holds q alone."""
-    q = fn.query(q)
-    return block_pools(Query(q.vec[None], q.norms, q.sqnorms), data, fn,
-                       limit)[0]
+    return block_pools(_block_of_one(_one_query(q, fn)), data, fn, limit)[0]
 
 
-# rows per block of a streamed float32 scan. A block's scores and keys
-# stay in cache while each query keys and filters them. It is a multiple
-# of every BLAS kernel's row group, so rows group as in one call over the
-# whole base; a BLAS may still pick another kernel by size and round a
-# score differently, which the filter's bound covers, as it holds for any
-# summation order. It is above 50k rows, a base that one call scans faster
-# than blocks do (16384-row blocks: 1.47x slower)
+# rows per block of a streamed float32 scan: its scores and keys stay in
+# cache while each query filters them. A multiple of every BLAS kernel's
+# row group (a BLAS may still round a row by another kernel; the filter's
+# bound holds for any summation order), above 50k rows, a base one call
+# scans faster than blocks do (16384-row blocks: 1.47x slower)
 _STREAM_ROWS = 65536
 
 
 def block_pools(qs, data: VectorSet, fn: SimilarityFn,
-                limit: int | None = None) -> list[RankedList]:
+                limit: int | None = None,
+                ids: np.ndarray | None = None) -> list[RankedList]:
     """For each query of a (b, d) block, the :class:`RankedList` of the
-    ``limit`` vectors most similar to it (all of them by default, a limit
-    is >= 1), with their float64 similarities, reading the base once for
-    the whole block.
+    ``limit`` rows most similar to it (all by default; a limit is >= 1),
+    as base ids with float64 similarities, reading the rows once for the
+    block: every row of the base, or the rows ``ids`` (an inverted list).
 
-    Over a float64 base, and for ``limit=None``, ``limit >= n`` or a limit
-    above :func:`_max_survivors` (an eighth of a large base), the block is
-    scored in float64 by one scan of every row, (b, n) float64 at once,
-    and each query's row is ranked. Over a float32 base a smaller
-    ``limit`` goes through each query's certified :class:`_Filter`: its
-    float32 scores, a certified threshold, and float64 only for the rows
-    that survive it. A base of at most ``_STREAM_ROWS`` rows (65536) is
-    scored by one sgemm with the block, and each query's filter reads its
-    whole row of n float32 scores. A larger base is streamed: each block
-    of ``_STREAM_ROWS`` rows takes one sgemm, and each query keeps the
-    block's rows at or above its running threshold before the next block
-    is scored. A block in flight then holds its scores twice (sgemm output
-    and transpose, 2 x 256 KB per query) plus one query's keys at a time
-    (256 KB float32 or 512 KB float64), about 4.5 MB for 8 queries at any
-    n, never a row of n scores.
+    Over a float64 base, for ``limit=None``, a limit at or above the row
+    count, or one above :func:`_max_survivors` of it, the block is scored
+    in float64 by one scan of every row, (b, rows) float64 at once, and
+    each query's row is ranked. Otherwise each query's certified
+    :class:`_Filter` ranks the rows from their float32 scores, re-scoring
+    in float64 only the rows that survive. At most ``_STREAM_ROWS`` rows
+    (65536) are scored by one sgemm with the block. More are streamed: one
+    sgemm per block of ``_STREAM_ROWS`` rows, after which each query keeps
+    the block's rows at or above its running threshold. A block in flight
+    holds its scores twice (sgemm output and transpose, 2 x 256 KB per
+    query) plus one query's keys (256 KB float32 or 512 KB float64), about
+    4.5 MB for 8 queries at any row count; ``ids`` add 4096 gathered rows
+    (1.5 MB at d = 96) and, per filter, the float64 norms of the list.
     Both give the same ids and order, up to rows whose float64
     similarities differ only in the last place: the filter scores its
     survivors by a gather's GEMV, whose last bits may differ from those of
@@ -230,20 +244,22 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     qs = fn.query(qs)
-    if not _filters(data, limit, data.n):
-        return [rank(row, limit=limit) for row in fn.scan(qs, data)]
+    n = data.n if ids is None else len(ids)
+    if not _filters(data, limit, n):
+        return [rank(row, ids, limit) for row in (
+            fn.scan(qs, data) if ids is None else fn.batch_ids(qs, data, ids))]
     # each query was checked and normed with the block
-    filters = [_Filter(qs.row(i), data, fn, limit)
+    filters = [_Filter(qs.row(i), data, fn, limit, ids)
                for i in range(len(qs.vec))]
-    blocks = _row_blocks(data.n, _STREAM_ROWS)
-    if len(blocks) == 1:
-        return [f.pool(g) for f, g in zip(filters, _f32_scores(qs, data, fn))]
+    if n <= _STREAM_ROWS + 1:   # one block: _row_blocks folds a 1-row tail
+        return [f.pool(g) for f, g in zip(filters, _f32_scores(qs, data, ids))]
+    blocks = _row_blocks(n, _STREAM_ROWS)
     # one block's float64 keys, made for one query at a time (dot-product
     # keys are the scores themselves)
     buf = (None if fn.kind == "dot-product"
            else np.empty(max(hi - lo for lo, hi in blocks)))
     for lo, hi in blocks:
-        scores = _f32_scores(qs, data, fn, lo, hi)
+        scores = _f32_scores(qs, data, ids, lo, hi)
         for f, g in zip(filters, scores):
             f.take(g, lo, None if buf is None else buf[:hi - lo])
         scores = g = None   # freed before the next block's sgemm
@@ -272,23 +288,6 @@ def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
     if np.any(pool.sims[1:] > pool.sims[:-1]):
         raise ValueError("pool sims must be non-increasing")
     return pool
-
-
-def _filtered_pool(q, data: VectorSet, fn: SimilarityFn, limit: int,
-                   g: np.ndarray | None = None,
-                   ids: np.ndarray | None = None) -> RankedList:
-    """The top-``limit`` of the rows ``ids`` of a float32 base (every row
-    by default), as base ids, from their float32 scores ``g`` (by default
-    one sgemv of the gathered rows), through the certified
-    :class:`_Filter` over all the rows at once. ``limit`` is below the row
-    count. Where the filter cannot certify, :func:`_exact_rank` ranks all
-    the rows by their float64 similarities instead."""
-    f = _Filter(q, data, fn, limit, ids)
-    if g is None and not f.exact:
-        rows = data.data if ids is None else np.take(data.data, ids, axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = rows @ q.vec.astype(np.float32)
-    return f.pool(g)
 
 
 class _Filter:

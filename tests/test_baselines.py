@@ -7,6 +7,7 @@ from divknn.baselines import div_ann, fetch_union, top_k
 from divknn.core import (AttributeTable, SimilarityFn, VectorSet,
                          WelfareParams, utilities, welfare)
 from divknn.metrics import approx_ratio, entropy
+from divknn.oracle import full_scan_pool
 from divknn.solvers import GreedyStats, nash_ann, p_mean_ann
 from divknn.suites import random_single_instance
 
@@ -217,6 +218,23 @@ def test_fetch_union_pool_coverage_stat():
     fetch_union(q, k, data.n, WelfareParams(), data, attrs, fn, stats=stats)
     nonempty = sum(1 for a in range(attrs.c) if len(attrs.inverted[a]) > 0)
     assert stats.pool_attributes == nonempty
+
+
+def test_fetch_union_uses_the_head_l_rows_of_a_longer_pool():
+    # a ranked pool of 500 rows handed in for L = 10: the greedy runs over
+    # its head 10 rows, as fetch_union without a pool does
+    rng = np.random.default_rng(50)
+    data = VectorSet(rng.normal(size=(2000, 8)))
+    attrs = AttributeTable.from_labels(rng.integers(0, 10, size=2000), 10)
+    fn = SimilarityFn("one-plus-cosine")
+    params = WelfareParams(p=0.0, eta=0.5)
+    for _ in range(10):
+        q = rng.normal(size=8)
+        want = fetch_union(q, 10, 10, params, data, attrs, fn)
+        got = fetch_union(q, 10, 10, params, data, attrs, fn,
+                          pool=full_scan_pool(q, data, fn, limit=500))
+        assert got.ids == want.ids
+        assert got.utilities.tobytes() == want.utilities.tobytes()
 
 
 def test_fetch_union_validation():

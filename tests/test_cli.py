@@ -276,26 +276,29 @@ def test_empty_vector_files_are_invalid_data(dataset, tmp_path, capsys):
 
 def _count_full_scans(monkeypatch, n):
     """Record the query shape of each read of all n base rows: a
-    block_pools call (one GEMM or GEMV, float32 or float64; a single
-    query's scan is a block of one), or a per-query scan inside one or
-    outside: a float32 sgemv, or a SimilarityFn.batch call over n rows."""
+    block_pools call without ids (one GEMM or GEMV, float32 or float64; a
+    single query's scan is a block of one), or a per-query scan inside one
+    or outside: a float32 sgemv, or a SimilarityFn.batch call over n
+    rows."""
     scans, inside = [], []
     real_pools, real_f32 = oracle.block_pools, oracle._f32_scores
     real_batch = SimilarityFn.batch
 
-    def block_pools(qs, *args, **kwargs):
-        # full_scan_pool hands in its query as a checked block of one
-        scans.append(np.shape(getattr(qs, "vec", qs)))
+    def block_pools(qs, data, fn, limit=None, ids=None):
+        # full_scan_pool hands in its query as a checked block of one; an
+        # inverted list's ranking (ids) reads the list's rows only
+        if ids is None:
+            scans.append(np.shape(getattr(qs, "vec", qs)))
         inside.append(True)
         try:
-            return real_pools(qs, *args, **kwargs)
+            return real_pools(qs, data, fn, limit, ids)
         finally:
             inside.pop()
 
-    def f32_scores(q, data, fn):
+    def f32_scores(q, data, *args):
         if not inside:
             scans.append(np.shape(q.vec))
-        return real_f32(q, data, fn)
+        return real_f32(q, data, *args)
 
     def batch(self, q, rows, *args, **kwargs):
         shape = np.shape(self.query(q).vec)

@@ -15,8 +15,8 @@ from hypothesis import given, strategies as st
 
 from divknn import core, data as data_io, oracle
 from divknn.core import AttributeTable, SimilarityFn, VectorSet, WelfareParams
-from divknn.oracle import (_filtered_pool, _max_survivors, block_pools,
-                           exact_topk, full_scan_pool)
+from divknn.oracle import (_max_survivors, block_pools, exact_topk,
+                           full_scan_pool)
 from divknn.solvers import nash_ann, p_mean_ann
 from divknn.suites import float64_topk
 
@@ -150,7 +150,7 @@ def test_margin_covers_the_query_rounding(defeats, kind, q, x):
     fn = KINDS[kind]
     sims = fn.batch(q, x.astype(np.float64))
     assert sims[1] > sims[0] > sims[2]          # row 1 is the best
-    g = oracle._f32_scores(fn.query(q), VectorSet(x), fn)
+    g = oracle._f32_scores(fn.query(q), VectorSet(x))
     norms = np.linalg.norm(x.astype(np.float64), axis=1)
     key = g if kind == "dot-product" else g / norms
     rounding = q - q.astype(np.float32)
@@ -236,8 +236,8 @@ def test_block_pools_score_a_block_in_float32_and_match_single_queries(
     scored = []
     real = oracle._f32_scores
 
-    def f32_scores(q, data, fn):
-        g = real(q, data, fn)
+    def f32_scores(q, data, *args):
+        g = real(q, data, *args)
         scored.append((g.dtype, g.shape))
         return g
 
@@ -284,6 +284,31 @@ def test_block_pools_equal_single_query_pools(n, d, b, kind, which, float32,
         assert got.ids.tolist() == want.ids.tolist()
         np.testing.assert_allclose(got.sims, want.sims, rtol=1e-12,
                                    atol=1e-12 * np.abs(want.sims).max())
+
+
+@given(n=st.sampled_from([2, 40, 4100, 9000]), d=st.integers(1, 8),
+       b=st.integers(1, 3), kind=st.sampled_from(sorted(KINDS)),
+       which=st.integers(0, 4), float32=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_pools_of_listed_rows_rank_them_as_base_ids(n, d, b, kind,
+                                                          which, float32,
+                                                          seed):
+    # a random half of the rows, ranked through the filter or in float64:
+    # each query's pool is the float64 rank of those rows, in base ids
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2 * n, d))
+    vs = VectorSet(x.astype(np.float32) if float32 else x)
+    ids = np.sort(rng.choice(2 * n, size=n, replace=False))
+    qs = rng.normal(size=(b, d))
+    limit = (1, 10, _max_survivors(n) + 1, n - 1, None)[which]
+    fn = KINDS[kind]
+    pools = block_pools(qs, vs, fn, limit, ids)
+    assert len(pools) == b
+    for q, got in zip(qs, pools):
+        want, sims = float64_topk(q, vs.data[ids], fn, limit or n)
+        assert got.ids.tolist() == ids[want].tolist()
+        np.testing.assert_allclose(got.sims, sims, rtol=1e-12,
+                                   atol=1e-12 * np.abs(sims).max())
 
 
 def test_zero_query_in_a_block_is_rejected_as_one_query():
@@ -345,7 +370,7 @@ def test_filter_ranks_its_own_rows_in_float64_when_it_cannot_certify(
         sub = np.setdiff1d(np.arange(len(x)), top)
         for rows in (None, sub):
             ranked.clear()
-            pool = _filtered_pool(fn.query(q), vs, fn, limit, ids=rows)
+            pool = block_pools(q[None], vs, fn, limit, ids=rows)[0]
             ids, sims = float64_topk(q, x if rows is None else x[rows], fn,
                                      limit)
             assert pool.ids.tolist() == (ids if rows is None
@@ -364,10 +389,13 @@ def test_filter_ranks_its_own_rows_in_float64_when_it_cannot_certify(
 BLOCK = 4096   # _STREAM_ROWS in these tests, so small bases span blocks
 
 
-def pools_both_ways(monkeypatch, qs, vs, fn, limit):
+def pools_both_ways(monkeypatch, qs, vs, fn, limit, attrs=None):
     """(one-block, streamed): the block's pools and the first query's
     ``full_scan_pool``, each with the ids of every float64 re-score, from
-    one sgemm of the whole base and from blocks of BLOCK rows."""
+    one sgemm of the whole base and from blocks of BLOCK rows. With
+    ``attrs``, the pools of attribute 0's list and the first query's
+    ``exact_topk`` of it instead."""
+    ids = None if attrs is None else attrs.inverted[0]
     rescored = []
     real = SimilarityFn.batch_ids
 
@@ -380,17 +408,18 @@ def pools_both_ways(monkeypatch, qs, vs, fn, limit):
     for rows in (vs.n, BLOCK):
         monkeypatch.setattr(oracle, "_STREAM_ROWS", rows)
         rescored.clear()
-        pools = block_pools(qs, vs, fn, limit)
-        pools.append(full_scan_pool(qs[0], vs, fn, limit))
+        pools = block_pools(qs, vs, fn, limit, ids)
+        pools.append(full_scan_pool(qs[0], vs, fn, limit) if attrs is None
+                     else exact_topk(qs[0], 0, limit, vs, attrs, fn))
         out.append((pools, list(rescored)))
     return out
 
 
-def assert_same_pools(monkeypatch, qs, vs, fn, limit):
+def assert_same_pools(monkeypatch, qs, vs, fn, limit, attrs=None):
     """The streamed scan re-scores the rows the one-block scan does and
     returns its pools to the byte."""
     (whole, whole_rescored), (streamed, streamed_rescored) = \
-        pools_both_ways(monkeypatch, qs, vs, fn, limit)
+        pools_both_ways(monkeypatch, qs, vs, fn, limit, attrs)
     assert streamed_rescored == whole_rescored
     for a, b in zip(whole, streamed):
         assert a.ids.tobytes() == b.ids.tobytes()
@@ -493,7 +522,7 @@ def test_streamed_scan_near_float32_max_keeps_non_finite_scores(
     big = rng.choice(n, size=40, replace=False)
     x[big] = np.sign(q) * np.where(np.arange(40) % 2, 8.0, -8.0)[:, None]
     vs, fn = VectorSet(x), KINDS[kind]
-    g = oracle._f32_scores(fn.query(q[None]), vs, fn)[0]
+    g = oracle._f32_scores(fn.query(q[None]), vs)[0]
     assert np.isinf(g[big]).all() and np.isfinite(np.delete(g, big)).all()
     for limit in (1, 10, n // 8):
         pools = assert_same_pools(monkeypatch, np.stack([q, -q]), vs, fn,
@@ -612,12 +641,58 @@ def test_large_list_filter_reads_its_own_norms(monkeypatch):
     monkeypatch.setattr(SimilarityFn, "batch_ids", batch_ids)
     rng = np.random.default_rng(48)
     vs, attrs = large_list_with_extreme_rows_elsewhere(rng)
+    # in one block, and streamed in blocks of BLOCK rows
+    for rows in (oracle._STREAM_ROWS, BLOCK):
+        monkeypatch.setattr(oracle, "_STREAM_ROWS", rows)
+        for fn in KINDS.values():
+            for k in (1, 10):
+                for _ in range(3):
+                    rescored.clear()
+                    assert_list_is_exact(rng.normal(size=16), vs, attrs, fn,
+                                         k)
+                    assert len(rescored) == 1 and k <= rescored[0] <= k + 8
+
+
+# list lengths as in test_streamed_pools_equal_one_block_pools, where a
+# single query's sgemv rounds the rows as the same rows in blocks
+@pytest.mark.parametrize("n", [2 * BLOCK + 1, 3 * BLOCK + 1, 4 * BLOCK,
+                               3 * BLOCK + 777])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_streamed_lists_equal_one_block_lists(monkeypatch, kind, n):
+    # an inverted list of n rows interleaved with another attribute's 500:
+    # ranked by blocks of BLOCK gathered rows, it re-scores the rows that
+    # one sgemm of the whole list does and gives its pools to the byte
+    rng = np.random.default_rng([n, sorted(KINDS).index(kind), 1])
+    x = rng.standard_normal((n, 8), dtype=np.float32)
+    vs, attrs = with_other_list(
+        x, rng.standard_normal((500, 8), dtype=np.float32), rng)
+    fn = KINDS[kind]
+    qs = rng.normal(size=(3, 8))
+    for limit in (1, 10, n // 8):
+        pools = assert_same_pools(monkeypatch, qs, vs, fn, limit, attrs)
+        ids, _ = float64_topk(qs[0], x, fn, limit)
+        assert pools[0].ids.tolist() == attrs.inverted[0][ids].tolist()
+        assert pools[-1].ids.tolist() == pools[0].ids.tolist()
+
+
+def test_streamed_list_holds_none_of_its_gathered_rows_whole(monkeypatch):
+    # a four-block list peaks below its own gathered float32 rows: it
+    # holds one block of them at a time
+    monkeypatch.setattr(oracle, "_STREAM_ROWS", BLOCK)
+    rng = np.random.default_rng(64)
+    x = rng.standard_normal((4 * BLOCK, 16), dtype=np.float32)
+    vs, attrs = with_other_list(
+        x, rng.standard_normal((300, 16), dtype=np.float32), rng)
     for fn in KINDS.values():
-        for k in (1, 10):
-            for _ in range(3):
-                rescored.clear()
-                assert_list_is_exact(rng.normal(size=16), vs, attrs, fn, k)
-                assert len(rescored) == 1 and k <= rescored[0] <= k + 8
+        q = fn.query(rng.normal(size=16))
+        exact_topk(q, 0, 10, vs, attrs, fn)
+        tracemalloc.start()
+        try:
+            exact_topk(q, 0, 10, vs, attrs, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes, fn.kind
 
 
 def test_zero_row_in_a_large_list_is_rejected_under_cosine():
@@ -634,6 +709,26 @@ def test_zero_row_in_a_large_list_is_rejected_under_cosine():
                    KINDS["one-plus-cosine"])
     for kind in ("dot-product", "reciprocal-euclidean"):
         assert_list_is_exact(rng.normal(size=16), vs, attrs, KINDS[kind], 10)
+
+
+@pytest.mark.parametrize("float32", [True, False])
+def test_query_of_the_wrong_length_is_rejected(float32):
+    # the float64 path's message, also where float32 scores are made: a
+    # pool with and without the filter, a large list and a small one
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((LIST_ROWS, 8))
+    vs, attrs = with_other_list(x, rng.standard_normal((300, 8)), rng)
+    if not float32:
+        vs = VectorSet(vs.data.astype(np.float64))
+    message = "^dimension mismatch between query and vectors$"
+    for fn in KINDS.values():
+        for q in (rng.normal(size=7), rng.normal(size=9)):
+            for limit in (10, None):
+                with pytest.raises(ValueError, match=message):
+                    full_scan_pool(q, vs, fn, limit)
+            for attribute in (0, 1):
+                with pytest.raises(ValueError, match=message):
+                    exact_topk(q, attribute, 10, vs, attrs, fn)
 
 
 def test_query_beyond_float32_range_ranks_a_large_list_exactly():

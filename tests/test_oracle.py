@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from divknn.core import AttributeTable, SimilarityFn, VectorSet
-from divknn.oracle import AlphaOracleConfig, alpha_topk, exact_topk, rank
+from divknn.baselines import div_ann, fetch_union, top_k
+from divknn.core import AttributeTable, SimilarityFn, VectorSet, WelfareParams
+from divknn.multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
+from divknn.oracle import (AlphaOracleConfig, alpha_topk, exact_topk,
+                           full_scan_pool, rank)
+from divknn.solvers import nash_ann, p_mean_ann
 
 
 @st.composite
@@ -203,3 +207,39 @@ def test_exact_oracle_callable_wrapper():
     got = oracle(q, 1, 3)
     assert np.array_equal(got.ids, direct.ids)
     assert np.array_equal(got.sims, direct.sims)
+
+
+# every public entry point that takes a single query, called with a
+# (2, d) block of two: (name, call(q, data, attrs, fn))
+SINGLE_QUERY_CALLS = {
+    "exact_topk": lambda q, v, a, fn: exact_topk(q, 0, 3, v, a, fn),
+    "alpha_topk": lambda q, v, a, fn: alpha_topk(
+        q, 0, 3, v, a, fn, AlphaOracleConfig(alpha=0.5)),
+    "full_scan_pool": lambda q, v, a, fn: full_scan_pool(q, v, fn, 5),
+    "top_k": lambda q, v, a, fn: top_k(q, 3, v, fn),
+    "div_ann": lambda q, v, a, fn: div_ann(q, 3, 2, v, a, fn),
+    "fetch_union": lambda q, v, a, fn: fetch_union(
+        q, 3, 10, WelfareParams(), v, a, fn),
+    "nash_ann": lambda q, v, a, fn: nash_ann(q, 3, WelfareParams(), v, a,
+                                             fn),
+    "p_mean_ann": lambda q, v, a, fn: p_mean_ann(
+        q, 3, WelfareParams(p=-1.0), v, a, fn),
+    "multi_nash_ann": lambda q, v, a, fn: multi_nash_ann(q, 3, 1.0, v, a,
+                                                         fn),
+    "multi_p_mean_ann": lambda q, v, a, fn: multi_p_mean_ann(
+        q, 3, WelfareParams(p=0.5), v, a, fn),
+    "multi_div_ann": lambda q, v, a, fn: multi_div_ann(q, 3, 2, v, a, fn),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(SINGLE_QUERY_CALLS))
+def test_a_block_to_a_single_query_entry_point_is_rejected(name, dtype):
+    rng = np.random.default_rng(16)
+    data = VectorSet(rng.normal(size=(60, 4)).astype(dtype))
+    attrs = AttributeTable.from_labels(rng.integers(0, 3, 60), c=3)
+    for kind in ("one-plus-cosine", "dot-product"):
+        with pytest.raises(ValueError,
+                           match="^a single query must be one vector$"):
+            SINGLE_QUERY_CALLS[name](rng.normal(size=(2, 4)), data, attrs,
+                                     SimilarityFn(kind))
