@@ -128,8 +128,12 @@ class AttributeTable:
 
     The constructor takes CSR entries as :meth:`gather` returns them: each
     vector's attribute count, and the ids concatenated in vector order.
-    ``width`` is the common attribute count when every vector has the same
-    one (single-attribute and one-per-class tables), else None.
+    A common count may come as ``np.broadcast_to(count, n)``, which holds
+    no n-length array. The table never keeps an array its caller holds:
+    intp ids are copied, ids of another dtype are converted, and the
+    conversion is the only copy. ``width`` is the common attribute count
+    when every vector has the same one (single-attribute and one-per-class
+    tables), else None.
     """
 
     def __init__(self, lengths, indices, c: int,
@@ -145,13 +149,25 @@ class AttributeTable:
                         else (1, 1))
         if fewest < 1:
             raise ValueError(f"vector {np.argmin(lengths)} has no attributes")
-        self.indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=self.indptr[1:])
         if flat.size and (flat.min() < 0 or flat.max() >= self.c):
             entry = np.argmax((flat < 0) | (flat >= self.c))
-            vector = np.searchsorted(self.indptr, entry, side="right") - 1
+            vector = np.searchsorted(np.cumsum(lengths), entry, side="right")
             raise ValueError(f"vector {vector} has attribute id outside "
                              f"[0, {self.c})")
+        # a stable sort by attribute lists each attribute's vectors in
+        # ascending order, however each vector orders its own ids; keys of
+        # the narrowest unsigned type let numpy use radix sort. It runs
+        # before indptr exists, so the sort's n-length scratch buffer is
+        # freed before the table's last array is made
+        members = np.argsort(flat.astype(np.min_scalar_type(self.c)),
+                             kind="stable")
+        self.width: Optional[int] = int(most) if fewest == most else None
+        if self.width:   # m ids per vector: entry e is vector e // m
+            np.floor_divide(members, most, out=members)
+        else:
+            members = np.repeat(np.arange(len(lengths)), lengths)[members]
+        self.indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=self.indptr[1:])
         if most > 1:
             # rows whose ids strictly ascend are sorted and hold no
             # duplicates; only other input pays for the sort and the check
@@ -167,19 +183,12 @@ class AttributeTable:
         if flat is indices or flat.base is not None:
             flat = flat.copy()   # never keep an array the caller can write
         self.indices = flat
-        # a stable sort by attribute keeps each list's ids ascending; keys of
-        # the narrowest unsigned type let numpy use radix sort
-        members = np.argsort(flat.astype(np.min_scalar_type(self.c)),
-                             kind="stable")
-        self.width: Optional[int] = int(most) if fewest == most else None
-        if self.width:   # m ids per vector: entry e is vector e // m
-            np.floor_divide(members, most, out=members)
-        else:
-            members = np.repeat(np.arange(len(lengths)), lengths)[members]
+        # counted while still writable: bincount copies a read-only array
+        counts = np.bincount(flat, minlength=self.c)
         for arr in (self.indptr, self.indices, members):
             arr.setflags(write=False)
         self.inverted: tuple[np.ndarray, ...] = tuple(np.split(
-            members, np.cumsum(np.bincount(flat, minlength=self.c))[:-1]))
+            members, np.cumsum(counts)[:-1]))
         self.classes: Optional[tuple[np.ndarray, ...]] = None
         if classes is not None:
             cls = tuple(np.asarray(sorted(int(a) for a in grp), dtype=np.intp)
@@ -196,7 +205,7 @@ class AttributeTable:
     def from_labels(cls, labels, c: int,
                     classes: Optional[Sequence[Sequence[int]]] = None) -> "AttributeTable":
         """Build a single-attribute table from one label per vector."""
-        return cls(np.ones(np.size(labels), dtype=np.intp), labels, c,
+        return cls(np.broadcast_to(np.intp(1), np.size(labels)), labels, c,
                    classes=classes)
 
     @classmethod

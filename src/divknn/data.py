@@ -20,8 +20,10 @@ Attribute files are line-oriented text:
 Lines starting with ``#`` are comments (the first must be the header above).
 Vector ids must cover 0..N-1 exactly once, in any order. A file whose first
 line is the header and whose rows hold only digits and commas, all with one
-field count, is parsed in one vectorised pass; every other file is read line
-by line, with the same table or the same error as a result.
+field count and no value beyond int32, is parsed in one vectorised pass;
+every other file is read line by line, with the same table or the same error
+as a result. The vectorised pass peaks at about the finished table plus one
+int32 column of attribute ids.
 
 Synthetic attributes come in two flavors: ``cluster_attrs`` labels vectors by
 k-means cluster (optionally per dimension slice, producing a one-per-class
@@ -191,13 +193,13 @@ def cluster_attrs(data: VectorSet, c: int, seed: int,
     if m < 1 or data.d % m != 0:
         raise ValueError("d must be divisible by chunks")
     width = data.d // m
-    columns = []
+    # entry v * m + i is vector v's cluster in slice i
+    flat = np.empty(data.n * m, dtype=np.intp)
     for i in range(m):
         sl = np.ascontiguousarray(data.data[:, i * width:(i + 1) * width],
                                   dtype=np.float64)
-        columns.append(i * c + _lloyd(sl, c, np.random.default_rng([seed, i])))
-    return AttributeTable(np.full(data.n, m),
-                          np.column_stack(columns).ravel(), c=c * m,
+        flat[i::m] = i * c + _lloyd(sl, c, np.random.default_rng([seed, i]))
+    return AttributeTable(np.broadcast_to(np.intp(m), data.n), flat, c=c * m,
                           classes=[range(i * c, (i + 1) * c) for i in range(m)])
 
 
@@ -257,8 +259,10 @@ def _parse_header(line: str):
 
 def _parse_attrs_fast(path: str):
     """Vectorised parse of the common file shape: the header on the first
-    line, then rows of digits and commas with one field count. Returns
-    None for any other file, which the per-line parser then reads."""
+    line, then rows of digits and commas with one field count and no
+    value beyond int32. Returns what :func:`_parse_attrs_lines` returns,
+    with the ids as one int32 column and the row matrix freed, or None
+    for any other file, which the per-line parser then reads."""
     with open(path, "rb") as f:
         first = f.readline()
         body = np.fromfile(f, dtype=np.uint8)
@@ -270,16 +274,19 @@ def _parse_attrs_fast(path: str):
         return None
     try:
         # one C parse of the admitted rows; a changed field count, an empty
-        # field or a value beyond int64 raises ValueError. loadtxt reads the
-        # file again: given a path it runs about twice as fast as on bytes.
-        rows = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
+        # field or a value beyond int32 raises ValueError (OverflowError on
+        # some numpy versions). loadtxt reads the file again: given a path
+        # it runs about twice as fast as on bytes.
+        rows = np.loadtxt(path, dtype=np.int32, delimiter=",", skiprows=1,
                           comments=None, ndmin=2)
-    except ValueError:
+    except (OverflowError, ValueError):
         return None
-    if rows.shape[1] < 2:
+    n, width = rows.shape[0], rows.shape[1] - 1
+    if width < 1:
         return None
-    return (rows[:, 0], np.full(len(rows), rows.shape[1] - 1, dtype=np.intp),
-            rows[:, 1:].ravel(), *header)
+    # one width for every row: a broadcast, not an n-length array
+    return (*_in_id_order(path, rows[:, 0], np.broadcast_to(np.intp(width), n),
+                          rows[:, 1:].ravel()), *header)
 
 
 def _holds_rows(body: np.ndarray) -> bool:
@@ -296,7 +303,8 @@ def _holds_rows(body: np.ndarray) -> bool:
 
 
 def _parse_attrs_lines(path: str):
-    """Per-line parse of any attribute file; syntax errors name the line."""
+    """Per-line parse of any attribute file: ``(lengths, ids, c, classes)``
+    with the rows in vector-id order. Syntax errors name the line."""
     vids: list[int] = []
     lengths: list[int] = []
     ids: list[int] = []
@@ -327,35 +335,45 @@ def _parse_attrs_lines(path: str):
             lengths.append(len(parts) - 1)
     if header is None:
         raise ValueError(f"{path}: missing #c=<int> header")
-    return vids, lengths, ids, *header
-
-
-def _build_table(path: str, vids, lengths, ids, c: int,
-                 classes) -> AttributeTable:
-    """Check that the vector ids cover 0..N-1 once each and build the
-    table in vector-id order; errors name ``path``."""
-    if not len(vids):
-        raise ValueError(f"{path}: no attribute rows")
     try:  # an id beyond 64 bits raises OverflowError here
-        vid_arr = np.asarray(vids, dtype=np.intp)
-        id_arr = np.asarray(ids, dtype=np.intp)
-        len_arr = np.asarray(lengths, dtype=np.intp)
-        # N strictly ascending integers from 0 to N - 1 are 0..N-1
-        if not (vid_arr[0] == 0 and vid_arr[-1] == len(vid_arr) - 1
-                and (vid_arr[1:] > vid_arr[:-1]).all()):
-            order = np.argsort(vid_arr, kind="stable")
-            # sorted ids must read 0..N-1; a mismatch is a repeat or a gap
-            gap = vid_arr[order] != np.arange(len(order))
-            if gap.any():
-                i = int(np.argmax(gap))
-                if vid_arr[order[i]] < i:
-                    raise ValueError(f"duplicate vector id {i - 1}")
-                raise ValueError(f"missing attribute row for vector id {i}")
-            # out of id order: a stable sort by vector id keeps rows whole
-            id_arr = id_arr[np.argsort(np.repeat(vid_arr, len_arr),
-                                       kind="stable")]
-            len_arr = len_arr[order]
-        return AttributeTable(len_arr, id_arr, c, classes=classes)
+        vids, lengths, ids = (np.asarray(a, dtype=np.intp)
+                              for a in (vids, lengths, ids))
+    except OverflowError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return (*_in_id_order(path, vids, lengths, ids), *header)
+
+
+def _in_id_order(path: str, vids: np.ndarray, lengths: np.ndarray,
+                 ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, ids)`` of the parsed rows in vector-id order, given the
+    vector id of each row; unless the vector ids cover 0..N-1 once each,
+    an error that names ``path``."""
+    n = len(vids)
+    if not n:
+        raise ValueError(f"{path}: no attribute rows")
+    # N strictly ascending integers from 0 to N - 1 are 0..N-1
+    if vids[0] == 0 and vids[-1] == n - 1 and (vids[1:] > vids[:-1]).all():
+        return lengths, ids
+    order = np.argsort(vids, kind="stable")
+    # sorted ids must read 0..N-1; a mismatch is a repeat or a gap
+    gap = vids[order] != np.arange(n)
+    if gap.any():
+        i = int(np.argmax(gap))
+        if vids[order[i]] < i:
+            raise ValueError(f"{path}: duplicate vector id {i - 1}")
+        raise ValueError(f"{path}: missing attribute row for vector id {i}")
+    # out of id order: a stable sort by vector id keeps rows whole
+    return lengths[order], ids[np.argsort(np.repeat(vids, lengths),
+                                          kind="stable")]
+
+
+def _build_table(path: str, lengths, ids, c: int,
+                 classes) -> AttributeTable:
+    """The table of parsed rows in vector-id order; errors name ``path``.
+    The fast parse's ids are int32: the table's intp conversion is their
+    only copy."""
+    try:
+        return AttributeTable(lengths, ids, c, classes=classes)
     except (OverflowError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None
 

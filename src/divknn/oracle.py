@@ -29,7 +29,6 @@ not depend on thread count or call order.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,10 +271,13 @@ def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
     of the base: one similarity per id, distinct ids in [0, n), and
     similarities best first. One that :func:`rank` made has distinct ids
     and its similarities best first already, so only its id range is
-    checked: it may rank another base. When the caller handed in none,
-    the ``limit``-row pool of :func:`full_scan_pool`."""
+    checked: it may rank another base. The query is checked as the scan
+    would check it, though only the pool is read. When the caller handed
+    in none, the ``limit``-row pool of :func:`full_scan_pool`."""
     if pool is None:
         return full_scan_pool(q, data, fn, limit)
+    if _one_query(q, fn).vec.shape[0] != data.d:
+        raise ValueError("dimension mismatch between query and vectors")
     if len(pool.ids) != len(pool.sims):
         raise ValueError("pool ids and sims must have the same length")
     ordered = pool.ids if pool._ranked else np.sort(pool.ids)
@@ -545,6 +547,7 @@ def alpha_topk(q, attribute: int, k: int, data: VectorSet,
     if kk == 0:
         return full
     sims = full.sims
+    import hashlib   # here, not at module load: only this test oracle uses it
     qbytes = np.ascontiguousarray(np.asarray(q, dtype=np.float64)).tobytes()
     qhash = int.from_bytes(hashlib.blake2b(qbytes, digest_size=8).digest(), "little")
     rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, attribute, qhash, kk])

@@ -487,6 +487,17 @@ def test_run_zero_query_in_a_block_is_invalid_data(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_percentile_is_numpys_linear_percentile():
+    # the p99.9 summary row: numpy's default interpolation, bit for bit,
+    # on sizes where the virtual index falls between, at and past ranks
+    rng = np.random.default_rng(95)
+    for n in [1, 2, 3, 999, 1000, 1001, 1999, *rng.integers(4, 5000, 40)]:
+        for x in (rng.exponential(800.0, n), rng.integers(0, 9, n) * 1.5,
+                  rng.lognormal(6.0, 2.0, n)):
+            for q in (99.9, 50.0, 0.0, 100.0):
+                assert cli._percentile(x, q) == float(np.percentile(x, q))
+
+
 def test_run_all_algorithms_produce_csv(dataset, tmp_path):
     base, queries, attrs = dataset
     cases = [

@@ -546,6 +546,80 @@ def test_attrs_file_with_any_byte_in_a_row(tmp_path, monkeypatch, at):
         assert table_or_error(read_attrs, path) == lines, b
 
 
+@pytest.mark.parametrize("text, fast", [
+    ("#c=3\n0,2\n2147483647,1\n", True),            # int32 max: parsed
+    ("#c=3\n0,2\n2147483648,1\n", False),           # beyond int32
+    ("#c=3\n0,4294967298\n", False),                # 2 modulo 2**32
+])
+def test_attrs_beyond_int32_take_the_line_parser(tmp_path, text, fast):
+    path = tmp_path / "a.txt"
+    path.write_text(text)
+    lines = table_or_error(via(data_io._parse_attrs_lines), path)
+    assert isinstance(lines, str)   # a gap or an attribute beyond c
+    parsed = table_or_error(via(data_io._parse_attrs_fast), path)
+    assert parsed == (lines if fast else None)
+    assert table_or_error(read_attrs, path) == lines
+
+
+def test_attrs_loadtxt_overflow_error_takes_the_line_parser(tmp_path,
+                                                            monkeypatch):
+    # some numpy versions raise OverflowError, not ValueError, for a
+    # value beyond the parse's dtype
+    path = tmp_path / "a.txt"
+    path.write_text("#c=3\n1,2\n0,1\n")
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("Python int too large to convert to C int")
+
+    monkeypatch.setattr(np, "loadtxt", overflow)
+    assert data_io._parse_attrs_fast(str(path)) is None
+    assert read_attrs(str(path)).labels.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_attrs_fast_path_matches_line_parser_at_width_four(tmp_path,
+                                                           shuffled):
+    # one-per-class rows of four ids with a classes clause, in vector-id
+    # order and shuffled: the int32 parse and the line parser agree
+    rng = np.random.default_rng(96)
+    data = VectorSet(rng.normal(size=(300, 8)))
+    t = cluster_attrs(data, c=5, seed=4, chunks=4)
+    path = tmp_path / "w4.txt"
+    write_attrs(str(path), t)
+    if shuffled:
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], *rng.permuted(lines[1:])])
+                        + "\n")
+    fast = data_io._parse_attrs_fast(str(path))
+    assert fast is not None and fast[1].dtype == np.int32
+    lines = table_or_error(via(data_io._parse_attrs_lines), path)
+    assert table_or_error(via(data_io._parse_attrs_fast), path) == lines
+    back = read_attrs(str(path))
+    assert table_or_error(read_attrs, path) == lines
+    assert back.width == 4 and back.indices.tolist() == t.indices.tolist()
+    assert [g.tolist() for g in back.classes] == [g.tolist()
+                                                  for g in t.classes]
+
+
+def test_attrs_read_peak_memory_is_about_the_table(tmp_path):
+    path = tmp_path / "big.txt"
+    write_attrs(str(path), prob_attrs(200_000, seed=97))
+    tracemalloc.start()
+    try:
+        t = read_attrs(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = t.indptr.nbytes + t.indices.nbytes + sum(
+        g.nbytes for g in t.inverted)
+    assert table == 3 * 8 * 200_000 + 8
+    # the table plus one int32 column of parsed ids (a sixth of it) and
+    # the sort keys; parsing as int64 and holding the row matrix, a
+    # length array and a copy of the ids while the table is built took
+    # 2.7 times the table
+    assert peak < 1.4 * table
+
+
 # ---------------------------------------------------------------------------
 # presets and bundles
 # ---------------------------------------------------------------------------

@@ -64,6 +64,31 @@ def test_every_pool_entry_point_rejects_a_bad_pool(ids, sims, match):
             call()
 
 
+@pytest.mark.parametrize("q, match", [
+    pytest.param(np.ones((2, 4)), "one vector", id="two-queries"),
+    pytest.param(np.array([1.0, np.nan, 0.0, 0.0]), "NaN or Inf", id="nan"),
+    pytest.param(np.ones(5), "dimension mismatch", id="wrong-d"),
+])
+def test_every_pool_entry_point_checks_the_query(q, match):
+    # a caller's pool is read instead of the base, but the query is still
+    # checked as the scan would check it
+    data = VectorSet(np.eye(4))
+    attrs = AttributeTable.from_labels([0, 1, 0, 1], c=2)
+    fn = SimilarityFn("one-plus-cosine")
+    pool = full_scan_pool(np.ones(4), data, fn)
+    params = WelfareParams(p=-1.0, eta=1.0)
+    calls = [
+        lambda: top_k(q, 1, data, fn, attrs=attrs, pool=pool),
+        lambda: fetch_union(q, 1, 2, params, data, attrs, fn, pool=pool),
+        lambda: multi_nash_ann(q, 1, 1.0, data, attrs, fn, pool=pool),
+        lambda: multi_p_mean_ann(q, 1, params, data, attrs, fn, pool=pool),
+        lambda: multi_div_ann(q, 1, 1, data, attrs, fn, pool=pool),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_a_pool_that_rank_made_is_not_sorted_again(monkeypatch):
     # a pool from full_scan_pool has distinct ids and its sims best first
     # by construction: only its id range is checked, for it may rank
