@@ -11,14 +11,12 @@ for one scan instead of one per attribute.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                    WelfareParams, utilities, welfare)
-from .oracle import RankedList, _caller_pool, exact_topk, rank
-from .solvers import GreedyStats, greedy_select, prefetch_streams
+from .oracle import RankedList, _caller_pool, rank
+from .solvers import GreedyStats, _prefetch, _selection
 
 
 def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
@@ -37,13 +35,20 @@ def top_k(q, k: int, data: VectorSet, fn: SimilarityFn,
     q = fn.query(q)
     pool = _caller_pool(q, data, fn, k, pool)
     ids = pool.ids[:k].tolist()
-    truncated = len(ids) < k
     if attrs is None:
-        return Selection(ids=tuple(ids), truncated=truncated)
-    params = params or WelfareParams()
+        return Selection(ids=tuple(ids), truncated=len(ids) < k)
+    return _scored(q, ids, k, data, attrs, fn, params)
+
+
+def _scored(q, ids: list[int], k: int, data: VectorSet,
+            attrs: AttributeTable, fn: SimilarityFn,
+            params: WelfareParams | None) -> Selection:
+    """The picks ``ids`` of a size-k request with their utilities and
+    welfare (Nash, eta = 1, unless ``params`` says otherwise)."""
     u = utilities(q, ids, data, attrs, fn)
     return Selection(ids=tuple(ids), utilities=u,
-                     objective=welfare(u, params), truncated=truncated)
+                     objective=welfare(u, params or WelfareParams()),
+                     truncated=len(ids) < k)
 
 
 def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
@@ -54,16 +59,9 @@ def div_ann(q, k: int, kprime: int, data: VectorSet, attrs: AttributeTable,
     attrs.require_single()
     if k < 1 or kprime < 1:
         raise ValueError("k and kprime must be >= 1")
-    if oracle is None:
-        oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
-        q = fn.query(q)   # checked and normed once for the c scans
-    capped = prefetch_streams(q, kprime, attrs, oracle)
-    chosen = rank(np.concatenate([r.sims for r in capped]),
-                  np.concatenate([r.ids for r in capped]), k).ids
-    params = params or WelfareParams()
-    u = utilities(q, chosen, data, attrs, fn)
-    return Selection(ids=tuple(chosen.tolist()), utilities=u,
-                     objective=welfare(u, params), truncated=len(chosen) < k)
+    q, ids, sims, _ = _prefetch(q, kprime, data, attrs, fn, oracle)
+    return _scored(q, rank(sims, ids, k).ids.tolist(), k, data, attrs, fn,
+                   params)
 
 
 def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
@@ -95,7 +93,4 @@ def fetch_union(q, k: int, L: int, params: WelfareParams, data: VectorSet,
     bounds = np.searchsorted(labels[order], np.arange(attrs.c + 1))
     if stats is not None:
         stats.pool_attributes = int(np.count_nonzero(np.diff(bounds)))
-    chosen, u, truncated = greedy_select(ids[order], sims[order], bounds, k,
-                                         params, stats)
-    return Selection(ids=tuple(chosen), utilities=u,
-                     objective=welfare(u, params), truncated=truncated)
+    return _selection(ids[order], sims[order], bounds, k, params, stats)

@@ -61,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import div_ann, fetch_union, top_k
-from .core import SimilarityFn, WelfareParams
+from .core import SIMILARITY_KINDS, SimilarityFn, WelfareParams
 from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
@@ -431,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--pool-L", dest="pool_l", type=int, default=None)
     r.add_argument("--threads", type=int, default=None)
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--similarity", choices=("one-plus-cosine",
-                                            "reciprocal-euclidean",
-                                            "dot-product"), default=None)
+    r.add_argument("--similarity", choices=SIMILARITY_KINDS, default=None)
     r.add_argument("--delta", type=float, default=None)
     r.add_argument("--num-queries", type=int, default=None)
     r.add_argument("--entropy-base", choices=("e", "2"), default="e")

@@ -400,12 +400,6 @@ class SimilarityFn:
             return self.batch(q, rows, row_sqnorms=data.sqnorms[ids])
         return self.batch(q, rows)
 
-    def check_rows(self, data: "VectorSet") -> None:
-        """Reject a base this kind cannot score: one with a zero row under
-        one-plus-cosine. The set-up pass found any, so this reads no row."""
-        if self.kind == "one-plus-cosine":
-            _reject_zero_norms(data.min_norm)
-
     def scan(self, q, data: "VectorSet") -> np.ndarray:
         """Similarity of q (one query or a (b, d) block) against every row
         of ``data``, in float64.
@@ -416,7 +410,9 @@ class SimilarityFn:
         for bit that of one call on a float64 copy of the base.
         """
         q = self.query(q)
-        self.check_rows(data)
+        if self.kind == "one-plus-cosine":
+            # a zero row has no cosine; the set-up pass found any
+            _reject_zero_norms(data.min_norm)
         n = data.n
         step = _NORM_BLOCK if data.data.dtype == np.float32 else max(n, 1)
         parts = [self.batch(q, data.data[lo:hi], row_norms=data.norms[lo:hi],

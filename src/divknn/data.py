@@ -144,16 +144,15 @@ def _kmeans_pp_init(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(x: np.ndarray, c: int, rng: np.random.Generator,
-           max_iter: int = 50, tol: float = 1e-4) -> np.ndarray:
-    """Lloyd iterations with k-means++ seeding; stops after ``max_iter``
-    rounds or when the relative inertia improvement drops below ``tol``.
+def _lloyd(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+    """Lloyd iterations with k-means++ seeding; stops after 50 rounds or
+    when the relative inertia improvement drops below 1e-4.
     Deterministic given the generator state; ties go to the lowest center."""
     centers = _kmeans_pp_init(x, c, rng)
     sq = np.einsum("ij,ij->i", x, x)
     prev_inertia = math.inf
     labels = np.zeros(len(x), dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(50):
         d2 = sq[:, None] - 2.0 * (x @ centers.T) + np.einsum("ij,ij->i", centers, centers)[None, :]
         np.maximum(d2, 0.0, out=d2)
         labels = np.argmin(d2, axis=1)
@@ -167,7 +166,7 @@ def _lloyd(x: np.ndarray, c: int, rng: np.random.Generator,
                 far = int(np.argmax(d2[np.arange(len(x)), labels]))
                 centers[j] = x[far]
         if prev_inertia < math.inf and prev_inertia > 0:
-            if (prev_inertia - inertia) < tol * prev_inertia:
+            if (prev_inertia - inertia) < 1e-4 * prev_inertia:
                 break
         prev_inertia = inertia
     return labels

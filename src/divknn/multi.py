@@ -41,16 +41,24 @@ from .core import (AttributeTable, Selection, SimilarityFn, VectorSet,
 from .oracle import RankedList, _caller_pool, full_scan_pool  # noqa: F401
 
 
+def _pool(q, data: VectorSet, fn: SimilarityFn, pool: RankedList | None,
+          **sizes: int) -> RankedList:
+    """The checked candidate pool (all of P by default), once every size
+    (k, and k' where capped) is checked to be >= 1."""
+    if min(sizes.values()) < 1:
+        raise ValueError(f"{' and '.join(sizes)} must be >= 1")
+    pool = _caller_pool(q, data, fn, None, pool)
+    if len(pool) == 0:
+        raise ValueError("empty candidate pool")
+    return pool
+
+
 def _greedy_pool(q, k: int, params: WelfareParams, data: VectorSet,
                  attrs: AttributeTable, fn: SimilarityFn,
                  pool: RankedList | None) -> Selection:
     """Shared greedy engine behind :func:`multi_nash_ann` and
     :func:`multi_p_mean_ann`; the pool defaults to all of P."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pool = _caller_pool(q, data, fn, None, pool)
-    if len(pool) == 0:
-        raise ValueError("empty candidate pool")
+    pool = _pool(q, data, fn, pool, k=k)
     nash, p, eta = params.is_nash, params.p, params.eta
     sign = 1.0 if (nash or p > 0) else -1.0  # maximize sign * marginal
 
@@ -149,11 +157,7 @@ def multi_div_ann(q, k: int, kprime: int, data: VectorSet,
     k' picks. When every remaining candidate touches a saturated attribute,
     the selection stalls and returns truncated.
     """
-    if k < 1 or kprime < 1:
-        raise ValueError("k and kprime must be >= 1")
-    pool = _caller_pool(q, data, fn, None, pool)
-    if len(pool) == 0:
-        raise ValueError("empty candidate pool")
+    pool = _pool(q, data, fn, pool, k=k, kprime=kprime)
     counts = np.zeros(attrs.c, dtype=np.intp)
     chosen: list[int] = []
     u = np.zeros(attrs.c, dtype=np.float64)

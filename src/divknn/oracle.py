@@ -185,8 +185,6 @@ def _f32_scores(qs: Query, data: VectorSet, ids: np.ndarray | None = None,
     query-major product, transposed so each query's row is contiguous. A
     query beyond float32's range or an overflow gives inf or NaN scores,
     which :class:`_Filter` handles."""
-    if qs.vec.shape[-1] != data.d:
-        raise ValueError("dimension mismatch between query and vectors")
     with np.errstate(over="ignore", invalid="ignore"):
         q32 = qs.vec.astype(np.float32).T
         if ids is None:
@@ -219,7 +217,9 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     """For each query of a (b, d) block, the :class:`RankedList` of the
     ``limit`` rows most similar to it (all by default; a limit is >= 1),
     as base ids with float64 similarities, reading the rows once for the
-    block: every row of the base, or the rows ``ids`` (an inverted list).
+    block: every row of the base, or the rows ``ids``, a 1-D integer array
+    strictly ascending in [0, n) (an inverted list). Any other query shape
+    or ``ids`` raises ValueError.
 
     Over a float64 base, for ``limit=None``, a limit at or above the row
     count, or one above :func:`_max_survivors` of it, the block is scored
@@ -243,6 +243,17 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     qs = fn.query(qs)
+    if qs.vec.ndim != 2:
+        raise ValueError("a block of queries must be a (b, d) array")
+    if qs.vec.shape[1] != data.d:
+        raise ValueError("dimension mismatch between query and vectors")
+    if ids is not None:
+        ids = np.asarray(ids)
+        # strict ascent from ids[0] >= 0 to ids[-1] < n: distinct, in range
+        if ids.ndim != 1 or ids.dtype.kind not in "iu" or len(ids) and (
+                ids[0] < 0 or ids[-1] >= data.n
+                or (ids[1:] <= ids[:-1]).any()):
+            raise ValueError(f"ids must ascend strictly in [0, {data.n})")
     n = data.n if ids is None else len(ids)
     if not _filters(data, limit, n):
         return [rank(row, ids, limit) for row in (

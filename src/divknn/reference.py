@@ -28,6 +28,7 @@ from .core import (AttributeTable, SimilarityFn, VectorSet, WelfareParams,
                    log_nsw, welfare)
 
 ENUMERATION_GUARD = 10_000_000
+_CHUNK = 65536   # subsets whose welfare is evaluated at once
 
 
 def _weight_matrix(q, data: VectorSet, attrs: AttributeTable,
@@ -50,8 +51,8 @@ def _chunk_values(util: np.ndarray, params: WelfareParams) -> np.ndarray:
 
 
 def brute_force_opt(q, k: int, params: WelfareParams, data: VectorSet,
-                    attrs: AttributeTable, fn: SimilarityFn,
-                    chunk: int = 65536) -> tuple[tuple[int, ...], float]:
+                    attrs: AttributeTable,
+                    fn: SimilarityFn) -> tuple[tuple[int, ...], float]:
     """Exhaustive optimum over all size-k subsets.
 
     Returns (ids, value) where value is the log Nash welfare when p = 0 and
@@ -69,7 +70,7 @@ def brute_force_opt(q, k: int, params: WelfareParams, data: VectorSet,
     combos = itertools.combinations(range(n), k)
     while True:
         block = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(combos, chunk)), dtype=np.intp)
+            itertools.islice(combos, _CHUNK)), dtype=np.intp)
         if block.size == 0:
             break
         block = block.reshape(-1, k)

@@ -95,31 +95,30 @@ def greedy_select(ids: np.ndarray, sims: np.ndarray, bounds: np.ndarray,
     return chosen, np.array(w), len(chosen) < k
 
 
-def _exact_greedy(q, k: int, params: WelfareParams, data: VectorSet,
-                  attrs: AttributeTable, fn: SimilarityFn, oracle,
-                  stats: GreedyStats | None) -> Selection:
-    """Prefetch every attribute's top-k through the oracle, then run the
-    greedy over the concatenated lists: the body of :func:`nash_ann` and
-    :func:`p_mean_ann`."""
-    attrs.require_single()
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _prefetch(q, k: int, data: VectorSet, attrs: AttributeTable,
+              fn: SimilarityFn, oracle):
+    """(q, ids, sims, bounds): every attribute's top-k through the oracle
+    (the exact one by default, q checked once for its c scans), grouped."""
     if oracle is None:
         oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
-        q = fn.query(q)   # checked and normed once for the c scans
+        q = fn.query(q)
     ranked = prefetch_streams(q, k, attrs, oracle)
-    bounds = np.zeros(len(ranked) + 1, dtype=np.intp)
-    np.cumsum([len(r) for r in ranked], out=bounds[1:])
-    chosen, u, truncated = greedy_select(
-        np.concatenate([r.ids for r in ranked]),
-        np.concatenate([r.sims for r in ranked]), bounds, k, params, stats)
+    bounds = np.cumsum([0] + [len(r) for r in ranked])
+    return (q, np.concatenate([r.ids for r in ranked]),
+            np.concatenate([r.sims for r in ranked]), bounds)
+
+
+def _selection(ids, sims, bounds, k: int, params: WelfareParams,
+               stats: GreedyStats | None = None) -> Selection:
+    """The :func:`greedy_select` picks over grouped lists as a Selection."""
+    chosen, u, truncated = greedy_select(ids, sims, bounds, k, params, stats)
     return Selection(ids=tuple(chosen), utilities=u,
                      objective=welfare(u, params), truncated=truncated)
 
 
 def nash_ann(q, k: int, params: WelfareParams, data: VectorSet,
-             attrs: AttributeTable, fn: SimilarityFn, oracle=None,
-             stats: GreedyStats | None = None) -> Selection:
+             attrs: AttributeTable, fn: SimilarityFn,
+             oracle=None) -> Selection:
     """Greedy Nash-welfare selection of k vectors (single-attribute setting).
 
     With an exact oracle the result maximizes the Nash welfare over all
@@ -128,15 +127,19 @@ def nash_ann(q, k: int, params: WelfareParams, data: VectorSet,
     """
     if not params.is_nash:
         raise ValueError("nash_ann requires p = 0; use p_mean_ann for p != 0")
-    return _exact_greedy(q, k, params, data, attrs, fn, oracle, stats)
+    return p_mean_ann(q, k, params, data, attrs, fn, oracle)
 
 
 def p_mean_ann(q, k: int, params: WelfareParams, data: VectorSet,
-               attrs: AttributeTable, fn: SimilarityFn, oracle=None,
-               stats: GreedyStats | None = None) -> Selection:
+               attrs: AttributeTable, fn: SimilarityFn,
+               oracle=None) -> Selection:
     """Greedy p-mean selection of k vectors (single-attribute setting).
 
     p = 0 runs the Nash greedy of :func:`nash_ann`. With an exact oracle the
     result maximizes M_p over all size-k subsets, for every p in (-inf, 1].
     """
-    return _exact_greedy(q, k, params, data, attrs, fn, oracle, stats)
+    attrs.require_single()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _, ids, sims, bounds = _prefetch(q, k, data, attrs, fn, oracle)
+    return _selection(ids, sims, bounds, k, params)

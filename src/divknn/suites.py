@@ -88,8 +88,8 @@ def random_single_instance(rng: np.random.Generator, n_max: int = 20,
 
 
 def random_multi_instance(rng: np.random.Generator, n_max: int = 16,
-                          c_max: int = 6, atb_max: int = 3, k_max: int = 4):
-    """(q, data, attrs, fn, k) with 1..atb_max attributes per vector."""
+                          c_max: int = 6, k_max: int = 4):
+    """(q, data, attrs, fn, k) with 1..3 attributes per vector."""
     n = int(rng.integers(2, n_max + 1))
     c = int(rng.integers(2, c_max + 1))
     k = int(rng.integers(1, min(k_max, n) + 1))
@@ -98,16 +98,16 @@ def random_multi_instance(rng: np.random.Generator, n_max: int = 16,
     q = rng.normal(size=d)
     atb = []
     for _ in range(n):
-        sz = int(rng.integers(1, min(atb_max, c) + 1))
+        sz = int(rng.integers(1, min(3, c) + 1))
         atb.append(sorted(int(a) for a in rng.choice(c, size=sz, replace=False)))
     attrs = AttributeTable.from_rows(atb, c=c)
     return q, data, attrs, _random_fn(rng), k
 
 
-def complete_diversity_instance(c: int, k: int, copies: int = 2):
+def complete_diversity_instance(c: int, k: int):
     """Every vector has similarity exactly 1 (dot product with the query);
-    c attributes with ``copies`` vectors each."""
-    n = c * copies
+    c attributes with two vectors each."""
+    n = c * 2
     vecs = np.zeros((n, 2))
     vecs[:, 0] = 1.0
     labels = np.arange(n) % c
@@ -137,8 +137,8 @@ def complete_relevance_instance(c: int, k: int, star: int, star_size: int):
 # optimality suites
 # ---------------------------------------------------------------------------
 
-def _rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
-    return abs(a - b) <= tol * max(abs(a), abs(b), 1e-300)
+def _rel_close(a: float, b: float) -> bool:
+    return abs(a - b) <= REL_TOL * max(abs(a), abs(b), 1e-300)
 
 
 def suite_single_optimality(trials: int = 500, seed: int = 0,
@@ -225,29 +225,17 @@ def suite_marginals(checks: int = 10_000, seed: int = 4) -> SuiteResult:
     log and p in (0, 1] paths and non-decreasing marginals for p < 0."""
     rng = np.random.default_rng(seed)
     rows = checks // 3 + 1
-    length = 12
     bad = 0
-
-    sims, etas = _marginal_rows(rng, rows, length)
-    cum = np.cumsum(sims, axis=1) + etas
-    f = np.log(np.concatenate([etas, cum], axis=1))
-    diffs = np.diff(f, axis=1)
-    bad += int(np.count_nonzero(np.diff(diffs, axis=1) > 1e-12))
-
-    sims, etas = _marginal_rows(rng, rows, length)
-    p = rng.uniform(0.01, 1.0, size=(rows, 1))
-    cum = np.cumsum(sims, axis=1) + etas
-    f = np.power(np.concatenate([etas, cum], axis=1), p)
-    diffs = np.diff(f, axis=1)
-    bad += int(np.count_nonzero(np.diff(diffs, axis=1) > 1e-12))
-
-    sims, etas = _marginal_rows(rng, rows, length)
-    p = rng.uniform(-10.0, -0.01, size=(rows, 1))
-    cum = np.cumsum(sims, axis=1) + etas
-    f = np.power(np.concatenate([etas, cum], axis=1), p)
-    diffs = np.diff(f, axis=1)
-    bad += int(np.count_nonzero(np.diff(diffs, axis=1) < -1e-12))
-
+    # the log path, then p drawn from (0.01, 1) and from (-10, -0.01)
+    for p_range in (None, (0.01, 1.0), (-10.0, -0.01)):
+        sims, etas = _marginal_rows(rng, rows, 12)
+        w = np.concatenate([etas, np.cumsum(sims, axis=1) + etas], axis=1)
+        f = (np.log(w) if p_range is None
+             else np.power(w, rng.uniform(*p_range, size=(rows, 1))))
+        second = np.diff(f, n=2, axis=1)
+        if p_range is None or p_range[0] > 0:
+            second = -second   # marginals must not increase
+        bad += int(np.count_nonzero(second < -1e-12))
     return SuiteResult("marginal monotonicity lemmas", 3 * rows, bad)
 
 
@@ -356,16 +344,15 @@ def suite_ersp(trials: int = 100, seed: int = 8) -> SuiteResult:
 # float32 scan suite
 # ---------------------------------------------------------------------------
 
-def random_float32_instance(rng: np.random.Generator, n_max: int = 300,
-                            d_max: int = 24):
-    """(q, x, fn, limit) with x a float32 base of one of four flavors:
-    Gaussian rows at a random scale; small integers under dot-product, so
-    dot products tie; copies of one row a few ulps apart in a component the
-    query barely weighs, so similarities differ by about 1e-9 relative,
-    below what float32 resolves; Gaussian rows plus a few whose float32 dot
-    product overflows. ``limit`` is 1, about k or n - 1."""
-    n = int(rng.integers(2, n_max + 1))
-    d = int(rng.integers(1, d_max + 1))
+def random_float32_instance(rng: np.random.Generator):
+    """(q, x, fn, limit): x a float32 base of 2-300 rows and 1-24 columns,
+    of four flavors: Gaussian rows at a random scale; small integers under
+    dot-product, so dot products tie; copies of one row a few ulps apart in
+    a component the query barely weighs, so similarities differ by about
+    1e-9 relative, below what float32 resolves; Gaussian rows plus a few
+    whose float32 dot product overflows. ``limit`` is 1, about k or n - 1."""
+    n = int(rng.integers(2, 301))
+    d = int(rng.integers(1, 25))
     flavor = int(rng.integers(0, 4))
     fn = _random_fn(rng)
     q = rng.normal(size=d)

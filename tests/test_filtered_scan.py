@@ -325,6 +325,31 @@ def test_zero_query_in_a_block_is_rejected_as_one_query():
             block_pools(qs, vs, fn, limit=limit)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_pools_rejects_a_bad_block_or_bad_ids(dtype):
+    # a block is (b, d) and ids strictly ascend within [0, n); anything else
+    # is a ValueError on either base dtype, through the filter (limit 2 of
+    # 3 rows over float32) and the float64 rank
+    rng = np.random.default_rng(54)
+    vs = VectorSet(rng.standard_normal((100, 4)).astype(dtype))
+    qs = rng.normal(size=(2, 4))
+    block = r"^a block of queries must be a \(b, d\) array$"
+    bad_ids = r"^ids must ascend strictly in \[0, 100\)$"
+    for fn in KINDS.values():
+        for limit in (2, None):
+            for ids in (None, np.arange(0, 100, 7)):
+                with pytest.raises(ValueError, match=block):
+                    block_pools(qs[0], vs, fn, limit, ids)
+            for ids in ([-1, 3, 5], [3, 3, 5], [3, 5, 100], [5, 3, 1]):
+                with pytest.raises(ValueError, match=bad_ids):
+                    block_pools(qs, vs, fn, limit, np.array(ids))
+            # the end rows themselves are valid ids
+            for q, pool in zip(qs, block_pools(qs, vs, fn, limit,
+                                               [0, 3, 99])):
+                ids, _ = float64_topk(q, vs.data[[0, 3, 99]], fn, limit or 3)
+                assert pool.ids.tolist() == np.array([0, 3, 99])[ids].tolist()
+
+
 def test_query_beyond_float32_range_is_ranked_in_float64():
     rng = np.random.default_rng(42)
     x = rng.standard_normal((500, 4), dtype=np.float32)

@@ -8,7 +8,8 @@ from divknn.core import (AttributeTable, SimilarityFn, VectorSet,
                          WelfareParams, utilities, welfare)
 from divknn.oracle import AlphaOracleConfig, alpha_topk, exact_topk
 from divknn.reference import brute_force_opt
-from divknn.solvers import GreedyStats, nash_ann, p_mean_ann, prefetch_streams
+from divknn.solvers import (GreedyStats, greedy_select, nash_ann, p_mean_ann,
+                            prefetch_streams)
 from divknn.suites import (complete_diversity_instance,
                            complete_relevance_instance,
                            random_single_instance)
@@ -129,10 +130,18 @@ def test_greedy_counters_bound():
     rng = np.random.default_rng(25)
     q, data, attrs, fn, _ = random_single_instance(rng, n_max=20, c_max=6)
     k = 4
+    oracle = partial(exact_topk, data=data, attrs=attrs, fn=fn)
+    streams = prefetch_streams(q, k, attrs, oracle)
+    bounds = np.cumsum([0] + [len(st) for st in streams])
     stats = GreedyStats()
-    sel = nash_ann(q, k, WelfareParams(), data, attrs, fn, stats=stats)
-    assert stats.rounds == len(sel.ids) <= k
+    chosen, _, _ = greedy_select(np.concatenate([st.ids for st in streams]),
+                                 np.concatenate([st.sims for st in streams]),
+                                 bounds, k, WelfareParams(), stats)
+    assert stats.rounds == len(chosen) <= k
     assert stats.comparisons <= stats.rounds * attrs.c
+    # the lists and picks of the solver itself
+    assert tuple(chosen) == nash_ann(q, k, WelfareParams(), data, attrs,
+                                     fn).ids
 
 
 def test_tie_breaks_to_lowest_attribute_id():
