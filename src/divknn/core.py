@@ -41,17 +41,28 @@ class VectorSet:
 
     The matrix is stored in float32 when the input's dtype converts to
     float32 without loss (float32 or uint8, as fvecs and bvecs files give),
-    and in float64 otherwise. The per-row squared norms are float64, taken
+    and in float64 otherwise, as a contiguous copy of the input. The
+    exception is ``records=True``: ``data`` is then a float32 (n, d + 1)
+    record matrix whose column 0 holds each record's header, such as a
+    mapped fvecs file (``data.read_fvecs``), and the matrix is its columns
+    1:, kept where they are, so rows are d + 1 floats apart; a mapped file
+    must not change while the set is in use. :meth:`take` gathers rows
+    either way. The per-row squared norms are float64, taken
     at construction from float64 upcasts of blocks of rows in the same pass
     that rejects NaN and Inf entries, and equal ``np.einsum("ij,ij->i")``
     on a float64 copy of the matrix. The norms are their square roots,
     ``np.sqrt(sqnorms)``.
     """
 
-    def __init__(self, data) -> None:
-        arr = np.asarray(data)
-        arr = np.ascontiguousarray(arr, dtype=np.float32 if arr.dtype in (
-            np.float32, np.uint8) else np.float64)
+    def __init__(self, data, records: bool = False) -> None:
+        if records:
+            self._records = data
+            arr = data[:, 1:]
+        else:
+            self._records = None
+            arr = np.asarray(data)
+            arr = np.ascontiguousarray(arr, dtype=np.float32 if arr.dtype in (
+                np.float32, np.uint8) else np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
         # an empty set (e.g. from an empty file) may be constructed; any
@@ -90,6 +101,14 @@ class VectorSet:
     @property
     def data(self) -> np.ndarray:
         return self._data
+
+    def take(self, ids) -> np.ndarray:
+        """Rows ``ids`` of the matrix, as one ``np.take``. Over a record
+        matrix it takes whole records and drops the header column: numpy
+        would copy a row-strided matrix whole before taking from it."""
+        if self._records is None:
+            return np.take(self._data, ids, axis=0)
+        return np.take(self._records, ids, axis=0)[:, 1:]
 
     @property
     def n(self) -> int:
@@ -391,7 +410,7 @@ class SimilarityFn:
         upcasting) only those rows and the cached auxiliary the kind
         actually needs."""
         q = self.query(q)
-        rows = np.take(data.data, ids, axis=0)   # 2x faster than data[ids]
+        rows = data.take(ids)   # 2x faster than data.data[ids]
         if self.kind == "one-plus-cosine":
             norms = data.norms[ids]
             _reject_zero_norms(norms.min(initial=np.inf))

@@ -6,11 +6,18 @@ Binary vector containers (bit-exact):
   bvecs  per record: little-endian int32 d, then d unsigned bytes
 
 Every record in a file must share the same d; the record count is inferred
-from the file size, and truncated files are rejected. Files are read in
-blocks of records straight into the output matrix, so peak memory is about
-that matrix. fvecs and bvecs payloads are kept in float32, which holds
-their values exactly (see ``core.VectorSet``); fvecs payloads holding NaN
-or Inf are refused.
+from the file size, and truncated files are rejected. fvecs and bvecs
+payloads are kept in float32, which holds their values exactly (see
+``core.VectorSet``); fvecs payloads holding NaN or Inf are refused. On a
+little-endian host an fvecs file above ``_MAP_BYTES`` (64 MiB) is mapped
+read-only, not copied: its vectors stay where they are in the file, rows
+d + 1 floats apart, and the mapped file, 4 header bytes per row included,
+counts in the resident memory of the process as it is read. Such a file
+must not change while a run reads it; one that shrinks kills the process
+with SIGBUS. Every other file (smaller fvecs files, where aligned rows scan
+faster in cache, and every bvecs file, whose bytes are converted) is read
+in blocks of records straight into the output matrix, so peak memory is
+about that matrix.
 
 Attribute files are line-oriented text:
 
@@ -36,6 +43,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,15 +59,22 @@ from .core import AttributeTable, VectorSet
 # Records read per block: the read buffer stays a few MB while the output
 # matrix is filled block by block, so peak memory is about that matrix.
 _BLOCK_RECORDS = 4096
+# fvecs files above this size are mapped in place. Such a base is past
+# any core's cache, so its scans are bound by memory traffic, not by its
+# rows' alignment; mapping the 6.6 MB 50k x 32 base cost 2-6% of its
+# query rate. Below it, a copy's aligned rows scan faster.
+_MAP_BYTES = 64 << 20
 
 
-def _read_records(path: str, payload_dtype) -> np.ndarray:
-    """Read every record's payload into an (n, d) float32 array."""
+def _read_records(path: str, payload_dtype) -> tuple[np.ndarray, bool]:
+    """Every record's payload as an (n, d) float32 array, and False; or,
+    for an fvecs file above ``_MAP_BYTES`` on a little-endian host, the
+    file's (n, d + 1) float32 record matrix, mapped read-only, and True."""
     payload_dtype = np.dtype(payload_dtype)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size == 0:
-            return np.empty((0, 0), dtype=np.float32)
+            return np.empty((0, 0), dtype=np.float32), False
         if size < 4:
             raise ValueError(f"{path}: truncated file (no dimension header)")
         d = int(np.frombuffer(f.read(4), dtype="<i4")[0])
@@ -70,6 +85,18 @@ def _read_records(path: str, payload_dtype) -> np.ndarray:
             raise ValueError(f"{path}: file size {size} is not a multiple of "
                              f"the record size {rec}")
         n = size // rec
+        if (payload_dtype.kind == "f" and size > _MAP_BYTES
+                and sys.byteorder == "little"):
+            try:
+                records = np.asarray(np.memmap(f, dtype=np.float32, mode="r",
+                                               shape=(n, d + 1)))
+            except ValueError:   # mmap: the file shrank since fstat
+                raise ValueError(f"{path}: file changed while being "
+                                 "read") from None
+            heads = records[:, 0].view("<i4")
+            for lo in range(0, n, _BLOCK_RECORDS):
+                _check_heads(path, heads[lo:lo + _BLOCK_RECORDS], d)
+            return records, True
         out = np.empty((n, d), dtype=np.float32)
         buf = np.empty((min(n, _BLOCK_RECORDS), rec), dtype=np.uint8)
         f.seek(0)
@@ -77,25 +104,32 @@ def _read_records(path: str, payload_dtype) -> np.ndarray:
             rows = buf[:min(_BLOCK_RECORDS, n - lo)]
             if f.readinto(rows) != rows.nbytes:
                 raise ValueError(f"{path}: file changed while being read")
-            if not (rows[:, :4].view("<i4") == d).all():
-                raise ValueError(f"{path}: inconsistent dimensions across "
-                                 "records")
+            _check_heads(path, rows[:, :4].view("<i4"), d)
             out[lo:lo + len(rows)] = rows[:, 4:].view(payload_dtype)
-    return out
+    return out, False
+
+
+def _check_heads(path: str, heads: np.ndarray, d: int) -> None:
+    """Every record's header must give the file's dimension d."""
+    if not (heads == d).all():
+        raise ValueError(f"{path}: inconsistent dimensions across records")
 
 
 def read_fvecs(path: str) -> VectorSet:
-    """Load an fvecs file (int32 dim + float32 payload per record)."""
-    out = _read_records(path, "<f4")
+    """Load an fvecs file (int32 dim + float32 payload per record). A file
+    above ``_MAP_BYTES`` on a little-endian host is mapped read-only and
+    its vectors kept in place, rows d + 1 floats apart (see the module
+    docstring): it must not change while the set is in use."""
+    out, records = _read_records(path, "<f4")
     try:
-        return VectorSet(out)
+        return VectorSet(out, records=records)
     except ValueError:  # the only check VectorSet can fail on this array
         raise ValueError(f"{path}: payload contains NaN or Inf") from None
 
 
 def read_bvecs(path: str) -> VectorSet:
     """Load a bvecs file (int32 dim + uint8 payload per record)."""
-    return VectorSet(_read_records(path, np.uint8))
+    return VectorSet(_read_records(path, np.uint8)[0])
 
 
 def _write_records(path: str, data: np.ndarray, payload_dtype) -> None:

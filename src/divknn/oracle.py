@@ -180,20 +180,22 @@ def _f32_scores(qs: Query, data: VectorSet, ids: np.ndarray | None = None,
     """float32 dot products of the float32-rounded (b, d) block of queries
     with the rows lo:hi of the base, or the rows ``ids[lo:hi]`` gathered
     ``_NORM_BLOCK`` at a time, each block still in cache for its sgemm
-    (15k x 32 rows, one BLAS thread: 330 against 440 us as one gather):
-    rows times queries (an sgemv for one query), 1.5x faster than the
-    query-major product, transposed so each query's row is contiguous. A
-    query beyond float32's range or an overflow gives inf or NaN scores,
-    which :class:`_Filter` handles."""
+    (15k x 32 rows, one BLAS thread: 330 against 440 us as one gather).
+    The product is rows times queries (an sgemv for one query), 1.5x
+    faster than the query-major one, and is returned as its (b, rows)
+    transposed view, not copied: a query's scores lie b floats apart
+    (contiguous in a block of one), and its float64 keys copy them once
+    anyway. A query beyond float32's range or an overflow gives inf or
+    NaN scores, which :class:`_Filter` handles."""
     with np.errstate(over="ignore", invalid="ignore"):
         q32 = qs.vec.astype(np.float32).T
         if ids is None:
-            return np.ascontiguousarray((data.data[lo:hi] @ q32).T)
+            return (data.data[lo:hi] @ q32).T
         ids = ids[lo:hi]
         g = np.empty((len(ids), len(qs.vec)), dtype=np.float32)
         for a, b in _row_blocks(len(ids), _NORM_BLOCK):
-            np.matmul(np.take(data.data, ids[a:b], axis=0), q32, out=g[a:b])
-        return np.ascontiguousarray(g.T)
+            np.matmul(data.take(ids[a:b]), q32, out=g[a:b])
+        return g.T
 
 
 def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
@@ -230,10 +232,11 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     (65536) are scored by one sgemm with the block. More are streamed: one
     sgemm per block of ``_STREAM_ROWS`` rows, after which each query keeps
     the block's rows at or above its running threshold. A block in flight
-    holds its scores twice (sgemm output and transpose, 2 x 256 KB per
-    query) plus one query's keys (256 KB float32 or 512 KB float64), about
-    4.5 MB for 8 queries at any row count; ``ids`` add 4096 gathered rows
-    (1.5 MB at d = 96) and, per filter, the float64 norms of the list.
+    holds its scores once (the sgemm output, 256 KB per query, read by
+    each query in place) plus one query's keys (256 KB float32 or 512 KB
+    float64), about 2.5 MB for 8 queries at any row count; ``ids`` add
+    4096 gathered rows (1.5 MB at d = 96) and, per filter, the float64
+    norms of the list.
     Both give the same ids and order, up to rows whose float64
     similarities differ only in the last place: the filter scores its
     survivors by a gather's GEMV, whose last bits may differ from those of

@@ -1,4 +1,7 @@
+import os
+import re
 import struct
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -7,10 +10,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from divknn import data as data_io
-from divknn.core import AttributeTable, SimilarityFn, VectorSet
+from divknn import oracle
+from divknn.baselines import fetch_union
+from divknn.cli import main
+from divknn.core import AttributeTable, SimilarityFn, VectorSet, WelfareParams
 from divknn.data import (PRESETS, cluster_attrs, prob_attrs, read_attrs,
                          read_bvecs, read_fvecs, write_attrs, write_bvecs,
                          write_fvecs)
+from divknn.solvers import nash_ann
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +151,17 @@ def tmp_files(tmp_path_factory):
 
 
 @example(kind="fvecs", n=BLOCK + 1, d=2, seed=0, bad_dim=(BLOCK, 1),
-         bad_value=(0, np.nan), cut=0)       # a later bad dimension wins
+         bad_value=(0, np.nan), cut=0, mapped=False)   # a later bad
+@example(kind="fvecs", n=BLOCK + 1, d=2, seed=0, bad_dim=(BLOCK, 1),
+         bad_value=(0, np.nan), cut=0, mapped=True)    # dimension wins
 @example(kind="fvecs", n=BLOCK, d=3, seed=0, bad_dim=None,
-         bad_value=(BLOCK - 1, np.inf), cut=0)
+         bad_value=(BLOCK - 1, np.inf), cut=0, mapped=True)
+@example(kind="fvecs", n=BLOCK, d=1, seed=0, bad_dim=(BLOCK, -1),
+         bad_value=None, cut=0, mapped=True)           # d = 0 in row 0
+@example(kind="fvecs", n=BLOCK, d=2, seed=0, bad_dim=None,
+         bad_value=None, cut=3, mapped=True)
 @example(kind="bvecs", n=2 * BLOCK + 1, d=1, seed=0, bad_dim=(2 * BLOCK, 7),
-         bad_value=None, cut=0)
+         bad_value=None, cut=0, mapped=False)
 @given(kind=st.sampled_from(sorted(CONTAINERS)),
        n=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
        d=st.integers(1, 4), seed=st.integers(0, 2**16),
@@ -157,13 +170,17 @@ def tmp_files(tmp_path_factory):
        bad_value=st.none() | st.tuples(st.integers(0, 2 * BLOCK),
                                        st.sampled_from([np.nan, np.inf,
                                                         -np.inf])),
-       cut=st.integers(0, 9))
+       cut=st.integers(0, 9), mapped=st.booleans())
 def test_block_reader_matches_whole_file_reader(tmp_files, kind, n, d,
                                                 seed, bad_dim, bad_value,
-                                                cut):
+                                                cut, mapped):
+    # ``mapped`` maps every fvecs file; bvecs files are always copied
     write, read, payload = CONTAINERS[kind]
     x = np.random.default_rng(seed).uniform(0, 255, size=(n, d))
-    path = tmp_files / f"v.{kind}"
+    # a new file each time: a mapped file is never rewritten
+    fd, name = tempfile.mkstemp(suffix=f".{kind}", dir=tmp_files)
+    os.close(fd)
+    path = tmp_files / os.path.basename(name)
     write(str(path), x.astype(payload))
     raw = bytearray(path.read_bytes())
     rec = len(raw) // n
@@ -177,7 +194,9 @@ def test_block_reader_matches_whole_file_reader(tmp_files, kind, n, d,
     if cut:                        # drop trailing bytes: truncated
         raw = raw[:-cut]
     path.write_bytes(bytes(raw))
-    with mock.patch.object(data_io, "_BLOCK_RECORDS", BLOCK):
+    with mock.patch.object(data_io, "_BLOCK_RECORDS", BLOCK), \
+            mock.patch.object(data_io, "_MAP_BYTES",
+                              0 if mapped else data_io._MAP_BYTES):
         got = outcome(read, str(path))
     want = outcome(reference_records, str(path), payload)
     if isinstance(want, str):
@@ -204,6 +223,177 @@ def test_fvecs_read_peak_memory_is_about_the_matrix(tmp_path):
     assert vs.data.dtype == np.float32
     assert vs.data.nbytes == 20_000 * 64 * 4
     assert peak < 2 * vs.data.nbytes
+
+
+# ---------------------------------------------------------------------------
+# mapped fvecs files
+# ---------------------------------------------------------------------------
+
+def read_mapped(path) -> VectorSet:
+    """``read_fvecs`` with every fvecs file above 0 bytes mapped."""
+    with mock.patch.object(data_io, "_MAP_BYTES", 0):
+        return read_fvecs(str(path))
+
+
+def assert_same_set(mapped: VectorSet, copied: VectorSet) -> None:
+    d = copied.d
+    # mapped rows stay in their records, d + 1 floats apart, read-only
+    assert mapped.data.strides == (4 * (d + 1), 4)
+    assert copied.data.strides == (4 * d, 4)
+    assert not mapped.data.flags.writeable
+    assert mapped.data.dtype == copied.data.dtype == np.float32
+    assert mapped.data.tobytes() == copied.data.tobytes()
+    assert mapped.norms.tobytes() == copied.norms.tobytes()
+    assert mapped.sqnorms.tobytes() == copied.sqnorms.tobytes()
+    assert mapped.min_norm == copied.min_norm
+    assert mapped.max_norm == copied.max_norm
+
+
+def test_mapped_read_equals_copied_read(tmp_path):
+    x = np.random.default_rng(84).standard_normal((3000, 7),
+                                                  dtype=np.float32)
+    path = tmp_path / "m.fvecs"
+    write_fvecs(str(path), x)
+    assert_same_set(read_mapped(path), read_fvecs(str(path)))
+
+
+def test_file_just_above_the_size_constant_is_mapped(tmp_path):
+    # one 4096-byte record more than the constant: the real constant maps
+    # the file, and a constant of the file's size copies it
+    d = 1023
+    n = data_io._MAP_BYTES // (4 * (d + 1)) + 1
+    rng = np.random.default_rng(85)
+    path = tmp_path / "big.fvecs"
+    with open(path, "wb") as f:
+        for lo in range(0, n, 2048):
+            rec = np.empty((min(2048, n - lo), d + 1), dtype=np.float32)
+            rec[:, 0].view(np.int32)[:] = d
+            rec[:, 1:] = rng.standard_normal((len(rec), d), dtype=np.float32)
+            f.write(rec.tobytes())
+    size = os.path.getsize(path)
+    assert size == data_io._MAP_BYTES + 4 * (d + 1)
+    mapped = read_fvecs(str(path))
+    with mock.patch.object(data_io, "_MAP_BYTES", size):
+        copied = read_fvecs(str(path))
+    assert_same_set(mapped, copied)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (struct.pack("<i2f", 2, 1.0, 2.0) + struct.pack("<i2f", 3, 1.0, 2.0),
+     "inconsistent dimensions across records"),
+    (struct.pack("<i2f", 2, 1.0, 2.0)[:-2],
+     "file size 10 is not a multiple of the record size 12"),
+    (struct.pack("<i2f", 2, float("nan"), 1.0), "payload contains NaN or Inf"),
+    (struct.pack("<i2f", 0, 1.0, 2.0), "nonpositive dimension 0"),
+    (struct.pack("<i2f", -3, 1.0, 2.0), "nonpositive dimension -3"),
+])
+def test_mapped_read_errors_are_the_copied_read_errors(tmp_path, raw,
+                                                       message):
+    path = tmp_path / "bad.fvecs"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as copied:
+        read_fvecs(str(path))
+    with pytest.raises(ValueError) as mapped:
+        read_mapped(path)
+    assert str(mapped.value) == str(copied.value) == f"{path}: {message}"
+
+
+def test_a_file_that_shrinks_before_it_is_mapped(tmp_path, capsys):
+    # the size check sees one record more than the file holds by the time
+    # it is mapped; mmap's own error becomes the reader's
+    rng = np.random.default_rng(86)
+    base, queries = tmp_path / "base.fvecs", tmp_path / "q.fvecs"
+    write_fvecs(str(base), rng.standard_normal((50, 4), dtype=np.float32))
+    write_fvecs(str(queries), rng.standard_normal((2, 4), dtype=np.float32))
+    write_attrs(str(tmp_path / "a.txt"), prob_attrs(50, seed=1))
+    fstat = os.fstat
+
+    def grown(fd):
+        st = fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 20, *st[7:]))
+
+    with mock.patch.object(data_io.os, "fstat", grown):
+        with pytest.raises(ValueError, match="^" + re.escape(str(base)) +
+                           ": file changed while being read$"):
+            read_mapped(base)
+        with mock.patch.object(data_io, "_MAP_BYTES", 0):
+            code = main(["run", "--base", str(base), "--queries",
+                         str(queries), "--attrs", str(tmp_path / "a.txt"),
+                         "--algo", "nash", "--k", "3",
+                         "--out", str(tmp_path / "o.csv")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {base}: file changed while being read")
+
+
+@pytest.fixture(scope="module")
+def mapped_and_copied(tmp_path_factory):
+    """A 70000 x 8 float32 base above one streamed block of 65536 rows,
+    read mapped and copied, with a skewed table whose head attribute
+    holds about 30% of the rows."""
+    rng = np.random.default_rng(87)
+    path = tmp_path_factory.mktemp("mapped") / "base.fvecs"
+    write_fvecs(str(path), rng.standard_normal((70_000, 8), dtype=np.float32))
+    return (read_mapped(path), read_fvecs(str(path)),
+            prob_attrs(70_000, seed=3),
+            rng.standard_normal((8, 8)).astype(np.float64))
+
+
+def same_list(a, b) -> bool:
+    return a.ids.tobytes() == b.ids.tobytes() and \
+        a.sims.tobytes() == b.sims.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["one-plus-cosine", "reciprocal-euclidean",
+                                  "dot-product"])
+def test_mapped_and_copied_bases_give_identical_outputs(mapped_and_copied,
+                                                        kind):
+    mapped, copied, attrs, qs = mapped_and_copied
+    fn = SimilarityFn(kind, delta=0.01 if kind == "reciprocal-euclidean"
+                      else 0.0)
+    ids = attrs.inverted[0]
+    assert len(ids) > 4096   # exact_topk ranks it through block_pools
+    sub = np.sort(np.random.default_rng(88).choice(70_000, size=500,
+                                                   replace=False))
+    assert fn.batch_ids(qs[0], mapped, sub).tobytes() == \
+        fn.batch_ids(qs[0], copied, sub).tobytes()
+    assert same_list(oracle.exact_topk(qs[1], 0, 10, mapped, attrs, fn),
+                     oracle.exact_topk(qs[1], 0, 10, copied, attrs, fn))
+    for limit, rows in [(100, None), (100, ids), (None, sub)]:
+        for a, b in zip(oracle.block_pools(qs, mapped, fn, limit, rows),
+                        oracle.block_pools(qs, copied, fn, limit, rows)):
+            assert same_list(a, b)
+    params = WelfareParams(p=0.0, eta=0.01)
+    for q in qs[:3]:
+        got = [(fetch_union(q, 10, 2000, params, base, attrs, fn),
+                nash_ann(q, 10, params, base, attrs, fn))
+               for base in (mapped, copied)]
+        for a, b in zip(*got):
+            assert a.ids == b.ids and a.objective == b.objective
+            assert a.utilities.tobytes() == b.utilities.tobytes()
+
+
+def test_a_gather_from_a_mapped_base_copies_only_its_rows(tmp_path):
+    # numpy's take over the row-strided matrix would first copy the whole
+    # 6.4 MB base; each gather must take the records alone
+    path = tmp_path / "m.fvecs"
+    write_fvecs(str(path), np.random.default_rng(89).standard_normal(
+        (100_000, 16), dtype=np.float32))
+    vs = read_mapped(path)
+    fn = SimilarityFn("one-plus-cosine")
+    q = fn.query(np.ones((1, 16)))
+    ids = np.arange(5, 100_000, 10_000)
+    assert len(ids) == 10
+    for gather in (lambda: vs.take(ids),
+                   lambda: fn.batch_ids(q, vs, ids),
+                   lambda: oracle._f32_scores(q, vs, ids)):
+        tracemalloc.start()
+        try:
+            gather()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
