@@ -42,12 +42,13 @@ class VectorSet:
     The matrix is stored in float32 when the input's dtype converts to
     float32 without loss (float32 or uint8, as fvecs and bvecs files give),
     and in float64 otherwise, as a contiguous copy of the input. The
-    exception is ``records=True``: ``data`` is then a float32 (n, d + 1)
-    record matrix whose column 0 holds each record's header, such as a
-    mapped fvecs file (``data.read_fvecs``), and the matrix is its columns
-    1:, kept where they are, so rows are d + 1 floats apart; a mapped file
-    must not change while the set is in use. :meth:`take` gathers rows
-    either way. The per-row squared norms are float64, taken
+    exception is ``records=True``: ``data`` is then a read-only float32
+    (n, d + 1) record matrix, d >= 1, whose column 0 holds each record's
+    header, such as a mapped fvecs file (``data.read_fvecs``); any other
+    ``data`` raises ValueError. The matrix is its columns 1:, kept where
+    they are, so rows are d + 1 floats apart, and the record matrix is not
+    copied: it must not change while the set is in use. :meth:`take`
+    gathers rows either way. The per-row squared norms are float64, taken
     at construction from float64 upcasts of blocks of rows in the same pass
     that rejects NaN and Inf entries, and equal ``np.einsum("ij,ij->i")``
     on a float64 copy of the matrix. The norms are their square roots,
@@ -56,6 +57,11 @@ class VectorSet:
 
     def __init__(self, data, records: bool = False) -> None:
         if records:
+            if not (isinstance(data, np.ndarray) and data.dtype == np.float32
+                    and data.ndim == 2 and data.shape[1] >= 2
+                    and not data.flags.writeable):
+                raise ValueError("a record matrix must be a read-only "
+                                 "float32 (n, d + 1) array with d >= 1")
             self._records = data
             arr = data[:, 1:]
         else:

@@ -14,8 +14,8 @@ read-only, not copied: its vectors stay where they are in the file, rows
 d + 1 floats apart, and the mapped file, 4 header bytes per row included,
 counts in the resident memory of the process as it is read. Such a file
 must not change while a run reads it; one that shrinks kills the process
-with SIGBUS. Every other file (smaller fvecs files, where aligned rows scan
-faster in cache, and every bvecs file, whose bytes are converted) is read
+with SIGBUS. Every other file (smaller fvecs files, whose copied rows stay
+aligned, and every bvecs file, whose bytes are converted) is read
 in blocks of records straight into the output matrix, so peak memory is
 about that matrix.
 
@@ -59,10 +59,14 @@ from .core import AttributeTable, VectorSet
 # Records read per block: the read buffer stays a few MB while the output
 # matrix is filled block by block, so peak memory is about that matrix.
 _BLOCK_RECORDS = 4096
-# fvecs files above this size are mapped in place. Such a base is past
-# any core's cache, so its scans are bound by memory traffic, not by its
-# rows' alignment; mapping the 6.6 MB 50k x 32 base cost 2-6% of its
-# query rate. Below it, a copy's aligned rows scan faster.
+# fvecs files above this size are mapped in place; smaller ones are
+# copied. Mapping saves the copy, about 0.5 ms per MB of set-up, but its
+# rows lose their alignment: on the 6.6 MB 50000 x 32 base, exact-oracle
+# queries ran 4-8% slower mapped (10 pairs on each of two seeds), while on
+# the 388 MB 1M x 96 base the query metrics held and set-up fell by 0.2 s.
+# The constant lies between those two measured sizes, not at a measured
+# crossover: the copy's cost at 64 MiB, about 35 ms, is the slowdown of
+# 150-300 such queries.
 _MAP_BYTES = 64 << 20
 
 

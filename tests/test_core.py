@@ -122,6 +122,34 @@ def test_vectorset_shape_checks():
     assert VectorSet(np.zeros((0, 0))).n == 0  # empty set allowed, unusable
 
 
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("records", [
+    np.zeros((4, 3), dtype=np.float32),                  # writable
+    read_only(np.zeros((4, 3))),                         # float64
+    read_only(np.zeros(12, dtype=np.float32)),           # 1-D
+    read_only(np.zeros((4, 1), dtype=np.float32)),       # d = 0
+    read_only(np.zeros((4, 3, 1), dtype=np.float32)),    # 3-D
+    [[3.0, 1.0, 2.0]],                                   # not an array
+], ids=["writable", "float64", "1-D", "no-payload", "3-D", "list"])
+def test_vectorset_rejects_a_bad_record_matrix(records):
+    with pytest.raises(ValueError, match="^a record matrix must be a "
+                       r"read-only float32 \(n, d \+ 1\) array with d >= 1$"):
+        VectorSet(records, records=True)
+
+
+def test_vectorset_keeps_a_record_matrix_in_place():
+    rec = np.arange(12, dtype=np.float32).reshape(4, 3)
+    rec.setflags(write=False)
+    vs = VectorSet(rec, records=True)
+    assert np.shares_memory(vs.data, rec)
+    assert vs.data.tobytes() == rec[:, 1:].tobytes()
+    assert vs.take([3, 0]).tobytes() == rec[[3, 0], 1:].tobytes()
+
+
 def test_attribute_table_inverted_is_transpose():
     rng = np.random.default_rng(0)
     atb = [sorted(rng.choice(5, size=rng.integers(1, 4), replace=False))

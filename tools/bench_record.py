@@ -1,8 +1,7 @@
 """Record the benchmark's results as a BENCH file, and compare two of them.
 
     python3 tools/bench_record.py record --tag NAME [--workloads W ...]
-        [--seeds 7 ...] [--seconds 3] [--runs 10] [--no-trace]
-        [--parent REV --parent-tag PNAME]
+        [--seeds 7 ...] [--seconds 3] [--runs 10] [--no-trace] [--parent REV]
     python3 tools/bench_record.py compare BENCH_OLD.json BENCH_NEW.json
 
 ``record`` runs ``python3 perfbench/run.py --workload W --seed S --seconds
@@ -16,9 +15,9 @@ With ``--parent REV`` the same runs are made, alternating pair by pair
 which side goes first, in a checkout of REV (``git archive REV | tar -x``
 into a temporary directory, whose ``perfbench/.cache`` links to this one's,
 so inputs are made once). Each side runs its own ``src/`` under its own
-harness. The parent's file is ``BENCH_<PNAME>.json``, and the printed pair
-tally says in how many pairs the change read better, ties counting for
-neither.
+harness. The parent's file is ``BENCH_<sha>.json``, named by REV's short
+commit id, and the printed pair tally says in how many pairs the change
+read better, ties counting for neither.
 
 A BENCH file holds the ``env`` line of the runs (nproc, BLAS and its thread
 count, numpy, ``git_commit``, ``source_sha``), the seeds, ``--seconds`` and
@@ -27,8 +26,13 @@ quartiles, interquartile range, min, max and every value, each run's
 ``info`` object and criterion-11 ratio line, and whether the workload is
 calibrated; and per workload, the traced run's per-layer metrics.
 
-``compare`` prints, per workload, seed and end-to-end metric, the new
-median over the old, and whether the new median lies outside the old
+Both ``rev`` and the env's ``git_commit`` name the source a file measured:
+the archived commit for the parent; for this checkout, its HEAD commit,
+suffixed ``-dirty`` when a tracked file differs from it (as ``git describe
+--dirty`` marks it).
+
+``compare`` prints each file's ``rev`` and ``source_sha``, then, per
+workload, seed and end-to-end metric, the new median over the old, and whether the new median lies outside the old
 interquartile range.
 """
 
@@ -108,6 +112,7 @@ class Side:
     def run(self, workload: str, seed: int, seconds: float) -> dict:
         out = run_once(self.tree, workload, seed, seconds, trace=False)
         env = {k: v for k, v in out["env"].items() if k not in RUN_FIELDS}
+        env["git_commit"] = self.rev
         if self.env is None:
             self.env = env
         elif env != self.env:
@@ -145,6 +150,15 @@ class Side:
         return path
 
 
+def git(*argv: str) -> str:
+    proc = subprocess.run(["git", *argv], cwd=ROOT, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: git {' '.join(argv)}: "
+                         f"{proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
 def checkout(rev: str) -> str:
     """A temporary checkout of ``rev`` sharing this checkout's inputs."""
     tree = tempfile.mkdtemp(prefix="bench-parent-")
@@ -171,15 +185,14 @@ def record(args) -> int:
     if unknown:
         raise SystemExit(f"error: unknown workload(s) {sorted(unknown)}")
     calibrated = {w: WORKLOADS[w].calibrated for w in names}
-    change = Side(args.tag, ROOT, "worktree")
+    head = git("rev-parse", "HEAD")
+    dirty = ("-dirty" if git("status", "--porcelain", "--untracked-files=no")
+             else "")
+    change = Side(args.tag, ROOT, head + dirty)
     parent = None
     if args.parent:
-        found = subprocess.run(["git", "rev-parse", "--verify", args.parent],
-                               cwd=ROOT, capture_output=True, text=True)
-        if found.returncode != 0:
-            raise SystemExit(f"error: unknown revision {args.parent!r}")
-        rev = found.stdout.strip()
-        parent = Side(args.parent_tag, checkout(rev), rev)
+        rev = git("rev-parse", "--verify", args.parent + "^{commit}")
+        parent = Side(git("rev-parse", "--short=7", rev), checkout(rev), rev)
     sides = [change] if parent is None else [parent, change]
     wins: dict = {}
     try:
@@ -221,6 +234,9 @@ def compare(args) -> int:
     for path in (args.old, args.new):
         with open(path, encoding="ascii") as f:
             docs.append(json.load(f))
+        env = docs[-1]["env"] or {}
+        print(f"{path}: rev {docs[-1]['rev']}, source_sha "
+              f"{env.get('source_sha')}")
     old = {(r["workload"], r["seed"]): r for r in docs[0]["results"]}
     for r in docs[1]["results"]:
         base = old.get((r["workload"], r["seed"]))
@@ -251,7 +267,6 @@ def main(argv=None) -> int:
     r.add_argument("--runs", type=int, default=10)
     r.add_argument("--no-trace", dest="trace", action="store_false")
     r.add_argument("--parent")
-    r.add_argument("--parent-tag")
     c = sub.add_parser("compare")
     c.add_argument("old")
     c.add_argument("new")
@@ -260,10 +275,6 @@ def main(argv=None) -> int:
         return compare(args)
     if args.runs < 1 or args.seconds <= 0:
         ap.error("--runs must be >= 1 and --seconds > 0")
-    if bool(args.parent) != bool(args.parent_tag):
-        ap.error("--parent and --parent-tag go together")
-    if args.parent_tag == args.tag:
-        ap.error("--parent-tag must differ from --tag")
     return record(args)
 
 
