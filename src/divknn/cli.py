@@ -19,10 +19,11 @@ disagree in shape, a zero base vector under one-plus-cosine, rejected at
 load, or a zero query under one-plus-cosine, which aborts the whole
 batch).
 
-``run`` resolves its settings with precedence flags > config file > preset
-defaults. Config files are ``key=value`` lines with ``#`` comments; a key
-is a long flag name of one of the settings in ``CONFIG_KEYS``, in any case,
-with dashes or underscores. Any other key is a usage error.
+``run`` takes each setting from the first layer that sets it: flags,
+config file, preset, built-in default; ``--delta`` falls back to eta last.
+Config files are ``key=value`` lines with ``#`` comments; a key is a long
+flag name of one of the settings in ``CONFIG_KEYS``, in any case, with
+dashes or underscores. Any other key is a usage error.
 
 ``run`` splits the selected queries, in order, into ceil(m / 8) near-equal
 consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
@@ -36,11 +37,8 @@ metrics. ``nash``, ``pmean`` and ``div`` never scan the base in their
 solve, so their report scans once per query for the reference; their
 oracle (``oracle.block_pools`` for a list above 4096 rows of a float32
 base) scores at most 65536 list rows at a time, gathered 4096 at a time.
-``--threads`` runs blocks concurrently. While in flight a block holds 8
-score rows of at most 65536 float32 and one query's keys, about 4.5 MB at
-any n, since a float32 base above 65536 rows is scored by row blocks
-(``oracle.block_pools``); a block scored in float64 holds 8 rows of n
-float64.
+``--threads`` runs blocks concurrently; a block in flight holds the score
+memory that ``oracle.block_pools`` states.
 Timing uses a monotonic clock; a query's latency is its share of its
 block's scan and ranking (their time over the block size) plus its own
 solve (not dataset load, not metric evaluation), and QPS is the query
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import time
 from typing import Optional
@@ -66,22 +63,30 @@ from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
 from .multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
-from .oracle import RankedList, block_pools
+from .oracle import AlphaOracleConfig, RankedList, block_pools
 from .solvers import nash_ann, p_mean_ann
 from . import suites
 
-ALGOS = ("ann", "div", "nash", "pmean", "multi-nash", "multi-pmean",
-         "multi-div", "fetch-union")
-WELFARE_P_ALGOS = ("pmean", "multi-pmean", "fetch-union")
-CAPPED_ALGOS = ("div", "multi-div")
-POOLED_ALGOS = ("multi-nash", "multi-pmean", "multi-div", "fetch-union")
+# each algorithm and what it takes beyond --k and --eta: the welfare
+# exponent --p, the cap --kprime (then required) and the pool size --pool-L
+ALGO_FLAGS = {
+    "ann": (), "div": ("--kprime",), "nash": (), "pmean": ("--p",),
+    "multi-nash": ("--pool-L",), "multi-pmean": ("--p", "--pool-L"),
+    "multi-div": ("--kprime", "--pool-L"), "fetch-union": ("--p", "--pool-L"),
+}
+ALGOS = tuple(ALGO_FLAGS)
 # algorithms whose solve ranks the whole base: ``run`` scores them by blocks
-SCAN_ALGOS = ("ann",) + POOLED_ALGOS
+SCAN_ALGOS = ("ann",) + tuple(a for a, flags in ALGO_FLAGS.items()
+                              if "--pool-L" in flags)
 # queries per similarity GEMM in ``run``
 _QUERY_BLOCK = 8
-# the settings a ``run`` config file may hold
-CONFIG_KEYS = ("algo", "k", "p", "eta", "kprime", "pool_l", "threads",
-               "seed", "similarity", "delta")
+# the settings a ``run`` config file may hold, with their types
+CONFIG_KEYS = {"algo": str, "k": int, "p": float, "eta": float,
+               "kprime": int, "pool_l": int, "threads": int, "seed": int,
+               "similarity": str, "delta": float}
+# the layer below flags, config file and preset
+_DEFAULTS = {"eta": 1.0, "threads": 1, "seed": 0,
+             "similarity": "one-plus-cosine"}
 
 
 class UsageError(Exception):
@@ -128,18 +133,6 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _resolve(flag, cfg: dict[str, str], key: str, cast, fallback):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError:
-            raise UsageError(f"config value {key}={cfg[key]!r} is not "
-                             f"a valid {cast.__name__}") from None
-    return fallback
-
-
 def _read_nonempty(path: str):
     vs = read_vectors(path)
     if vs.n == 0:
@@ -167,13 +160,13 @@ def cmd_gen_attrs(args) -> int:
     return 0
 
 
-def _make_runner(algo: str, k: int, p: float, eta: float,
+def _make_runner(algo: str, k: int, params: WelfareParams,
                  kprime: Optional[int], pool_l: Optional[int], data, attrs,
                  fn):
     """``solve(q, pool)`` for ``algo`` and the limit its pool is ranked to
     (None: every row). SCAN_ALGOS are handed q's pool; ``nash``, ``pmean``
     and ``div`` are handed None and never scan the base."""
-    params = WelfareParams(p=p if algo in WELFARE_P_ALGOS else 0.0, eta=eta)
+    eta = params.eta
     L = pool_l if pool_l is not None else 200 * k
     return {
         "ann": (lambda q, pool: top_k(q, k, data, fn, attrs=attrs,
@@ -195,7 +188,10 @@ def _make_runner(algo: str, k: int, p: float, eta: float,
     }[algo]
 
 
-def cmd_run(args) -> int:
+def _settings(args) -> tuple[dict, WelfareParams, SimilarityFn]:
+    """The ``run`` settings of ``CONFIG_KEYS`` (None where unset), their
+    welfare parameters and similarity, checked before any data file is
+    read."""
     cfg = load_config(args.config) if args.config else {}
     for key in cfg:
         if key not in CONFIG_KEYS:
@@ -206,56 +202,59 @@ def cmd_run(args) -> int:
         raise UsageError(f"unknown preset {args.preset!r}; "
                          f"choices: {', '.join(sorted(PRESETS))}")
 
-    algo = args.algo or cfg.get("algo")
+    layers = (vars(args), cfg, vars(preset) if preset else {}, _DEFAULTS)
+    s = {}
+    for key, cast in CONFIG_KEYS.items():
+        layer = next((lay for lay in layers if lay.get(key) is not None), {})
+        s[key] = layer.get(key)
+        if layer is cfg:
+            try:
+                s[key] = cast(cfg[key])
+            except ValueError:
+                raise UsageError(f"{args.config}: config value "
+                                 f"{key}={cfg[key]!r} is not a valid "
+                                 f"{cast.__name__}") from None
+    if s["delta"] is None:
+        s["delta"] = s["eta"]
+
+    algo, k = s["algo"], s["k"]
     if algo not in ALGOS:
         raise UsageError(f"--algo must be one of {', '.join(ALGOS)}")
-    k = _resolve(args.k, cfg, "k", int, None)
     if k is None or k < 1:
         raise UsageError("--k is required and must be >= 1")
-    p = _resolve(args.p, cfg, "p", float, None)
-    eta = _resolve(args.eta, cfg, "eta", float,
-                   preset.eta if preset else 1.0)
-    kprime = _resolve(args.kprime, cfg, "kprime", int, None)
-    pool_l = _resolve(args.pool_l, cfg, "pool_l", int, None)
-    threads = _resolve(args.threads, cfg, "threads", int, 1)
-    seed = _resolve(args.seed, cfg, "seed", int, 0)
-    sim_kind = _resolve(args.similarity, cfg, "similarity", str,
-                        preset.similarity if preset else "one-plus-cosine")
-    delta = _resolve(args.delta, cfg, "delta", float,
-                     preset.delta if preset and preset.delta else eta)
-
-    if kprime is not None and algo not in CAPPED_ALGOS:
-        raise UsageError(f"--kprime is incompatible with --algo {algo}")
-    if kprime is None and algo in CAPPED_ALGOS:
-        raise UsageError(f"--algo {algo} requires --kprime")
-    if p is not None and algo not in WELFARE_P_ALGOS:
-        raise UsageError(f"--p is incompatible with --algo {algo}")
-    if pool_l is not None and algo not in POOLED_ALGOS:
-        raise UsageError(f"--pool-L is incompatible with --algo {algo}")
-    if p is None:
-        p = 0.0
-    # written so that NaN fails every check
-    if not -math.inf < p <= 1.0:
-        raise UsageError("--p must lie in (-inf, 1]")
-    if not 0 < eta < math.inf:
-        raise UsageError("--eta must be finite and > 0")
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
-    if seed < 0:
-        raise UsageError("--seed must be >= 0")
-    if args.num_queries is not None and args.num_queries < 1:
-        raise UsageError("--num-queries must be >= 1")
-    if kprime is not None and kprime < 1:
-        raise UsageError("--kprime must be >= 1")
-    if pool_l is not None and pool_l < 1:
-        raise UsageError("--pool-L must be >= 1")
-    if algo == "fetch-union" and pool_l is not None and pool_l < k:
-        raise UsageError("--pool-L must be >= --k for fetch-union")
+    takes = ALGO_FLAGS[algo]
+    for flag, key in (("--kprime", "kprime"), ("--p", "p"),
+                      ("--pool-L", "pool_l")):
+        if s[key] is not None and flag not in takes:
+            raise UsageError(f"{flag} is incompatible with --algo {algo}")
+        if s[key] is None and flag in takes and key == "kprime":
+            raise UsageError(f"--algo {algo} requires --kprime")
     try:
-        fn = SimilarityFn(sim_kind, delta=delta
-                          if sim_kind == "reciprocal-euclidean" else 0.0)
+        params = WelfareParams(p=0.0 if s["p"] is None else s["p"],
+                               eta=s["eta"])
+    except ValueError as e:
+        raise UsageError(f"--{e}") from None
+    for flag, value, low in (("--threads", s["threads"], 1),
+                             ("--seed", s["seed"], 0),
+                             ("--num-queries", args.num_queries, 1),
+                             ("--kprime", s["kprime"], 1),
+                             ("--pool-L", s["pool_l"], 1)):
+        if value is not None and value < low:
+            raise UsageError(f"{flag} must be >= {low}")
+    if algo == "fetch-union" and s["pool_l"] is not None and s["pool_l"] < k:
+        raise UsageError("--pool-L must be >= --k for fetch-union")
+    kind = s["similarity"]
+    try:
+        fn = SimilarityFn(kind, delta=s["delta"]
+                          if kind == "reciprocal-euclidean" else 0.0)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    return s, params, fn
+
+
+def cmd_run(args) -> int:
+    s, params, fn = _settings(args)
+    algo, k, kprime = s["algo"], s["k"], s["kprime"]
 
     data = _read_nonempty(args.base)
     queries = _read_nonempty(args.queries)
@@ -272,11 +271,11 @@ def cmd_run(args) -> int:
 
     qidx = np.arange(queries.n)
     if args.num_queries is not None and args.num_queries < queries.n:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(s["seed"])
         qidx = np.sort(rng.choice(queries.n, size=args.num_queries,
                                   replace=False))
 
-    solve, limit = _make_runner(algo, k, p, eta, kprime, pool_l, data,
+    solve, limit = _make_runner(algo, k, params, kprime, s["pool_l"], data,
                                 attrs, fn)
     # rank is a total order on (similarity, id), so one ranking to
     # max(limit, k) rows holds the pool (its head limit rows) and the exact
@@ -310,10 +309,10 @@ def cmd_run(args) -> int:
     # every query's scores come from the same GEMM at any thread count
     blocks = np.array_split(qidx, -(-len(qidx) // _QUERY_BLOCK))
     wall0 = time.perf_counter()
-    if threads > 1:
+    if s["threads"] > 1:
         # imported here, not at module load: a single-thread run skips it
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with ThreadPoolExecutor(max_workers=s["threads"]) as ex:
             done = list(ex.map(work, blocks))
     else:
         done = [work(block) for block in blocks]
@@ -328,7 +327,7 @@ def cmd_run(args) -> int:
         header += [f"entropy_class{ci}", f"inverse_simpson_class{ci}"]
     header += ["truncated", "latency_us"]
 
-    fixed = [algo, _fmt(k), _fmt(float(p)), _fmt(float(eta)),
+    fixed = [algo, _fmt(k), _fmt(params.p), _fmt(params.eta),
              _fmt(kprime) if kprime is not None else ""]
 
     rows = []
@@ -342,37 +341,33 @@ def cmd_run(args) -> int:
         row += [_fmt(rep.truncated), _fmt(lat)]
         rows.append(row)
 
-    lat_all = np.array([lat for _, _, lat in results]) if results else np.zeros(1)
-    metric_cols = list(range(6, len(header) - 2))
+    lat_all = [lat for _, _, lat in results]
+    qps = len(results) / wall if wall > 0 else 0.0
 
-    def summary_row(label: str, stat_idx: int) -> list[str]:
-        row = [label] + fixed + [""] * (len(header) - 6)
-        for col in metric_cols:
-            vals = [float(r[col]) for r in rows]
-            row[col] = _fmt(aggregate(vals)[stat_idx])
-        row[-1] = _fmt(float(aggregate(lat_all.tolist())[stat_idx]))
-        return row
+    def tail_row(label: str, latency: float) -> list[str]:
+        # a row below the queries: its label, the settings and one figure
+        # in the latency column
+        return [label] + fixed + [""] * (len(header) - 7) + [_fmt(latency)]
 
-    summaries = [summary_row("mean", 0), summary_row("stddev", 1),
-                 summary_row("stderr", 2)]
-    p999 = [""] * len(header)
-    p999[0] = "p99.9_latency"
-    p999[1:6] = fixed
-    p999[-1] = _fmt(_percentile(lat_all, 99.9))
-    qps = [""] * len(header)
-    qps[0] = "qps"
-    qps[1:6] = fixed
-    qps[-1] = _fmt(len(results) / wall if wall > 0 else 0.0)
+    # (mean, stddev, stderr) of each metric column and of the latencies
+    stats = [aggregate([float(r[col]) for r in rows])
+             for col in range(6, len(header) - 2)]
+    lat_stats = aggregate(lat_all)
+    tail = []
+    for i, label in enumerate(("mean", "stddev", "stderr")):
+        row = tail_row(label, lat_stats[i])
+        row[6:-2] = [_fmt(st[i]) for st in stats]
+        tail.append(row)
+    tail += [tail_row("p99.9_latency", _percentile(np.array(lat_all), 99.9)),
+             tail_row("qps", qps)]
 
     with open(args.out, "w", encoding="ascii", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
-        w.writerows(summaries)
-        w.writerow(p999)
-        w.writerow(qps)
+        w.writerows(tail)
     print(f"wrote {args.out}: {len(rows)} queries, algo={algo}, k={k}, "
-          f"qps={len(results) / wall if wall > 0 else 0.0:.1f}")
+          f"qps={qps:.1f}")
     return 0
 
 
@@ -381,8 +376,11 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.checks < 1:
         raise UsageError("--checks must be >= 1")
-    if args.alpha is not None and not 0.0 < args.alpha <= 1.0:
-        raise UsageError("--alpha must lie in (0, 1]")
+    if args.alpha is not None:
+        try:
+            AlphaOracleConfig(args.alpha)
+        except ValueError as e:
+            raise UsageError(f"--{e}") from None
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:

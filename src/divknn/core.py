@@ -556,7 +556,6 @@ def log_nsw(util: np.ndarray, eta: float) -> float:
     u = np.asarray(util, dtype=np.float64)
     if np.any(u < 0):
         raise ValueError("negative utility")
-    if not 0 < eta < math.inf:   # NaN fails too
-        raise ValueError("eta must be finite and > 0")
+    WelfareParams(eta=eta)   # checks eta
     return float(np.mean(np.log(u + eta)))
 

@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -603,6 +605,175 @@ def test_run_preset_defaults(dataset, tmp_path):
                  "--out", out]) == 2
 
 
+_THREAD_POOL = concurrent.futures.ThreadPoolExecutor
+
+
+def _observe(args, tmp_path, monkeypatch):
+    """The CSV of a ``run`` minus latency_us, and the worker count of each
+    thread pool it made (none for one thread)."""
+    pools = []
+
+    def pool(max_workers=None):
+        pools.append(max_workers)
+        return _THREAD_POOL(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    out = tmp_path / "obs.csv"
+    assert main(["run", *args, "--out", str(out)]) == 0, args
+    rows = strip_timing(read_csv(out))
+    out.unlink()
+    return rows, pools
+
+
+# (config line, the flags it stands for, other flags of the same key, the
+# rest of the command line): every key changes what a run observes
+_KEY_CASES = {
+    "algo": ("algo=pmean", ["--algo", "pmean"], ["--algo", "ann"],
+             ["--k", "4"]),
+    "k": ("K=3", ["--k", "3"], ["--k", "5"], ["--algo", "nash"]),
+    "p": ("p=-1", ["--p", "-1"], ["--p", "0.5"], ["--algo", "pmean",
+                                                  "--k", "4"]),
+    "eta": ("eta=0.3", ["--eta", "0.3"], ["--eta", "2"],
+            ["--algo", "nash", "--k", "4"]),
+    "kprime": ("kprime=1", ["--kprime", "1"], ["--kprime", "2"],
+               ["--algo", "div", "--k", "4"]),
+    "pool_l": ("pool-L=6", ["--pool-L", "6"], ["--pool-L", "50"],
+               ["--algo", "fetch-union", "--k", "4"]),
+    "threads": ("threads=3", ["--threads", "3"], ["--threads", "2"],
+                ["--algo", "nash", "--k", "4"]),
+    "seed": ("Seed=5", ["--seed", "5"], ["--seed", "6"],
+             ["--algo", "nash", "--k", "4", "--num-queries", "3"]),
+    "similarity": ("similarity=dot-product", ["--similarity", "dot-product"],
+                   ["--similarity", "reciprocal-euclidean"],
+                   ["--algo", "nash", "--k", "4"]),
+    "delta": ("delta=0.5", ["--delta", "0.5"], ["--delta", "3"],
+              ["--algo", "nash", "--k", "4", "--similarity",
+               "reciprocal-euclidean"]),
+}
+
+
+def test_the_key_cases_cover_every_config_key():
+    assert set(_KEY_CASES) == set(cli.CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_CASES))
+def test_run_config_key_equals_its_flag_and_a_flag_beats_it(
+        dataset, tmp_path, monkeypatch, key):
+    base, queries, attrs = dataset
+    line, flags, other, rest = _KEY_CASES[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# one key\n{line}\n")
+    files = ["--base", base, "--queries", queries, "--attrs", attrs, *rest]
+    by_flag = _observe(files + flags, tmp_path, monkeypatch)
+    by_other = _observe(files + other, tmp_path, monkeypatch)
+    assert by_flag != by_other          # the key shows in the output
+    assert _observe(files + ["--config", str(cfg)], tmp_path,
+                    monkeypatch) == by_flag
+    assert _observe(files + ["--config", str(cfg)] + other, tmp_path,
+                    monkeypatch) == by_other
+
+
+def test_run_preset_fills_only_what_nothing_else_set(dataset, tmp_path,
+                                                     monkeypatch):
+    base, queries, attrs = dataset
+    cfg = tmp_path / "run.cfg"
+
+    def run(*args, config=None):
+        if config is not None:
+            cfg.write_text(config)
+            args += ("--config", str(cfg))
+        return _observe(["--base", base, "--queries", queries, "--attrs",
+                         attrs, "--algo", "nash", "--k", "4", *args],
+                        tmp_path, monkeypatch)
+
+    recip = ("--similarity", "reciprocal-euclidean")
+    # sift-prob: reciprocal-euclidean, eta 0.01, delta 0.01
+    assert run("--preset", "sift-prob") == run(*recip, "--eta", "0.01",
+                                               "--delta", "0.01")
+    assert (run("--preset", "sift-prob", config="eta=0.5\n")
+            == run(*recip, "--eta", "0.5", "--delta", "0.01"))
+    assert (run("--preset", "sift-prob", "--delta", "0.3")
+            == run(*recip, "--eta", "0.01", "--delta", "0.3"))
+    assert (run("--preset", "sift-prob", config="similarity=dot-product\n")
+            == run("--similarity", "dot-product", "--eta", "0.01"))
+    # amazon sets no delta: it falls back to eta, whichever layer set eta
+    assert run("--preset", "amazon", *recip) == run(*recip, "--eta", "50",
+                                                    "--delta", "50")
+    assert run(*recip, "--eta", "0.3") == run(*recip, "--eta", "0.3",
+                                              "--delta", "0.3")
+    assert (run(*recip, config="eta=0.3\n")
+            == run(*recip, "--eta", "0.3", "--delta", "0.3"))
+    # without a preset or an eta: similarity one-plus-cosine, eta 1
+    assert run() == run("--similarity", "one-plus-cosine", "--eta", "1")
+    assert run(*recip, "--eta", "0.3") != run(*recip, "--eta", "0.3",
+                                              "--delta", "0.01")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("k=three\n", "config value k='three' is not a valid int"),
+    ("algo=nash\nk=3\neta=high\n", "config value eta='high' is not a "
+     "valid float"),
+])
+def test_run_bad_config_value_names_the_file(tmp_path, capsys, text,
+                                             message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--base", str(tmp_path / "b.fvecs"), "--queries",
+                 str(tmp_path / "q.fvecs"), "--attrs", str(tmp_path / "a.txt"),
+                 "--algo", "nash", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, args, message", [
+    ("--p", ["--algo", "pmean", "--k", "3", "--p", "2"],
+     "--p must lie in (-inf, 1]"),
+    ("--p", ["--algo", "fetch-union", "--k", "3", "--p", "nan"],
+     "--p must lie in (-inf, 1]"),
+    ("--eta", ["--algo", "nash", "--k", "3", "--eta", "0"],
+     "--eta must be finite and > 0"),
+    ("--eta", ["--algo", "nash", "--k", "3", "--eta", "inf"],
+     "--eta must be finite and > 0"),
+    ("--kprime", ["--algo", "div", "--k", "3", "--kprime", "0"],
+     "--kprime must be >= 1"),
+    ("--pool-L", ["--algo", "multi-nash", "--k", "3", "--pool-L", "0"],
+     "--pool-L must be >= 1"),
+    ("--pool-L", ["--algo", "fetch-union", "--k", "3", "--pool-L", "2"],
+     "--pool-L must be >= --k for fetch-union"),
+    ("--threads", ["--algo", "ann", "--k", "3", "--threads", "0"],
+     "--threads must be >= 1"),
+    ("--num-queries", ["--algo", "ann", "--k", "3", "--num-queries", "0"],
+     "--num-queries must be >= 1"),
+    ("--seed", ["--algo", "ann", "--k", "3", "--seed", "-1"],
+     "--seed must be >= 0"),
+    ("--k", ["--algo", "nash"], "--k is required and must be >= 1"),
+    ("--algo", ["--k", "3"], "--algo must be one of " + ", ".join(cli.ALGOS)),
+    ("--kprime", ["--algo", "nash", "--k", "3", "--kprime", "2"],
+     "--kprime is incompatible with --algo nash"),
+    ("--p", ["--algo", "multi-nash", "--k", "3", "--p", "0.5"],
+     "--p is incompatible with --algo multi-nash"),
+    ("--pool-L", ["--algo", "div", "--k", "3", "--kprime", "1",
+                  "--pool-L", "9"],
+     "--pool-L is incompatible with --algo div"),
+    ("--kprime", ["--algo", "multi-div", "--k", "3"],
+     "--algo multi-div requires --kprime"),
+])
+def test_run_usage_errors_name_their_flag(tmp_path, capsys, flag, args,
+                                          message):
+    # found before any file is read: the data files do not exist
+    out = tmp_path / "x.csv"
+    assert main(["run", "--base", str(tmp_path / "b.fvecs"), "--queries",
+                 str(tmp_path / "q.fvecs"), "--attrs", str(tmp_path / "a.txt"),
+                 "--out", str(out), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    # the flag as a whole word: "--p" does not match inside "--pool-L"
+    assert re.search(re.escape(flag) + r"(?![\w-])", captured.err)
+    assert not out.exists()
+
+
 def test_run_multi_attribute_per_class_columns(tmp_path):
     rng = np.random.default_rng(91)
     base = str(tmp_path / "b.fvecs")
@@ -675,7 +846,11 @@ def test_verify_bad_flags_are_usage_errors(monkeypatch, capsys, flag, value):
         monkeypatch.setitem(suites_mod.SUITES, name, never)
     assert main(["verify", flag, value]) == 2
     captured = capsys.readouterr()
-    assert flag in captured.err and captured.out == ""
+    message = {"--trials": "--trials must be >= 1",
+               "--checks": "--checks must be >= 1",
+               "--alpha": "--alpha must lie in (0, 1]",
+               "--seed": "--seed must be >= 0"}[flag]
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_missing_subcommand_usage():
