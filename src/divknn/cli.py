@@ -23,7 +23,9 @@ batch).
 config file, preset, built-in default; ``--delta`` falls back to eta last.
 Config files are ``key=value`` lines with ``#`` comments; a key is a long
 flag name of one of the settings in ``CONFIG_KEYS``, in any case, with
-dashes or underscores. Any other key is a usage error.
+dashes or underscores. Any other key is a usage error, and so is a value
+that is not of its setting's type (an ``algo`` or ``similarity`` outside
+its choices), also where a flag overrides it.
 
 ``run`` splits the selected queries, in order, into ceil(m / 8) near-equal
 consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
@@ -34,13 +36,17 @@ float32 base (fvecs, bvecs) ranked to at most an eighth of its rows; the
 float64 similarities otherwise. Each query ranks once, and that ranking
 gives both its pool and the exact top-k reference of the relevance
 metrics. ``nash``, ``pmean`` and ``div`` never scan the base in their
-solve, so their report scans once per query for the reference; their
-oracle (``oracle.block_pools`` for a list above 4096 rows of a float32
-base) scores at most 65536 list rows at a time, gathered 4096 at a time.
+solve: one ``oracle.block_pools`` call per inverted list and block reads
+each list once for all the block's queries and ranks it to k rows (k' for
+``div``), by one float64 GEMM of the list's rows or, for a list above 4096
+rows of a float32 base, by sgemms of at most 65536 list rows, gathered
+4096 at a time, and each query's certified filter. Each query's solver
+reads its rows of those lists as its oracle; its report still scans the
+base once per query for the reference.
 ``--threads`` runs blocks concurrently; a block in flight holds the score
 memory that ``oracle.block_pools`` states.
 Timing uses a monotonic clock; a query's latency is its share of its
-block's scan and ranking (their time over the block size) plus its own
+block's reads and rankings (their time over the block size) plus its own
 solve (not dataset load, not metric evaluation), and QPS is the query
 count over the batch wall time. All timing lands in the ``latency_us``
 column, and the block split depends on the query list alone, so output is
@@ -84,6 +90,8 @@ _QUERY_BLOCK = 8
 CONFIG_KEYS = {"algo": str, "k": int, "p": float, "eta": float,
                "kprime": int, "pool_l": int, "threads": int, "seed": int,
                "similarity": str, "delta": float}
+# the values a setting of text may take
+_CHOICES = {"algo": ALGOS, "similarity": SIMILARITY_KINDS}
 # the layer below flags, config file and preset
 _DEFAULTS = {"eta": 1.0, "threads": 1, "seed": 0,
              "similarity": "one-plus-cosine"}
@@ -163,29 +171,52 @@ def cmd_gen_attrs(args) -> int:
 def _make_runner(algo: str, k: int, params: WelfareParams,
                  kprime: Optional[int], pool_l: Optional[int], data, attrs,
                  fn):
-    """``solve(q, pool)`` for ``algo`` and the limit its pool is ranked to
-    (None: every row). SCAN_ALGOS are handed q's pool; ``nash``, ``pmean``
-    and ``div`` are handed None and never scan the base."""
+    """``(rank_block, solve)`` for ``algo``. ``rank_block(qs)`` reads what
+    a checked block of queries needs, once for the whole block, and gives
+    each query its share, which ``solve(q, top)`` is handed. SCAN_ALGOS
+    get q's ranking of the base, to max(pool size, k) rows (every row for
+    ``multi-*`` without --pool-L); its head k rows are also the exact
+    top-k reference of the report. ``nash``, ``pmean`` and ``div`` get
+    q's top-k (k' for ``div``) of every inverted list, which their oracle
+    returns; they never scan the base."""
     eta = params.eta
     L = pool_l if pool_l is not None else 200 * k
-    return {
-        "ann": (lambda q, pool: top_k(q, k, data, fn, attrs=attrs,
-                                      params=params, pool=pool), k),
-        "div": (lambda q, pool: div_ann(q, k, kprime, data, attrs, fn,
-                                        params=params), None),
-        "nash": (lambda q, pool: nash_ann(q, k, params, data, attrs, fn),
-                 None),
-        "pmean": (lambda q, pool: p_mean_ann(q, k, params, data, attrs, fn),
-                  None),
-        "multi-nash": (lambda q, pool: multi_nash_ann(
-            q, k, eta, data, attrs, fn, pool=pool), pool_l),
-        "multi-pmean": (lambda q, pool: multi_p_mean_ann(
-            q, k, params, data, attrs, fn, pool=pool), pool_l),
-        "multi-div": (lambda q, pool: multi_div_ann(
-            q, k, kprime, data, attrs, fn, pool=pool, eta=eta), pool_l),
-        "fetch-union": (lambda q, pool: fetch_union(
-            q, k, L, params, data, attrs, fn, pool=pool), L),
+
+    def listed(top):
+        # the oracle over q's lists of its block
+        return lambda q, attribute, _depth: top[attribute]
+
+    def head(top):
+        # the pool: the head pool_l rows, when the report's k outgrow it
+        return (top if pool_l is None or pool_l >= k
+                else RankedList(ids=top.ids[:pool_l], sims=top.sims[:pool_l]))
+
+    solve = {
+        "ann": lambda q, top: top_k(q, k, data, fn, attrs=attrs,
+                                    params=params, pool=top),
+        "div": lambda q, top: div_ann(q, k, kprime, data, attrs, fn,
+                                      oracle=listed(top), params=params),
+        "nash": lambda q, top: nash_ann(q, k, params, data, attrs, fn,
+                                        oracle=listed(top)),
+        "pmean": lambda q, top: p_mean_ann(q, k, params, data, attrs, fn,
+                                           oracle=listed(top)),
+        "multi-nash": lambda q, top: multi_nash_ann(
+            q, k, eta, data, attrs, fn, pool=head(top)),
+        "multi-pmean": lambda q, top: multi_p_mean_ann(
+            q, k, params, data, attrs, fn, pool=head(top)),
+        "multi-div": lambda q, top: multi_div_ann(
+            q, k, kprime, data, attrs, fn, pool=head(top), eta=eta),
+        "fetch-union": lambda q, top: fetch_union(
+            q, k, L, params, data, attrs, fn, pool=top),
     }[algo]
+    if algo not in SCAN_ALGOS:
+        depth = kprime if algo == "div" else k
+        # one read of each list for the block; query i's lists are row i
+        return (lambda qs: list(zip(*(block_pools(qs, data, fn, depth, ids)
+                                      for ids in attrs.inverted)))), solve
+    limit = {"ann": k, "fetch-union": L}.get(algo, pool_l)
+    top_l = None if limit is None else max(limit, k)
+    return (lambda qs: block_pools(qs, data, fn, top_l)), solve
 
 
 def _settings(args) -> tuple[dict, WelfareParams, SimilarityFn]:
@@ -193,27 +224,28 @@ def _settings(args) -> tuple[dict, WelfareParams, SimilarityFn]:
     welfare parameters and similarity, checked before any data file is
     read."""
     cfg = load_config(args.config) if args.config else {}
-    for key in cfg:
+    # every value is checked as it is read, also one a flag overrides
+    for key, val in cfg.items():
         if key not in CONFIG_KEYS:
             raise UsageError(f"{args.config}: unknown config key {key!r}; "
                              f"accepted: {', '.join(CONFIG_KEYS)}")
+        cast = CONFIG_KEYS[key]
+        try:
+            cfg[key] = cast(val)
+        except ValueError:
+            raise UsageError(f"{args.config}: config value {key}={val!r} "
+                             f"is not a valid {cast.__name__}") from None
+        if key in _CHOICES and cfg[key] not in _CHOICES[key]:
+            raise UsageError(f"{args.config}: config value {key}={val!r} "
+                             f"is not one of {', '.join(_CHOICES[key])}")
     preset = PRESETS.get(args.preset) if args.preset else None
     if args.preset and preset is None:
         raise UsageError(f"unknown preset {args.preset!r}; "
                          f"choices: {', '.join(sorted(PRESETS))}")
 
     layers = (vars(args), cfg, vars(preset) if preset else {}, _DEFAULTS)
-    s = {}
-    for key, cast in CONFIG_KEYS.items():
-        layer = next((lay for lay in layers if lay.get(key) is not None), {})
-        s[key] = layer.get(key)
-        if layer is cfg:
-            try:
-                s[key] = cast(cfg[key])
-            except ValueError:
-                raise UsageError(f"{args.config}: config value "
-                                 f"{key}={cfg[key]!r} is not a valid "
-                                 f"{cast.__name__}") from None
+    s = {key: next((lay[key] for lay in layers if lay.get(key) is not None),
+                   None) for key in CONFIG_KEYS}
     if s["delta"] is None:
         s["delta"] = s["eta"]
 
@@ -275,31 +307,24 @@ def cmd_run(args) -> int:
         qidx = np.sort(rng.choice(queries.n, size=args.num_queries,
                                   replace=False))
 
-    solve, limit = _make_runner(algo, k, params, kprime, s["pool_l"], data,
-                                attrs, fn)
-    # rank is a total order on (similarity, id), so one ranking to
-    # max(limit, k) rows holds the pool (its head limit rows) and the exact
-    # top-k reference of the report (its head k rows)
-    top_l = None if limit is None else max(limit, k)
+    rank_block, solve = _make_runner(algo, k, params, kprime, s["pool_l"],
+                                     data, attrs, fn)
     base2 = args.entropy_base == "2"
 
     def work(block: np.ndarray):
-        # one GEMM reads the base once for the whole block
         t0 = time.perf_counter()
-        tops = (block_pools(queries.data[block], data, fn, top_l)
-                if algo in SCAN_ALGOS else [None] * len(block))
+        tops = rank_block(fn.query(queries.data[block]))
         share = (time.perf_counter() - t0) / len(block)
         out = []
         for qi, top in zip(block, tops):
             q = queries.data[qi]
             t1 = time.perf_counter()
-            pool = (top if top is None or limit is None or limit >= k
-                    else RankedList(ids=top.ids[:limit],
-                                    sims=top.sims[:limit]))
-            sel = solve(q, pool)
+            sel = solve(q, top)
             latency_us = (share + time.perf_counter() - t1) * 1e6
-            # without a ranking the report scans for its own reference
-            ref = None if top is None else top.ids[:k]
+            # rank is a total order on (similarity, id), so the head k rows
+            # of a ranking of the base are the report's exact top-k; given
+            # lists, the report scans for its own reference
+            ref = top.ids[:k] if algo in SCAN_ALGOS else None
             rep = compute_report(sel.ids, q, k, data, attrs, fn, base2=base2,
                                  truncated=sel.truncated, o_ids=ref)
             out.append((qi, rep, latency_us))

@@ -263,9 +263,6 @@ def prob_attrs(n: int, seed: int) -> AttributeTable:
 
 _HEADER_RE = re.compile(r"^#c=(\d+)(?:;classes=(\d+(?:\+\d+)*))?$")
 
-# bytes of a data row on the vectorised path: digits, commas and newlines
-_ROW_BYTES = np.zeros(256, dtype=bool)
-_ROW_BYTES[list(b"0123456789,\n")] = True
 # bytes of a file body checked at a time, so no check is file-sized
 _CHECK_BYTES = 1 << 18
 
@@ -333,7 +330,14 @@ def _holds_rows(body: np.ndarray) -> bool:
     rows = False
     for lo in range(0, len(body), _CHECK_BYTES):
         part = body[lo:lo + _CHECK_BYTES]
-        if not _ROW_BYTES[part].all():
+        # digits, commas and newlines; uint8 arithmetic wraps, so part - 48
+        # is below 10 for the digits alone. Built in place, so no more than
+        # two chunk-sized temporaries live at once: they count in set-up's
+        # peak memory
+        ok = (part - 48) < 10
+        ok |= part == 44
+        ok |= part == 10
+        if not ok.all():
             return False
         rows = rows or not (part == ord("\n")).all()
     return rows

@@ -110,8 +110,8 @@ def _gamma(m: int, u: float) -> float:
 
 
 # the filter may always keep this many rows (the floor of _max_survivors);
-# a list of at most this many rows could survive it whole, so
-# :func:`exact_topk` ranks it in float64 directly
+# an inverted list of at most this many rows could survive it whole, so it
+# is ranked in float64 directly
 _SURVIVOR_FLOOR = 4096
 
 
@@ -125,10 +125,14 @@ def _max_survivors(n: int) -> int:
     return max(n // 8, _SURVIVOR_FLOOR)
 
 
-def _filters(data: VectorSet, limit: int | None, n: int) -> bool:
-    """Whether the top-``limit`` of n rows of ``data`` is ranked through
-    the float32 filter."""
-    return data.data.dtype == np.float32 and limit is not None and \
+def _filters(data: VectorSet, limit: int | None, n: int,
+             listed: bool = False) -> bool:
+    """Whether the top-``limit`` of n rows of ``data``, the whole base or
+    an inverted list (``listed``), is ranked through the float32 filter.
+    Below about 2000-4000 rows (d = 32) the filter costs a list more than
+    it saves."""
+    return not (listed and n <= _SURVIVOR_FLOOR) and \
+        data.data.dtype == np.float32 and limit is not None and \
         limit < n and limit <= _max_survivors(n)
 
 
@@ -137,11 +141,10 @@ def exact_topk(q, attribute: int, k: int, data: VectorSet,
     """True top-min(k, |D_l|) of attribute l by sigma(q, .); an empty
     inverted list yields an empty list.
 
-    The list's rows are gathered and scored in float64, except over a
-    float32 base for a list above 4096 rows, which :func:`block_pools`
-    ranks as a block of one query through the certified filter, with the
-    same ids and order. Below about 2000-4000 rows (d = 32) the filter
-    costs more than it saves.
+    The list's rows are gathered and scored in float64, except where
+    :func:`block_pools` would filter the list (over a float32 base, a list
+    above 4096 rows), which it ranks as a block of one query through the
+    certified filter, with the same ids and order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -149,7 +152,7 @@ def exact_topk(q, attribute: int, k: int, data: VectorSet,
         raise ValueError(f"attribute id {attribute} outside [0, {attrs.c})")
     q = _one_query(q, fn)
     members = attrs.inverted[attribute]
-    if len(members) > _SURVIVOR_FLOOR and _filters(data, k, len(members)):
+    if _filters(data, k, len(members), listed=True):
         return block_pools(_block_of_one(q), data, fn, k, members)[0]
     return _exact_rank(q, data, fn, k, members)
 
@@ -224,9 +227,11 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     or ``ids`` raises ValueError.
 
     Over a float64 base, for ``limit=None``, a limit at or above the row
-    count, or one above :func:`_max_survivors` of it, the block is scored
-    in float64 by one scan of every row, (b, rows) float64 at once, and
-    each query's row is ranked. Otherwise each query's certified
+    count, one above :func:`_max_survivors` of it, or an inverted list of
+    at most 4096 rows, the block is scored in float64 by one scan of every
+    row (one ``batch_ids`` GEMM of a list), (b, rows) float64 at once, and
+    each query's row is ranked; :func:`exact_topk` routes each list by the
+    same rule, a block of one query. Otherwise each query's certified
     :class:`_Filter` ranks the rows from their float32 scores, re-scoring
     in float64 only the rows that survive. At most ``_STREAM_ROWS`` rows
     (65536) are scored by one sgemm with the block. More are streamed: one
@@ -258,11 +263,23 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
                 or (ids[1:] <= ids[:-1]).any()):
             raise ValueError(f"ids must ascend strictly in [0, {data.n})")
     n = data.n if ids is None else len(ids)
-    if not _filters(data, limit, n):
+    if not _filters(data, limit, n, listed=ids is not None):
         return [rank(row, ids, limit) for row in (
             fn.scan(qs, data) if ids is None else fn.batch_ids(qs, data, ids))]
-    # each query was checked and normed with the block
-    filters = [_Filter(qs.row(i), data, fn, limit, ids)
+    return _filter_pools(qs, data, fn, limit, ids)
+
+
+def _filter_pools(qs: Query, data: VectorSet, fn: SimilarityFn, limit: int,
+                  ids: np.ndarray | None = None) -> list[RankedList]:
+    """:func:`block_pools` of the checked block ``qs`` through each query's
+    certified :class:`_Filter`, for a float32 base, valid ``ids`` and a
+    limit below their count and within :func:`_max_survivors` of it,
+    whatever the count."""
+    n = data.n if ids is None else len(ids)
+    # each query was checked and normed with the block, and the rows' norms
+    # are gathered once for all its filters
+    rows = _row_norms(data, fn, ids)
+    filters = [_Filter(qs.row(i), data, fn, limit, ids, rows)
                for i in range(len(qs.vec))]
     if n <= _STREAM_ROWS + 1:   # one block: _row_blocks folds a 1-row tail
         return [f.pool(g) for f, g in zip(filters, _f32_scores(qs, data, ids))]
@@ -277,6 +294,18 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
             f.take(g, lo, None if buf is None else buf[:hi - lo])
         scores = g = None   # freed before the next block's sgemm
     return [f.pool() for f in filters]
+
+
+def _row_norms(data: VectorSet, fn: SimilarityFn, ids: np.ndarray | None):
+    """(norms, sqnorms, least norm, largest norm) of the rows ``ids`` of
+    ``data`` (every row for None), as a :class:`_Filter` reads them;
+    sqnorms only under reciprocal-euclidean."""
+    if ids is None:
+        return data.norms, data.sqnorms, data.min_norm, data.max_norm
+    norms = data.norms[ids]
+    sqnorms = (data.sqnorms[ids] if fn.kind == "reciprocal-euclidean"
+               else None)
+    return norms, sqnorms, float(norms.min()), float(norms.max())
 
 
 def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
@@ -308,9 +337,10 @@ def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
 
 class _Filter:
     """The certified float32 filter of one query q for the top-``limit``
-    of the rows ``ids`` of a float32 base (every row by default), from
-    their float32 scores. :meth:`pool` takes the scores of every row at
-    once; a streamed scan hands them to :meth:`take` by blocks first.
+    of the rows ``ids`` of a float32 base (every row for None), whose
+    :func:`_row_norms` are ``rows``, from their float32 scores.
+    :meth:`pool` takes the scores of every row at once; a streamed scan
+    hands them to :meth:`take` by blocks first.
 
     When q is beyond float32's range, when more rows survive than
     :func:`_max_survivors` allows (ties at the threshold) or when the
@@ -352,7 +382,7 @@ class _Filter:
     """
 
     def __init__(self, q, data: VectorSet, fn: SimilarityFn, limit: int,
-                 ids: np.ndarray | None = None) -> None:
+                 ids: np.ndarray | None, rows: tuple) -> None:
         self.q, self.data, self.fn, self.limit, self.ids = \
             q, data, fn, limit, ids
         # the rows a streamed scan kept, their keys, and its running
@@ -366,12 +396,8 @@ class _Filter:
         if self.exact:
             return
         d = data.d
-        if ids is None:
-            self.n, norms = data.n, data.norms
-            xmin, xmax = data.min_norm, data.max_norm
-        else:
-            self.n, norms = len(ids), data.norms[ids]
-            xmin, xmax = float(norms.min()), float(norms.max())
+        self.n = data.n if ids is None else len(ids)
+        norms, sqnorms, xmin, xmax = rows
         if fn.kind == "one-plus-cosine":
             _reject_zero_norms(xmin)
         q32 = v.astype(np.float32).astype(np.float64)
@@ -394,7 +420,7 @@ class _Filter:
             self.qn = q.norms[0]
             self.e64 = (_gamma(d, _U64) * nq + 16.0 * _U64 * self.qn) * _SAFE
         else:
-            self.sqnorms = data.sqnorms if ids is None else data.sqnorms[ids]
+            self.sqnorms = sqnorms
             xsq = xmax * xmax * _SAFE
             self.err = (xmax * per_norm + under
                         + 2.0 * _U64 * (xmax * nq32 + xsq)) * _SAFE

@@ -34,7 +34,7 @@ import numpy as np
 from .core import (AttributeTable, SimilarityFn, VectorSet, WelfareParams,
                    log_nsw)
 from .multi import multi_nash_ann
-from .oracle import (AlphaOracleConfig, alpha_topk, block_pools,
+from .oracle import (AlphaOracleConfig, _filter_pools, alpha_topk,
                      full_scan_pool)
 from .reference import (_weight_matrix, brute_force_opt, ersp_reduction,
                         log_ineq_check, max_log_nsw, packing_exists,
@@ -390,8 +390,8 @@ def suite_float32_scan(trials: int = 200, seed: int = 9) -> SuiteResult:
     similarities to within the last-place differences of a GEMV. The same
     filter over a random subset of the rows returns, in base ids, the
     float64 rank of that subset, through its own float64 ranking where it
-    cannot certify. ``exact_topk`` filters only lists above 4096 rows, so
-    the subset goes to ``block_pools`` directly."""
+    cannot certify. ``block_pools`` and ``exact_topk`` filter only lists
+    above 4096 rows, so the subset goes to the filter directly."""
     rng = np.random.default_rng(seed)
     # subsets draw from their own stream: the instances stay those of seed
     sub_rng = np.random.default_rng([seed, 1])
@@ -409,7 +409,7 @@ def suite_float32_scan(trials: int = 200, seed: int = 9) -> SuiteResult:
         m = int(sub_rng.integers(2, len(x) + 1))
         sub = np.sort(sub_rng.choice(len(x), size=m, replace=False))
         sub_limit = (1, min(10, m - 1), m - 1)[int(sub_rng.integers(0, 3))]
-        part = block_pools(q[None], vs, fn, sub_limit, ids=sub)[0]
+        part = _filter_pools(fn.query(q[None]), vs, fn, sub_limit, sub)[0]
         sub_ids, sub_sims = float64_topk(q, x[sub], fn, sub_limit)
         if not (same(full_scan_pool(q, vs, fn, limit=limit), ids, sims)
                 and same(part, sub[sub_ids], sub_sims)):

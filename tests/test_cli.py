@@ -7,12 +7,13 @@ import pytest
 
 from divknn import cli, oracle
 from divknn.cli import main
-from divknn.baselines import fetch_union, top_k
+from divknn.baselines import div_ann, fetch_union, top_k
 from divknn.core import SimilarityFn, WelfareParams
 from divknn.data import read_attrs, read_vectors, write_fvecs
 from divknn.metrics import compute_report
 from divknn.multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
 from divknn.oracle import full_scan_pool
+from divknn.solvers import nash_ann, p_mean_ann
 from divknn.suites import SuiteResult
 
 
@@ -413,6 +414,13 @@ def _library_selection(extra, q, k, data, attrs, fn):
         return top_k(q, k, data, fn, attrs=attrs, params=params)
     if algo == "fetch-union":
         return fetch_union(q, k, L or 200 * k, params, data, attrs, fn)
+    if algo == "nash":
+        return nash_ann(q, k, params, data, attrs, fn)
+    if algo == "pmean":
+        return p_mean_ann(q, k, params, data, attrs, fn)
+    if algo == "div":
+        return div_ann(q, k, int(opt["--kprime"]), data, attrs, fn,
+                       params=params)
     pool = full_scan_pool(q, data, fn, limit=L) if L else None
     if algo == "multi-nash":
         return multi_nash_ann(q, k, eta, data, attrs, fn, pool=pool)
@@ -431,14 +439,18 @@ def _library_selection(extra, q, k, data, attrs, fn):
     ["--algo", "multi-pmean", "--p", "-1", "--pool-L", "30"],
     ["--algo", "multi-div", "--kprime", "2"],
     ["--algo", "multi-div", "--kprime", "1", "--pool-L", "2"],
+    ["--algo", "nash"],
+    ["--algo", "pmean", "--p", "-1"],
+    ["--algo", "div", "--kprime", "2"],
 ])
 @pytest.mark.parametrize("data_kind", ["one-plus-cosine",
                                        "reciprocal-euclidean", "dot-product",
                                        "int"])
 def test_run_block_path_equals_the_per_query_path(tmp_path, data_kind,
                                                   extra):
-    # every query's row of its block's scores gives the CSV row of the
-    # library's own solve and report, at any thread count
+    # every query's row of its block's scores, of the base or of each
+    # inverted list, gives the CSV row of the library's own solve and
+    # report, at any thread count
     k = 5
     if data_kind == "int":
         base, queries, attrs = _int_dataset(tmp_path, k, n_queries=20)
@@ -482,11 +494,13 @@ def test_run_zero_query_in_a_block_is_invalid_data(tmp_path, capsys):
     assert main(["gen-attrs", "--base", base, "--mode", "prob",
                  "--out", attrs]) == 0
     out = tmp_path / "z.csv"
-    assert main(["run", "--base", base, "--queries", queries, "--attrs",
-                 attrs, "--algo", "fetch-union", "--k", "4",
-                 "--out", str(out)]) == 4
-    assert "zero query" in capsys.readouterr().err
-    assert not out.exists()
+    # a scan algorithm's block reads the base, nash's reads each list
+    for algo in ("fetch-union", "nash"):
+        assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                     attrs, "--algo", algo, "--k", "4",
+                     "--out", str(out)]) == 4
+        assert "zero query" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_percentile_is_numpys_linear_percentile():
@@ -723,6 +737,31 @@ def test_run_bad_config_value_names_the_file(tmp_path, capsys, text,
                  str(tmp_path / "q.fvecs"), "--attrs", str(tmp_path / "a.txt"),
                  "--algo", "nash", "--config", str(cfg), "--out",
                  str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("k=three\n", ["--k", "3"], "config value k='three' is not a valid int"),
+    ("eta=high\n", ["--eta", "1"],
+     "config value eta='high' is not a valid float"),
+    ("similarity=cosine\n", ["--similarity", "dot-product"],
+     "config value similarity='cosine' is not one of one-plus-cosine, "
+     "reciprocal-euclidean, dot-product"),
+    ("algo=greedy\nk=3\n", ["--algo", "nash"],
+     "config value algo='greedy' is not one of " + ", ".join(cli.ALGOS)),
+])
+def test_run_bad_config_value_is_an_error_under_its_flag(tmp_path, capsys,
+                                                         text, flags,
+                                                         message):
+    # a value the flag overrides is still checked when the file is read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--base", str(tmp_path / "b.fvecs"), "--queries",
+                 str(tmp_path / "q.fvecs"), "--attrs", str(tmp_path / "a.txt"),
+                 "--algo", "nash", "--k", "3", *flags, "--config", str(cfg),
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not out.exists()
 

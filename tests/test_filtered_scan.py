@@ -395,7 +395,10 @@ def test_filter_ranks_its_own_rows_in_float64_when_it_cannot_certify(
         sub = np.setdiff1d(np.arange(len(x)), top)
         for rows in (None, sub):
             ranked.clear()
-            pool = block_pools(q[None], vs, fn, limit, ids=rows)[0]
+            # the filter itself: block_pools ranks a list of at most 4096
+            # rows in float64 without it
+            pool = oracle._filter_pools(fn.query(q[None]), vs, fn, limit,
+                                        rows)[0]
             ids, sims = float64_topk(q, x if rows is None else x[rows], fn,
                                      limit)
             assert pool.ids.tolist() == (ids if rows is None

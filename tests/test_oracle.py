@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from divknn import oracle
 from divknn.baselines import div_ann, fetch_union, top_k
 from divknn.core import AttributeTable, SimilarityFn, VectorSet, WelfareParams
 from divknn.multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
-from divknn.oracle import (AlphaOracleConfig, alpha_topk, exact_topk,
-                           full_scan_pool, rank)
+from divknn.oracle import (AlphaOracleConfig, alpha_topk, block_pools,
+                           exact_topk, full_scan_pool, rank)
 from divknn.solvers import nash_ann, p_mean_ann
 
 
@@ -243,3 +244,58 @@ def test_a_block_to_a_single_query_entry_point_is_rejected(name, dtype):
                            match="^a single query must be one vector$"):
             SINGLE_QUERY_CALLS[name](rng.normal(size=(2, 4)), data, attrs,
                                      SimilarityFn(kind))
+
+
+# inverted-list lengths: empty, below k, both sides of the 4096-row floor
+# of the float32 filter, and above one 65536-row streamed block
+_LIST_LENGTHS = (0, 3, 4000, 4097, 65539)
+
+
+@pytest.mark.parametrize("kind", ["one-plus-cosine", "reciprocal-euclidean",
+                                  "dot-product"])
+@pytest.mark.parametrize("base", ["float32", "float64", "int"])
+def test_block_of_list_rankings_equals_exact_topk(monkeypatch, kind, base):
+    # block_pools over each inverted list routes it as exact_topk does: the
+    # same ids for every query of the block; similarities equal up to the
+    # last place (a block's GEMM against a query's GEMV), exactly on
+    # integer data
+    filtered = []
+    real = oracle._filter_pools
+
+    def filter_pools(qs, data, fn, limit, ids=None):
+        filtered.append(len(ids))
+        return real(qs, data, fn, limit, ids)
+
+    monkeypatch.setattr(oracle, "_filter_pools", filter_pools)
+    rng = np.random.default_rng([81, len(kind), len(base)])
+    n, d, k = sum(_LIST_LENGTHS), 4, 5
+    # integer rows have no zero row: one-plus-cosine rejects one
+    x = (rng.integers(1, 4, size=(n, d)) if base == "int"
+         else rng.normal(size=(n, d)))
+    data = VectorSet(x.astype(np.float64 if base == "float64"
+                              else np.float32))
+    labels = rng.permutation(np.repeat(np.arange(len(_LIST_LENGTHS)),
+                                       _LIST_LENGTHS))
+    attrs = AttributeTable.from_labels(labels, len(_LIST_LENGTHS))
+    fn = SimilarityFn(kind, delta=0.5 if kind == "reciprocal-euclidean"
+                      else 0.0)
+    qs = (rng.integers(1, 3, size=(3, d)) if base == "int"
+          else rng.normal(size=(3, d)))
+    for a, ids in enumerate(attrs.inverted):
+        assert len(ids) == _LIST_LENGTHS[a]
+        filtered.clear()
+        pools = block_pools(qs, data, fn, k, ids)
+        assert len(pools) == len(qs)
+        for q, got in zip(qs, pools):
+            want = exact_topk(q, a, k, data, attrs, fn)
+            assert len(got) == min(k, len(ids))
+            assert got.ids.tolist() == want.ids.tolist()
+            if base == "int":
+                assert got.sims.tobytes() == want.sims.tobytes()
+            else:
+                np.testing.assert_allclose(got.sims, want.sims, rtol=1e-12,
+                                           atol=1e-12)
+        # the float32 filter takes a float32 base's lists above 4096 rows,
+        # once for the block and once per query
+        filters = base != "float64" and len(ids) > 4096
+        assert filtered == [len(ids)] * (1 + len(qs)) * filters
