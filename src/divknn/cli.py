@@ -41,10 +41,15 @@ each list once for all the block's queries and ranks it to k rows (k' for
 ``div``), by one float64 GEMM of the list's rows or, for a list above 4096
 rows of a float32 base, by sgemms of at most 65536 list rows, gathered
 4096 at a time, and each query's certified filter. Each query's solver
-reads its rows of those lists as its oracle; its report still scans the
-base once per query for the reference.
+reads its rows of those lists as its oracle. Their reports take the
+reference from one more ``oracle.block_pools`` call per block, which
+ranks the base to k rows, outside the timed solve; each query's ranking
+reaches its report through ``baselines.top_k(..., pool=)``.
 ``--threads`` runs blocks concurrently; a block in flight holds the score
-memory that ``oracle.block_pools`` states.
+memory that ``oracle.block_pools`` states. Apart from ``--threads``, a
+scan of a float32 base of at least 131072 rows (or an inverted list of
+as many) splits its rows across the CPUs the process may run on, one
+share per worker thread (``core._workers``), with the same output.
 Timing uses a monotonic clock; a query's latency is its share of its
 block's reads and rankings (their time over the block size) plus its own
 solve (not dataset load, not metric evaluation), and QPS is the query
@@ -313,20 +318,24 @@ def cmd_run(args) -> int:
 
     def work(block: np.ndarray):
         t0 = time.perf_counter()
-        tops = rank_block(fn.query(queries.data[block]))
+        qs = fn.query(queries.data[block])
+        tops = rank_block(qs)
         share = (time.perf_counter() - t0) / len(block)
+        # rank is a total order on (similarity, id), so the head k rows of
+        # a ranking of the base are the report's exact top-k: a scan
+        # algorithm's own ranking, or, given lists, one ranking of the base
+        # to k rows for the block, outside the timed solve
+        refs = tops if algo in SCAN_ALGOS else block_pools(qs, data, fn, k)
         out = []
-        for qi, top in zip(block, tops):
+        for qi, top, ref in zip(block, tops, refs):
             q = queries.data[qi]
             t1 = time.perf_counter()
             sel = solve(q, top)
             latency_us = (share + time.perf_counter() - t1) * 1e6
-            # rank is a total order on (similarity, id), so the head k rows
-            # of a ranking of the base are the report's exact top-k; given
-            # lists, the report scans for its own reference
-            ref = top.ids[:k] if algo in SCAN_ALGOS else None
+            o_ids = (ref.ids[:k] if algo in SCAN_ALGOS
+                     else top_k(q, k, data, fn, pool=ref).ids)
             rep = compute_report(sel.ids, q, k, data, attrs, fn, base2=base2,
-                                 truncated=sel.truncated, o_ids=ref)
+                                 truncated=sel.truncated, o_ids=o_ids)
             out.append((qi, rep, latency_us))
         return out
 

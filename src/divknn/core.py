@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,6 +36,62 @@ SIMILARITY_KINDS = ("one-plus-cosine", "reciprocal-euclidean", "dot-product")
 
 # Rows per block of the set-up pass: a block and its squares stay in L2.
 _NORM_BLOCK = 4096
+
+# Rows per block of a streamed float32 scan (``oracle``): its scores and
+# keys stay in cache while each query filters them. A multiple of every
+# BLAS kernel's row group (a BLAS may still round a row by another kernel;
+# the filter's bound holds for any summation order). Above 50k rows, a base
+# one call scans faster than blocks do (16384-row blocks: 1.47x slower).
+# A scan of at least twice this many rows splits them across the CPUs.
+_STREAM_ROWS = 65536
+
+
+def _workers(n: int, rows: int) -> int:
+    """Threads that share a pass over n rows streamed by blocks of at most
+    ``rows``: one per CPU this process may run on, at most one per ``rows``
+    rows, and few enough that each streams blocks of at least
+    ``_NORM_BLOCK`` rows, so that the blocks in flight hold ``rows`` rows
+    in total."""
+    return max(1, min(len(os.sched_getaffinity(0)), n // rows,
+                      rows // _NORM_BLOCK))
+
+
+def _shares(n: int, rows: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the :func:`_workers` contiguous near-equal
+    shares of n rows, every cut at a multiple of ``_NORM_BLOCK``, so each
+    share's blocks start where a single thread's 4096-row blocks do and
+    every row is rounded as one thread rounds it."""
+    w = _workers(n, rows)
+    cuts = [0] + [n * i // w // _NORM_BLOCK * _NORM_BLOCK
+                  for i in range(1, w)] + [n]
+    return list(zip(cuts, cuts[1:]))
+
+
+# the threads that run every share but the first; started on first use
+_EXECUTOR = None
+_EXECUTOR_LOCK = threading.Lock()
+
+
+def _on_shares(work, shares: list[tuple[int, int]]) -> list:
+    """``[work(lo, hi) for lo, hi in shares]``: the calling thread runs the
+    first share, one module-level thread pool the rest. It returns only
+    once every share has finished, and raises the exception of the first
+    share, in share order, that raised one."""
+    if len(shares) == 1:
+        return [work(*shares[0])]
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None:
+            # imported here, not at module load: a small base never splits
+            from concurrent.futures import ThreadPoolExecutor
+            _EXECUTOR = ThreadPoolExecutor(thread_name_prefix="divknn-share")
+    from concurrent.futures import wait
+    futures = [_EXECUTOR.submit(work, lo, hi) for lo, hi in shares[1:]]
+    try:
+        first = work(*shares[0])
+    finally:
+        wait(futures)   # no share is left running, also on an error
+    return [first] + [f.result() for f in futures]
 
 
 class VectorSet:
@@ -430,20 +488,34 @@ class SimilarityFn:
         of ``data``, in float64.
 
         A float64 base is scored in one call; a float32 base is upcast by
-        blocks of ``_NORM_BLOCK`` rows, never whole. The block size is a
-        multiple of every BLAS kernel's row group, so the result is bit
-        for bit that of one call on a float64 copy of the base.
+        blocks of ``_NORM_BLOCK`` rows, never whole, each written into one
+        output. The block size is a multiple of every BLAS kernel's row
+        group, so the result is bit for bit that of one call on a float64
+        copy of the base, except where a BLAS that threads a single
+        query's GEMV rounds a row by another kernel (at some lengths, by
+        the last place). The blocks are split into the contiguous shares
+        of :func:`_shares`, one per worker thread of :func:`_workers`
+        (several from twice ``_STREAM_ROWS`` rows on), and are those of
+        one thread whatever the split.
         """
         q = self.query(q)
         if self.kind == "one-plus-cosine":
             # a zero row has no cosine; the set-up pass found any
             _reject_zero_norms(data.min_norm)
-        n = data.n
-        step = _NORM_BLOCK if data.data.dtype == np.float32 else max(n, 1)
-        parts = [self.batch(q, data.data[lo:hi], row_norms=data.norms[lo:hi],
-                            row_sqnorms=data.sqnorms[lo:hi])
-                 for lo, hi in _row_blocks(n, step)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        if data.data.dtype != np.float32:
+            return self.batch(q, data.data, row_norms=data.norms,
+                              row_sqnorms=data.sqnorms)
+        out = np.empty(q.vec.shape[:-1] + (data.n,))
+
+        def fill(lo: int, hi: int) -> None:
+            for a, b in _row_blocks(hi - lo, _NORM_BLOCK):
+                a, b = lo + a, lo + b
+                out[..., a:b] = self.batch(
+                    q, data.data[a:b], row_norms=data.norms[a:b],
+                    row_sqnorms=data.sqnorms[a:b])
+
+        _on_shares(fill, _shares(data.n, _STREAM_ROWS))
+        return out
 
 
 def _row_blocks(n: int, step: int) -> list[tuple[int, int]]:

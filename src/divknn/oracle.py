@@ -17,7 +17,12 @@ float32 filter :class:`_Filter`, which re-scores in float64 only the rows
 above a proven threshold; where it cannot certify, it ranks all its rows
 in float64 itself (:func:`_exact_rank`), so no caller has a fallback. More
 than ``_STREAM_ROWS`` rows stream through it by row blocks, so no query
-holds a row of n scores, nor a list its whole gathered rows.
+holds a row of n scores, nor a list its whole gathered rows. The rows of
+a stream are split into W contiguous shares, one per worker thread
+(``core._workers``: the CPUs the process may run on, at most one per
+``_STREAM_ROWS`` rows and 16 in all), each streaming blocks of
+``_STREAM_ROWS`` / W rows into its own filters, so the blocks in flight
+still hold ``_STREAM_ROWS`` rows in all; the output does not depend on W.
 
 A solver takes its oracle as a plain callable ``(q, attribute, k) ->
 RankedList``, such as ``functools.partial(exact_topk, data=data,
@@ -33,8 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_NORM_BLOCK, AttributeTable, Query, SimilarityFn,
-                   VectorSet, _reject_zero_norms, _row_blocks)
+from .core import (_NORM_BLOCK, _STREAM_ROWS, AttributeTable, Query,
+                   SimilarityFn, VectorSet, _on_shares, _reject_zero_norms,
+                   _row_blocks, _shares)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +214,6 @@ def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
     return block_pools(_block_of_one(_one_query(q, fn)), data, fn, limit)[0]
 
 
-# rows per block of a streamed float32 scan: its scores and keys stay in
-# cache while each query filters them. A multiple of every BLAS kernel's
-# row group (a BLAS may still round a row by another kernel; the filter's
-# bound holds for any summation order), above 50k rows, a base one call
-# scans faster than blocks do (16384-row blocks: 1.47x slower)
-_STREAM_ROWS = 65536
-
-
 def block_pools(qs, data: VectorSet, fn: SimilarityFn,
                 limit: int | None = None,
                 ids: np.ndarray | None = None) -> list[RankedList]:
@@ -229,19 +227,31 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     Over a float64 base, for ``limit=None``, a limit at or above the row
     count, one above :func:`_max_survivors` of it, or an inverted list of
     at most 4096 rows, the block is scored in float64 by one scan of every
-    row (one ``batch_ids`` GEMM of a list), (b, rows) float64 at once, and
+    row (:meth:`SimilarityFn.scan`, split across the same worker threads;
+    one ``batch_ids`` GEMM of a list), (b, rows) float64 at once, and
     each query's row is ranked; :func:`exact_topk` routes each list by the
     same rule, a block of one query. Otherwise each query's certified
     :class:`_Filter` ranks the rows from their float32 scores, re-scoring
     in float64 only the rows that survive. At most ``_STREAM_ROWS`` rows
     (65536) are scored by one sgemm with the block. More are streamed: one
-    sgemm per block of ``_STREAM_ROWS`` rows, after which each query keeps
-    the block's rows at or above its running threshold. A block in flight
-    holds its scores once (the sgemm output, 256 KB per query, read by
-    each query in place) plus one query's keys (256 KB float32 or 512 KB
-    float64), about 2.5 MB for 8 queries at any row count; ``ids`` add
-    4096 gathered rows (1.5 MB at d = 96) and, per filter, the float64
-    norms of the list.
+    sgemm per block of rows, after which each query keeps the block's rows
+    at or above its running threshold. The rows are split into W
+    contiguous shares cut at multiples of 4096 rows, W the CPUs the
+    process may run on, at most one per ``_STREAM_ROWS`` rows and 16 in
+    all (``core._workers``). The calling thread streams the first share
+    and a module-level thread pool the others, each by blocks of
+    ``_STREAM_ROWS`` / W rows rounded down to a multiple of 4096, with its
+    own filter per query; each query's kept rows are then joined in share
+    order and ranked as one thread's. A share's running threshold is at
+    most the final one, so its kept rows hold every survivor among its
+    rows, and the survivors are re-scored in the same order whatever W.
+    The call returns once every share has ended, and raises the error of
+    any share. The blocks in flight hold their scores once (the sgemm
+    outputs, 256 KB per query in all, read by each query in place) plus,
+    per share, one query's keys (256 KB float32 or 512 KB float64 in all),
+    about 2.5 MB for 8 queries at any row count; ``ids`` add 4096 gathered
+    rows per share (1.5 MB at d = 96) and, per filter, the float64 norms
+    of the list.
     Both give the same ids and order, up to rows whose float64
     similarities differ only in the last place: the filter scores its
     survivors by a gather's GEMV, whose last bits may differ from those of
@@ -279,21 +289,42 @@ def _filter_pools(qs: Query, data: VectorSet, fn: SimilarityFn, limit: int,
     # each query was checked and normed with the block, and the rows' norms
     # are gathered once for all its filters
     rows = _row_norms(data, fn, ids)
-    filters = [_Filter(qs.row(i), data, fn, limit, ids, rows)
-               for i in range(len(qs.vec))]
+
+    def filters() -> list[_Filter]:
+        return [_Filter(qs.row(i), data, fn, limit, ids, rows)
+                for i in range(len(qs.vec))]
+
     if n <= _STREAM_ROWS + 1:   # one block: _row_blocks folds a 1-row tail
-        return [f.pool(g) for f, g in zip(filters, _f32_scores(qs, data, ids))]
-    blocks = _row_blocks(n, _STREAM_ROWS)
-    # one block's float64 keys, made for one query at a time (dot-product
-    # keys are the scores themselves)
-    buf = (None if fn.kind == "dot-product"
-           else np.empty(max(hi - lo for lo, hi in blocks)))
-    for lo, hi in blocks:
-        scores = _f32_scores(qs, data, ids, lo, hi)
-        for f, g in zip(filters, scores):
-            f.take(g, lo, None if buf is None else buf[:hi - lo])
-        scores = g = None   # freed before the next block's sgemm
-    return [f.pool() for f in filters]
+        return [f.pool(g)
+                for f, g in zip(filters(), _f32_scores(qs, data, ids))]
+    shares = _shares(n, _STREAM_ROWS)
+    # the blocks of all shares in flight hold _STREAM_ROWS rows at most
+    step = max(_STREAM_ROWS // len(shares) // _NORM_BLOCK * _NORM_BLOCK,
+               _NORM_BLOCK)
+
+    def stream(lo: int, hi: int) -> list[_Filter]:
+        # each share has its own filters: kept rows and running thresholds
+        own = filters()
+        blocks = _row_blocks(hi - lo, step)
+        # one block's float64 keys, made for one query at a time
+        # (dot-product keys are the scores themselves)
+        buf = (None if fn.kind == "dot-product"
+               else np.empty(max(b - a for a, b in blocks)))
+        for a, b in blocks:
+            scores = _f32_scores(qs, data, ids, lo + a, lo + b)
+            for f, g in zip(own, scores):
+                f.take(g, lo + a, None if buf is None else buf[:b - a])
+            scores = g = None   # freed before the next block's sgemm
+        return own
+
+    # a share's running threshold is at most the final one, so its kept
+    # rows hold every final survivor among its rows; joined in share order,
+    # each query's kept positions ascend as one thread's do
+    first, *later = _on_shares(stream, shares)
+    for f, *others in zip(first, *later):
+        f.pos = np.concatenate([f.pos] + [o.pos for o in others])
+        f.key = np.concatenate([f.key] + [o.key for o in others])
+    return [f.pool() for f in first]
 
 
 def _row_norms(data: VectorSet, fn: SimilarityFn, ids: np.ndarray | None):

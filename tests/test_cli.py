@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from divknn import cli, oracle
+from divknn import cli, core, oracle
 from divknn.cli import main
 from divknn.baselines import div_ann, fetch_union, top_k
 from divknn.core import SimilarityFn, WelfareParams
@@ -336,16 +336,14 @@ def test_run_scans_the_base_once_per_block(dataset20, tmp_path, monkeypatch,
                                            extra):
     # a scan algorithm scores each block of queries with one GEMM and takes
     # its report's reference top-k from that ranking, also when --pool-L
-    # is below k; the per-attribute solvers scan once per query for it
+    # is below k; the per-attribute solvers read only their lists, and
+    # their reports rank the base once per block for it
     base, queries, attrs = dataset20
     scans = _count_full_scans(monkeypatch, 120)
     assert main(["run", "--base", base, "--queries", queries, "--attrs",
                  attrs, "--k", "4", "--out", str(tmp_path / "s.csv")]
                 + extra) == 0
-    if extra[1] in cli.SCAN_ALGOS:
-        assert scans == [(7, 6), (7, 6), (6, 6)]
-    else:
-        assert scans == [(1, 6)] * 20
+    assert scans == [(7, 6), (7, 6), (6, 6)]
 
 
 def _int_dataset(tmp_path, k, n_queries=6):
@@ -480,6 +478,38 @@ def test_run_block_path_equals_the_per_query_path(tmp_path, data_kind,
         rep = compute_report(sel.ids, q, k, data, table, fn, o_ids=None)
         for name in ("approx_ratio", "recall", "entropy"):
             assert row[col[name]] == cli._fmt(getattr(rep, name)), (row, name)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--algo", "fetch-union"],
+    ["--algo", "nash"],
+    ["--algo", "multi-nash"],
+])
+def test_run_csv_is_the_same_at_any_thread_and_worker_count(
+        tmp_path, monkeypatch, extra):
+    # a base of 13 blocks of 4096 rows and lists of 3 or more, streamed by
+    # blocks and split into 1 or 3 shares (a pool, each large list and the
+    # reference; every row's float64 scan for multi-nash), at --threads
+    # 1, 2 and 4
+    rng = np.random.default_rng(96)
+    base, queries = str(tmp_path / "b.fvecs"), str(tmp_path / "q.fvecs")
+    write_fvecs(base, rng.normal(size=(13 * 4096, 4)).astype(np.float32))
+    write_fvecs(queries, rng.normal(size=(20, 4)).astype(np.float32))
+    attrs = str(tmp_path / "a.txt")
+    assert main(["gen-attrs", "--base", base, "--mode", "prob",
+                 "--out", attrs]) == 0
+    monkeypatch.setattr(oracle, "_STREAM_ROWS", 4096)
+    outs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(core, "_workers",
+                            lambda n, rows: max(1, min(workers, n // 4096)))
+        for threads in ("1", "2", "4"):
+            out = str(tmp_path / f"w{workers}t{threads}.csv")
+            assert main(["run", "--base", base, "--queries", queries,
+                         "--attrs", attrs, "--k", "4", "--threads", threads,
+                         "--out", out] + extra) == 0
+            outs.append(strip_timing(read_csv(out)))
+    assert all(rows == outs[0] for rows in outs[1:])
 
 
 def test_run_zero_query_in_a_block_is_invalid_data(tmp_path, capsys):

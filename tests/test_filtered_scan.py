@@ -7,6 +7,8 @@ Each pool is compared with an independent whole-array float64 rank: one
 """
 
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -587,25 +589,25 @@ LIST_ROWS = 4500
 FLAVOURS = ("gaussian", "integer-ties", "near-duplicates", "overflow")
 
 
-def list_instance(flavour, d, rng):
-    """(q, x): a query and LIST_ROWS float32 rows in one of the flavours of
+def list_instance(flavour, d, rng, rows=LIST_ROWS):
+    """(q, x): a query and ``rows`` float32 rows in one of the flavours of
     ``random_float32_instance``."""
     q = rng.normal(size=d)
     if flavour == "integer-ties":
         # small integers: at d = 3 each row has many exact copies, so rows
         # tie at the k-th place under every kind; no zero row, which
         # one-plus-cosine rejects
-        x = rng.integers(-2, 4, size=(LIST_ROWS, d))
+        x = rng.integers(-2, 4, size=(rows, d))
         x[~x.any(axis=1)] = 1
         q = rng.integers(-1, 3, size=d).astype(np.float64)
     elif flavour == "near-duplicates":
-        x = np.tile(rng.normal(size=d).astype(np.float32), (LIST_ROWS, 1))
-        x[:, 0] += rng.integers(-3, 4, size=LIST_ROWS) * np.spacing(x[0, 0])
+        x = np.tile(rng.normal(size=d).astype(np.float32), (rows, 1))
+        x[:, 0] += rng.integers(-3, 4, size=rows) * np.spacing(x[0, 0])
         q[0] *= 0.02
     else:
-        x = rng.normal(size=(LIST_ROWS, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        x = rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
         if flavour == "overflow":
-            big = rng.choice(LIST_ROWS, size=3, replace=False)
+            big = rng.choice(rows, size=3, replace=False)
             x[big] = np.sign(x[big]) * 3e38 / math.sqrt(d)
             q *= 10.0
     return q, x.astype(np.float32)
@@ -768,6 +770,143 @@ def test_query_beyond_float32_range_ranks_a_large_list_exactly():
 
 
 # ---------------------------------------------------------------------------
+# streamed scans split across worker threads
+# ---------------------------------------------------------------------------
+
+def split_into(monkeypatch, workers):
+    """Stream by blocks of BLOCK rows, and split every scan into
+    ``workers`` shares whatever its length."""
+    monkeypatch.setattr(oracle, "_STREAM_ROWS", BLOCK)
+    monkeypatch.setattr(core, "_workers", lambda n, rows: workers)
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS + ("beyond-float32",))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_pools_do_not_depend_on_the_worker_count(monkeypatch, kind, flavour):
+    # a base and an inverted list of 3 to 9 blocks, split into 1, 2 or 3
+    # shares: the same float64 re-scores, in the same order, and the same
+    # pools to the byte; a query beyond float32's range ranks every row
+    # in float64, by a scan that the shares split too
+    rng = np.random.default_rng([sorted(KINDS).index(kind),
+                                 FLAVOURS.index(flavour)
+                                 if flavour in FLAVOURS else 9])
+    fn = KINDS[kind]
+    rescored = []
+    real = SimilarityFn.batch_ids
+
+    def batch_ids(self, q, data, ids):
+        rescored.append(ids.tobytes())
+        return real(self, q, data, ids)
+
+    monkeypatch.setattr(SimilarityFn, "batch_ids", batch_ids)
+    for rows in (3 * BLOCK + 1, 9 * BLOCK - 5):
+        q, x = list_instance(flavour if flavour in FLAVOURS else "gaussian",
+                             8, rng, rows)
+        if flavour not in FLAVOURS:
+            q = q * 1e39
+        qs = np.stack([q, -q, rng.normal(size=8)])
+        listed, attrs = with_other_list(
+            x, rng.standard_normal((300, 8), dtype=np.float32), rng)
+        for vs, ids in ((VectorSet(x), None), (listed, attrs.inverted[0])):
+            for limit in (1, 10, rows // 8):
+                seen = []
+                for workers in (1, 2, 3):
+                    split_into(monkeypatch, workers)
+                    rescored.clear()
+                    pools = block_pools(qs, vs, fn, limit, ids)
+                    seen.append(([(p.ids.tobytes(), p.sims.tobytes())
+                                  for p in pools], list(rescored)))
+                assert seen[1] == seen[0] and seen[2] == seen[0], \
+                    (rows, limit, ids is None)
+                want, _ = float64_topk(q, x, fn, limit)
+                got = pools[0].ids if ids is None else \
+                    np.searchsorted(ids, pools[0].ids)
+                assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("raiser", [0, 1])
+def test_an_error_in_a_share_is_raised_after_every_share_ends(monkeypatch,
+                                                              raiser):
+    # share 0 runs in the caller, share 1 on a worker thread: whichever
+    # raises, block_pools raises it, and only once the other share has
+    # scored all its blocks
+    split_into(monkeypatch, 2)
+    rng = np.random.default_rng(65)
+    vs = VectorSet(rng.standard_normal((4 * BLOCK, 8), dtype=np.float32))
+    qs = rng.normal(size=(2, 8))
+    fn = KINDS["one-plus-cosine"]
+    want = [p.ids.tolist() for p in block_pools(qs, vs, fn, 10)]
+    real = oracle._f32_scores
+    scored = []
+
+    def f32_scores(qs, data, ids=None, lo=0, hi=None):
+        share = int(lo >= 2 * BLOCK)
+        if share == raiser:
+            raise RuntimeError(f"share {share}")
+        time.sleep(0.05)
+        scored.append(lo)
+        return real(qs, data, ids, lo, hi)
+
+    monkeypatch.setattr(oracle, "_f32_scores", f32_scores)
+    with pytest.raises(RuntimeError, match=f"^share {raiser}$"):
+        block_pools(qs, vs, fn, 10)
+    other = 2 * BLOCK * (1 - raiser)
+    assert scored == [other, other + BLOCK]
+    monkeypatch.setattr(oracle, "_f32_scores", real)
+    assert [p.ids.tolist() for p in block_pools(qs, vs, fn, 10)] == want
+
+
+def test_the_cpus_at_hand_decide_the_split(monkeypatch):
+    # by the process's real CPU affinity: one share on one CPU (as under
+    # taskset -c 0), two on more, with two streamed blocks of BLOCK rows
+    # in flight; the pools are those of one share
+    monkeypatch.setattr(oracle, "_STREAM_ROWS", 2 * BLOCK)
+    rng = np.random.default_rng(66)
+    vs = VectorSet(rng.standard_normal((8 * BLOCK, 8), dtype=np.float32))
+    qs = rng.normal(size=(3, 8))
+    split = []
+    real = oracle._on_shares
+
+    def on_shares(work, shares):
+        split.append(len(shares))
+        return real(work, shares)
+
+    monkeypatch.setattr(oracle, "_on_shares", on_shares)
+    rule = core._workers
+    for fn in KINDS.values():
+        seen = []
+        for workers in (rule, lambda n, rows: 1):
+            monkeypatch.setattr(core, "_workers", workers)
+            split.clear()
+            seen.append(([(p.ids.tobytes(), p.sims.tobytes())
+                          for p in block_pools(qs, vs, fn, 10)], split[:]))
+        assert seen[0][1] == [min(len(os.sched_getaffinity(0)), 2)]
+        assert seen[1][1] == [1] and seen[0][0] == seen[1][0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8, 64])
+def test_worker_rule_and_shares(monkeypatch, cpus):
+    # one worker per CPU, at most one per 65536 rows and 16 in all (each
+    # streams blocks of at least 4096 of the 65536 rows in flight);
+    # shares cover the rows in order, cut at multiples of 4096
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    rows = core._STREAM_ROWS
+    for n, most in ((0, 1), (rows + 1, 1), (2 * rows - 1, 1),
+                    (2 * rows, 2), (10**6, 15), (10**8, 16)):
+        w = core._workers(n, rows)
+        assert w == min(cpus, most), n
+        shares = core._shares(n, rows)
+        assert len(shares) == w
+        assert shares[0][0] == 0 and shares[-1][1] == n
+        for (_, hi), (lo, _) in zip(shares, shares[1:]):
+            assert hi == lo and lo % core._NORM_BLOCK == 0
+        assert all(abs(hi - lo - n / w) < core._NORM_BLOCK
+                   for lo, hi in shares)
+    assert core._workers(10**6, BLOCK) == 1
+
+
+# ---------------------------------------------------------------------------
 # float64 paths over a float32 base
 # ---------------------------------------------------------------------------
 
@@ -789,6 +928,23 @@ def test_block_scans_equal_one_whole_array_call(n):
         order = np.lexsort((np.arange(n), -want))
         assert pool.ids.tolist() == order.tolist()
         assert pool.sims.tobytes() == want[order].tobytes()
+
+
+@pytest.mark.parametrize("n", [3 * BLOCK + 1, 5 * BLOCK + 17])
+def test_split_scans_equal_one_thread_scans(monkeypatch, n):
+    # the shares' 4096-row blocks are one thread's, written into one
+    # output. (Against one whole-array call, a BLAS that threads a single
+    # query's GEMV may round a row differently at some lengths, 20497 one.)
+    rng = np.random.default_rng(n)
+    vs = VectorSet(rng.standard_normal((n, 24), dtype=np.float32))
+    for fn in KINDS.values():
+        for q in (rng.normal(size=(5, 24)), rng.normal(size=24)):
+            scans = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(core, "_workers",
+                                    lambda n, rows: workers)
+                scans.append(fn.scan(q, vs).tobytes())
+            assert scans[1] == scans[0] and scans[2] == scans[0], fn.kind
 
 
 @pytest.mark.parametrize("chunks", [None, 2])
