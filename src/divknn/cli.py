@@ -33,18 +33,18 @@ consecutive blocks. For the scan algorithms (``ann``, ``fetch-union``,
 for all its queries, with one GEMM: float32 dot products, which each
 query's certified filter turns into its exact float64 ranking, over a
 float32 base (fvecs, bvecs) ranked to at most an eighth of its rows; the
-float64 similarities otherwise. Each query ranks once, and that ranking
-gives both its pool and the exact top-k reference of the relevance
-metrics. ``nash``, ``pmean`` and ``div`` never scan the base in their
-solve: one ``oracle.block_pools`` call per inverted list and block reads
-each list once for all the block's queries and ranks it to k rows (k' for
-``div``), by one float64 GEMM of the list's rows or, for a list above 4096
-rows of a float32 base, by sgemms of at most 65536 list rows, gathered
-4096 at a time, and each query's certified filter. Each query's solver
-reads its rows of those lists as its oracle. Their reports take the
-reference from one more ``oracle.block_pools`` call per block, which
-ranks the base to k rows, outside the timed solve; each query's ranking
-reaches its report through ``baselines.top_k(..., pool=)``.
+float64 similarities otherwise. ``nash``, ``pmean`` and ``div`` never
+scan the base: one ``oracle.block_pools`` call per inverted list and block
+reads each list once for all the block's queries and ranks it to k rows
+(max(k, k') for ``div``), by one float64 GEMM of the list's rows or, for a
+list above 4096 rows of a float32 base, by sgemms of at most 65536 list
+rows, gathered 4096 at a time, and each query's certified filter; a
+solver's oracle reads the head k (k') rows of its lists. Every report's
+exact top-k reference is the head k rows of one ranking the block already
+read, outside the timed solve: the query's ranking of the base, or
+``oracle.rank`` of the union of its lists, which partition the base of a
+single-attribute table (checked before any block is read); so ``div``
+with k' < k reads its lists to k rows in its timed reads.
 ``--threads`` runs blocks concurrently; a block in flight holds the score
 memory that ``oracle.block_pools`` states. Apart from ``--threads``, a
 scan of a float32 base of at least 131072 rows (or an inverted list of
@@ -74,7 +74,7 @@ from .data import PRESETS, cluster_attrs, prob_attrs, read_attrs, \
     read_vectors, write_attrs
 from .metrics import aggregate, compute_report
 from .multi import multi_div_ann, multi_nash_ann, multi_p_mean_ann
-from .oracle import AlphaOracleConfig, RankedList, block_pools
+from .oracle import AlphaOracleConfig, RankedList, block_pools, rank
 from .solvers import nash_ann, p_mean_ann
 from . import suites
 
@@ -86,9 +86,6 @@ ALGO_FLAGS = {
     "multi-div": ("--kprime", "--pool-L"), "fetch-union": ("--p", "--pool-L"),
 }
 ALGOS = tuple(ALGO_FLAGS)
-# algorithms whose solve ranks the whole base: ``run`` scores them by blocks
-SCAN_ALGOS = ("ann",) + tuple(a for a, flags in ALGO_FLAGS.items()
-                              if "--pool-L" in flags)
 # queries per similarity GEMM in ``run``
 _QUERY_BLOCK = 8
 # the settings a ``run`` config file may hold, with their types
@@ -176,25 +173,24 @@ def cmd_gen_attrs(args) -> int:
 def _make_runner(algo: str, k: int, params: WelfareParams,
                  kprime: Optional[int], pool_l: Optional[int], data, attrs,
                  fn):
-    """``(rank_block, solve)`` for ``algo``. ``rank_block(qs)`` reads what
-    a checked block of queries needs, once for the whole block, and gives
-    each query its share, which ``solve(q, top)`` is handed. SCAN_ALGOS
-    get q's ranking of the base, to max(pool size, k) rows (every row for
-    ``multi-*`` without --pool-L); its head k rows are also the exact
-    top-k reference of the report. ``nash``, ``pmean`` and ``div`` get
-    q's top-k (k' for ``div``) of every inverted list, which their oracle
-    returns; they never scan the base."""
+    """``(rank_block, solve, reference)`` for ``algo``. ``rank_block(qs)``
+    reads once what a checked block of queries needs and gives each query
+    its share ``top`` for ``solve(q, top)`` and ``reference(q, top)``, the
+    report's exact top-k ids. ``ann``, ``fetch-union`` and ``multi-*`` get
+    q's ranking of the base to max(pool size, k) rows (all for ``multi-*``
+    without --pool-L), whose head is the reference. ``nash``, ``pmean`` and
+    ``div`` get q's top k (max(k, k') for ``div``) of each list: the oracle
+    reads each head k (k'), the reference ranks their union."""
     eta = params.eta
     L = pool_l if pool_l is not None else 200 * k
 
-    def listed(top):
-        # the oracle over q's lists of its block
-        return lambda q, attribute, _depth: top[attribute]
+    def head(top, m):
+        # the head m rows of a ranking: a pool's --pool-L, a list's depth
+        return (top if m is None or m >= len(top)
+                else RankedList(ids=top.ids[:m], sims=top.sims[:m]))
 
-    def head(top):
-        # the pool: the head pool_l rows, when the report's k outgrow it
-        return (top if pool_l is None or pool_l >= k
-                else RankedList(ids=top.ids[:pool_l], sims=top.sims[:pool_l]))
+    def listed(top):
+        return lambda q, attribute, depth: head(top[attribute], depth)
 
     solve = {
         "ann": lambda q, top: top_k(q, k, data, fn, attrs=attrs,
@@ -206,22 +202,32 @@ def _make_runner(algo: str, k: int, params: WelfareParams,
         "pmean": lambda q, top: p_mean_ann(q, k, params, data, attrs, fn,
                                            oracle=listed(top)),
         "multi-nash": lambda q, top: multi_nash_ann(
-            q, k, eta, data, attrs, fn, pool=head(top)),
+            q, k, eta, data, attrs, fn, pool=head(top, pool_l)),
         "multi-pmean": lambda q, top: multi_p_mean_ann(
-            q, k, params, data, attrs, fn, pool=head(top)),
+            q, k, params, data, attrs, fn, pool=head(top, pool_l)),
         "multi-div": lambda q, top: multi_div_ann(
-            q, k, kprime, data, attrs, fn, pool=head(top), eta=eta),
+            q, k, kprime, data, attrs, fn, pool=head(top, pool_l), eta=eta),
         "fetch-union": lambda q, top: fetch_union(
             q, k, L, params, data, attrs, fn, pool=top),
     }[algo]
-    if algo not in SCAN_ALGOS:
-        depth = kprime if algo == "div" else k
+    if algo in ("div", "nash", "pmean"):
+        attrs.require_single()
+        depth = max(k, kprime or k)
+
+        def reference(q, lists):
+            # the lists partition the base: their union holds its top-k
+            top = rank(np.concatenate([r.sims for r in lists]),
+                       np.concatenate([r.ids for r in lists]), k)
+            return top_k(q, k, data, fn, pool=top).ids
+
         # one read of each list for the block; query i's lists are row i
         return (lambda qs: list(zip(*(block_pools(qs, data, fn, depth, ids)
-                                      for ids in attrs.inverted)))), solve
+                                      for ids in attrs.inverted)))), \
+            solve, reference
     limit = {"ann": k, "fetch-union": L}.get(algo, pool_l)
     top_l = None if limit is None else max(limit, k)
-    return (lambda qs: block_pools(qs, data, fn, top_l)), solve
+    return (lambda qs: block_pools(qs, data, fn, top_l)), solve, \
+        lambda q, top: top.ids[:k]
 
 
 def _settings(args) -> tuple[dict, WelfareParams, SimilarityFn]:
@@ -312,8 +318,8 @@ def cmd_run(args) -> int:
         qidx = np.sort(rng.choice(queries.n, size=args.num_queries,
                                   replace=False))
 
-    rank_block, solve = _make_runner(algo, k, params, kprime, s["pool_l"],
-                                     data, attrs, fn)
+    rank_block, solve, reference = _make_runner(
+        algo, k, params, kprime, s["pool_l"], data, attrs, fn)
     base2 = args.entropy_base == "2"
 
     def work(block: np.ndarray):
@@ -321,19 +327,13 @@ def cmd_run(args) -> int:
         qs = fn.query(queries.data[block])
         tops = rank_block(qs)
         share = (time.perf_counter() - t0) / len(block)
-        # rank is a total order on (similarity, id), so the head k rows of
-        # a ranking of the base are the report's exact top-k: a scan
-        # algorithm's own ranking, or, given lists, one ranking of the base
-        # to k rows for the block, outside the timed solve
-        refs = tops if algo in SCAN_ALGOS else block_pools(qs, data, fn, k)
         out = []
-        for qi, top, ref in zip(block, tops, refs):
+        for qi, top in zip(block, tops):
             q = queries.data[qi]
             t1 = time.perf_counter()
             sel = solve(q, top)
             latency_us = (share + time.perf_counter() - t1) * 1e6
-            o_ids = (ref.ids[:k] if algo in SCAN_ALGOS
-                     else top_k(q, k, data, fn, pool=ref).ids)
+            o_ids = reference(q, top)
             rep = compute_report(sel.ids, q, k, data, attrs, fn, base2=base2,
                                  truncated=sel.truncated, o_ids=o_ids)
             out.append((qi, rep, latency_us))

@@ -282,16 +282,20 @@ def _count_full_scans(monkeypatch, n):
     block_pools call without ids (one GEMM or GEMV, float32 or float64; a
     single query's scan is a block of one), or a per-query scan inside one
     or outside: a float32 sgemv, or a SimilarityFn.batch call over n
-    rows."""
-    scans, inside = [], []
+    rows. Also record each read of an inverted list, a block_pools call
+    with ids, as its query shape and ids."""
+    scans, lists, inside = [], [], []
     real_pools, real_f32 = oracle.block_pools, oracle._f32_scores
     real_batch = SimilarityFn.batch
 
     def block_pools(qs, data, fn, limit=None, ids=None):
         # full_scan_pool hands in its query as a checked block of one; an
         # inverted list's ranking (ids) reads the list's rows only
+        shape = np.shape(getattr(qs, "vec", qs))
         if ids is None:
-            scans.append(np.shape(getattr(qs, "vec", qs)))
+            scans.append(shape)
+        else:
+            lists.append((shape, tuple(ids)))
         inside.append(True)
         try:
             return real_pools(qs, data, fn, limit, ids)
@@ -314,7 +318,7 @@ def _count_full_scans(monkeypatch, n):
     monkeypatch.setattr(cli, "block_pools", block_pools)
     monkeypatch.setattr(oracle, "_f32_scores", f32_scores)
     monkeypatch.setattr(SimilarityFn, "batch", batch)
-    return scans
+    return scans, lists
 
 
 @pytest.mark.parametrize("extra", [
@@ -336,14 +340,22 @@ def test_run_scans_the_base_once_per_block(dataset20, tmp_path, monkeypatch,
                                            extra):
     # a scan algorithm scores each block of queries with one GEMM and takes
     # its report's reference top-k from that ranking, also when --pool-L
-    # is below k; the per-attribute solvers read only their lists, and
-    # their reports rank the base once per block for it
+    # is below k, and reads no list; the per-attribute solvers read each
+    # inverted list once per block and never the base, for their solve or
+    # their report's reference
     base, queries, attrs = dataset20
-    scans = _count_full_scans(monkeypatch, 120)
+    scans, lists = _count_full_scans(monkeypatch, 120)
     assert main(["run", "--base", base, "--queries", queries, "--attrs",
                  attrs, "--k", "4", "--out", str(tmp_path / "s.csv")]
                 + extra) == 0
-    assert scans == [(7, 6), (7, 6), (6, 6)]
+    blocks = [(7, 6), (7, 6), (6, 6)]
+    if extra[1] in ("nash", "pmean", "div"):
+        inverted = read_attrs(attrs).inverted
+        assert scans == []
+        assert lists == [(b, tuple(ids)) for b in blocks for ids in inverted]
+    else:
+        assert scans == blocks
+        assert lists == []
 
 
 def _int_dataset(tmp_path, k, n_queries=6):
@@ -440,6 +452,7 @@ def _library_selection(extra, q, k, data, attrs, fn):
     ["--algo", "nash"],
     ["--algo", "pmean", "--p", "-1"],
     ["--algo", "div", "--kprime", "2"],
+    ["--algo", "div", "--kprime", "7"],
 ])
 @pytest.mark.parametrize("data_kind", ["one-plus-cosine",
                                        "reciprocal-euclidean", "dot-product",
@@ -478,6 +491,68 @@ def test_run_block_path_equals_the_per_query_path(tmp_path, data_kind,
         rep = compute_report(sel.ids, q, k, data, table, fn, o_ids=None)
         for name in ("approx_ratio", "recall", "entropy"):
             assert row[col[name]] == cli._fmt(getattr(rep, name)), (row, name)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--algo", "nash"],
+    ["--algo", "div", "--kprime", "1"],
+])
+@pytest.mark.parametrize("k", [4, 40])
+def test_run_list_reference_on_short_and_empty_lists(tmp_path, k, extra):
+    # 30 rows over 20 attributes: most lists are shorter than k, some are
+    # empty, and k = 40 exceeds the base; the union of the lists still
+    # gives each row the report of the library's own scan
+    rng = np.random.default_rng(97)
+    base, queries = str(tmp_path / "b.fvecs"), str(tmp_path / "q.fvecs")
+    write_fvecs(base, rng.normal(size=(30, 5)).astype(np.float32))
+    write_fvecs(queries, rng.normal(size=(10, 5)).astype(np.float32))
+    attrs = str(tmp_path / "a.txt")
+    assert main(["gen-attrs", "--base", base, "--mode", "prob",
+                 "--seed", "3", "--out", attrs]) == 0
+    data, table = read_vectors(base), read_attrs(attrs)
+    assert min(len(ids) for ids in table.inverted) == 0
+    out = str(tmp_path / "e.csv")
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--k", str(k), "--out", out] + extra) == 0
+    rows = read_csv(out)
+    col = {name: i for i, name in enumerate(rows[0])}
+    data_rows = [r for r in rows[1:] if r[0].isdigit()]
+    qs, fn = read_vectors(queries), SimilarityFn("one-plus-cosine")
+    assert len(data_rows) == qs.n
+    for row in data_rows:
+        q = qs.data[int(row[0])]
+        sel = _library_selection(extra, q, k, data, table, fn)
+        rep = compute_report(sel.ids, q, k, data, table, fn,
+                             truncated=sel.truncated, o_ids=None)
+        for name in ("approx_ratio", "recall", "entropy", "inverse_simpson",
+                     "distinct_count", "truncated"):
+            assert row[col[name]] == cli._fmt(getattr(rep, name)), (row, name)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--algo", "nash"],
+    ["--algo", "pmean", "--p", "-1"],
+    ["--algo", "div", "--kprime", "2"],
+])
+def test_run_list_algorithm_on_a_multi_attribute_table_is_invalid_data(
+        dataset, tmp_path, monkeypatch, capsys, extra):
+    # the table is checked once, before any block reads a list
+    base, queries, _ = dataset
+    attrs = str(tmp_path / "multi.txt")
+    assert main(["gen-attrs", "--base", base, "--mode", "clus",
+                 "--chunks", "2", "--out", attrs]) == 0
+    assert not read_attrs(attrs).is_single
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a block was read")
+
+    monkeypatch.setattr(cli, "block_pools", no_read)
+    out = tmp_path / "m.csv"
+    capsys.readouterr()
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--k", "4", "--out", str(out)] + extra) == 4
+    assert "requires a single-attribute table" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [
