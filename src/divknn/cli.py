@@ -328,8 +328,8 @@ def cmd_run(args) -> int:
         tops = rank_block(qs)
         share = (time.perf_counter() - t0) / len(block)
         out = []
-        for qi, top in zip(block, tops):
-            q = queries.data[qi]
+        for i, (qi, top) in enumerate(zip(block, tops)):
+            q = qs.row(i)   # checked and normed with its block, once
             t1 = time.perf_counter()
             sel = solve(q, top)
             latency_us = (share + time.perf_counter() - t1) * 1e6

@@ -248,7 +248,7 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     The call returns once every share has ended, and raises the error of
     any share. The blocks in flight hold their scores once (the sgemm
     outputs, 256 KB per query in all, read by each query in place) plus,
-    per share, one query's keys (256 KB float32 or 512 KB float64 in all),
+    per share, one query's float64 keys (512 KB in all),
     about 2.5 MB for 8 queries at any row count; ``ids`` add 4096 gathered
     rows per share (1.5 MB at d = 96) and, per filter, the float64 norms
     of the list.
@@ -307,13 +307,11 @@ def _filter_pools(qs: Query, data: VectorSet, fn: SimilarityFn, limit: int,
         own = filters()
         blocks = _row_blocks(hi - lo, step)
         # one block's float64 keys, made for one query at a time
-        # (dot-product keys are the scores themselves)
-        buf = (None if fn.kind == "dot-product"
-               else np.empty(max(b - a for a, b in blocks)))
+        buf = np.empty(max(b - a for a, b in blocks))
         for a, b in blocks:
             scores = _f32_scores(qs, data, ids, lo + a, lo + b)
             for f, g in zip(own, scores):
-                f.take(g, lo + a, None if buf is None else buf[:b - a])
+                f.take(g, lo + a, buf[:b - a])
             scores = g = None   # freed before the next block's sgemm
         return own
 
@@ -382,8 +380,9 @@ class _Filter:
 
     Each kind ranks by a key in which its similarity increases: the dot
     product P = x.q (dot-product), P / |x| (one-plus-cosine) or
-    P - |x|^2 / 2 (reciprocal-euclidean), estimated from g = fl32(x.q32)
-    with q32 = fl32(q). For every row with finite g, ``|key - K| <= err``
+    P - |x|^2 / 2 (reciprocal-euclidean), estimated in float64 from the
+    float64 upcast of g = fl32(x.q32), with q32 = fl32(q); the dot-product
+    key is that upcast. For every row with finite g, ``|key - K| <= err``
     for the exact key K:
 
     * |g - x.q32| <= gamma_d(u32) |x|.|q32| + d 2^-149 for a dot product
@@ -397,30 +396,36 @@ class _Filter:
 
     A row whose float32 score overflowed (inf or NaN) always survives.
 
-    With tau the ``limit``-th best key, every row with key >= theta =
-    tau - 2 err - 4 e64 survives; e64 bounds the float64 path's own error
-    in key units. The survivors are scored by ``batch_ids`` and ranked by
-    ``rank``. A non-survivor has K < theta + err, so its float64
-    similarity is at most ``upper(theta + err)``, an upper bound that
-    counts every rounding of the float64 path. If the ``limit``-th
-    survivor's similarity exceeds that bound, each non-survivor ranks below
-    ``limit`` survivors, so the survivors' top-``limit`` is that of every
-    row, ties included. The rows with key >= tau have K >= tau - err,
-    which puts their similarities above that bound by at least e64, so the
-    certificate fails only where the float64 similarity itself stops
-    separating rows: a threshold among dot products clamped to 0, or
-    reciprocal-euclidean distances rounded to 0.
+    With tau the ``limit``-th best key, every row whose key is at least
+    theta = tau - 2 err - 4 e64, compared exactly, survives; e64 bounds
+    the float64 path's own error in key units. The survivors are scored
+    by ``batch_ids`` and ranked by ``rank``. A non-survivor has K < theta
+    + err, so its float64 similarity is at most ``upper(theta + err)``, an
+    upper bound that counts every rounding of the float64 path. If the
+    ``limit``-th survivor's similarity exceeds that bound, each
+    non-survivor ranks below ``limit`` survivors, so the survivors'
+    top-``limit`` is that of every row, ties included. The rows with key
+    >= tau have K >= tau - err, which puts their similarities above that
+    bound by at least e64, so the certificate fails only where the float64
+    similarity itself stops separating rows: a threshold among dot
+    products clamped to 0, or reciprocal-euclidean distances rounded to 0.
+
+    No input reaches e64 (dot-product, one-plus-cosine) or e_d
+    (reciprocal-euclidean) alone: a non-survivor ranks below each row with
+    key >= tau unless both rows' float64 errors, in key units, exceed
+    their gap, over 2 (err - err*) + 4 e64 with err* err without _SAFE's
+    slack; that slack, or the 2^-40 r (r + delta) of a reciprocal-euclidean
+    e64 where a norm is far from |q|, is at least 60 times those errors
+    (tests/test_filtered_scan.py checks it).
     """
 
     def __init__(self, q, data: VectorSet, fn: SimilarityFn, limit: int,
                  ids: np.ndarray | None, rows: tuple) -> None:
         self.q, self.data, self.fn, self.limit, self.ids = \
             q, data, fn, limit, ids
-        # the rows a streamed scan kept, their keys, and its running
-        # threshold in the keys' dtype
+        # a streamed scan's kept rows, their keys and its running threshold
         self.pos = np.empty(0, dtype=np.intp)
-        self.key = np.empty(0, dtype=np.float32 if fn.kind == "dot-product"
-                            else np.float64)
+        self.key = np.empty(0)
         self.t = -np.inf
         v = q.vec
         self.exact = abs(v).max() > _F32_MAX
@@ -462,15 +467,15 @@ class _Filter:
 
     def keys(self, g: np.ndarray, lo: int = 0,
              out: np.ndarray | None = None) -> np.ndarray:
-        """The keys of the rows lo, lo + 1, ... of the filter's rows from
-        their float32 scores g; float64 keys are made in ``out`` if given.
-        The float64 upcast of g is copied in first, so no ufunc mixes
-        float32 and float64 through a cast buffer."""
-        if self.fn.kind == "dot-product":
-            return g
+        """The float64 keys of the rows lo, lo + 1, ... of the filter's rows
+        from their float32 scores g, made in ``out`` if given. The float64
+        upcast of g is copied in first, so no ufunc mixes float32 and
+        float64 through a cast buffer; it is the dot-product key."""
         hi = lo + len(g)
         key = np.empty(len(g)) if out is None else out
         key[...] = g
+        if self.fn.kind == "dot-product":
+            return key
         if self.fn.kind == "one-plus-cosine":
             key /= self.norms[lo:hi]
             return key
@@ -483,10 +488,9 @@ class _Filter:
         key *= 0.5
         return key
 
-    def _lift(self, tau: float, dtype) -> float:
-        """Set the threshold for a ``limit``-th best key tau, and return
-        it: theta = tau - 2 err - 4 e64, compared in the keys' dtype
-        (float32 for dot-product) rounded down, never up."""
+    def _lift(self, tau: float) -> float:
+        """Set and return the threshold for a ``limit``-th best key tau:
+        theta = tau - 2 err - 4 e64, compared exactly with the keys."""
         if self.fn.kind == "reciprocal-euclidean":
             # the distance at the threshold sets how far apart in key two
             # rows must be for their float64 similarities to differ; a
@@ -496,9 +500,7 @@ class _Filter:
         else:
             e64 = self.e64
         theta = tau - 2.0 * self.err - 4.0 * e64
-        with np.errstate(over="ignore"):
-            t = dtype.type(theta)
-        self.t = np.nextafter(t, dtype.type(-np.inf)) if t > theta else t
+        self.t = theta
         return theta
 
     def upper(self, k: float) -> float:
@@ -539,11 +541,10 @@ class _Filter:
             keep |= ~np.isfinite(key)
         return keep.nonzero()[0]
 
-    def take(self, g: np.ndarray, lo: int,
-             out: np.ndarray | None = None) -> None:
+    def take(self, g: np.ndarray, lo: int, out: np.ndarray) -> None:
         """Keep the rows lo, lo + 1, ... of a block, with float32 scores g,
         whose keys reach the running threshold, then raise it; ``out``
-        takes the block's float64 keys.
+        takes the block's keys.
 
         The running threshold is that of the ``limit``-th best key seen so
         far, which is at most the final tau: theta grows with tau, so
@@ -554,13 +555,11 @@ class _Filter:
             return
         key = self.keys(g, lo, out)
         if self.t == -np.inf:
-            # float64 keys are partitioned in place, then made again
-            own = key is not g
-            tau = self._tau(key, in_place=own)
+            # the keys are partitioned in place, then made again
+            tau = self._tau(key, in_place=True)
             if tau is not None:
-                self._lift(tau, key.dtype)
-            if own:
-                key = self.keys(g, lo, out)
+                self._lift(tau)
+            key = self.keys(g, lo, out)
         keep = self._kept(key)
         if not keep.size:
             return
@@ -568,7 +567,7 @@ class _Filter:
         self.key = np.concatenate((self.key, key[keep]))
         tau = self._tau(self.key)
         if tau is not None:
-            self._lift(tau, key.dtype)
+            self._lift(tau)
             keep = self._kept(self.key)
             self.pos, self.key = self.pos[keep], self.key[keep]
 
@@ -584,7 +583,7 @@ class _Filter:
         tau = self._tau(key)
         if tau is None:   # fewer than limit finite keys
             return _exact_rank(q, data, fn, limit, ids)
-        theta = self._lift(tau, key.dtype)
+        theta = self._lift(tau)
         keep = self._kept(key)
         if keep.size > _max_survivors(self.n):
             return _exact_rank(q, data, fn, limit, ids)

@@ -358,6 +358,31 @@ def test_run_scans_the_base_once_per_block(dataset20, tmp_path, monkeypatch,
         assert lists == []
 
 
+@pytest.mark.parametrize("extra", [
+    ["--algo", "fetch-union", "--pool-L", "40"],
+    ["--algo", "nash"],
+    ["--algo", "multi-nash", "--pool-L", "30"],
+])
+def test_run_checks_each_query_once(dataset20, tmp_path, monkeypatch, extra):
+    # the block's checked queries reach the solver, the reference and the
+    # report, so only the block itself is checked and normed from raw
+    # values
+    base, queries, attrs = dataset20
+    raw = []
+    query = SimilarityFn.query
+
+    def spy(self, q):
+        if not isinstance(q, core.Query):
+            raw.append(np.shape(q))
+        return query(self, q)
+
+    monkeypatch.setattr(SimilarityFn, "query", spy)
+    assert main(["run", "--base", base, "--queries", queries, "--attrs",
+                 attrs, "--k", "4", "--out", str(tmp_path / "c.csv")]
+                + extra) == 0
+    assert raw == [(7, 6), (7, 6), (6, 6)]
+
+
 def _int_dataset(tmp_path, k, n_queries=6):
     """Small integer vectors: dot products tie often, one at place k."""
     rng = np.random.default_rng(93)

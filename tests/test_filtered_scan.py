@@ -170,6 +170,67 @@ def test_margin_covers_the_query_rounding(defeats, kind, q, x):
     assert full_scan_pool(q, VectorSet(x), fn, limit=1).ids.tolist() == [1]
 
 
+# The float64 terms e64 and e_d are within the slack _SAFE puts on err (and,
+# for reciprocal-euclidean, theta's 2^-40 r (r + delta)), so no input can
+# reach them alone; these tests check the bounds that _Filter's docstring
+# gives, so a change to _SAFE or to a term cannot make them reachable
+# unnoticed.
+SAFE = oracle._SAFE
+
+
+def filter_terms(monkeypatch, kind, d, xnorm, safe=SAFE):
+    """(err, e64 or e_d) of the filter of the float32 query e_1 over rows
+    xnorm e_1 in d dimensions, with ``_SAFE`` at ``safe``."""
+    monkeypatch.setattr(oracle, "_SAFE", safe)
+    q = np.zeros(d)
+    q[0] = 1.0
+    x = np.zeros((2, d), dtype=np.float32)
+    x[:, 0] = xnorm
+    vs, fn = VectorSet(x), KINDS[kind]
+    f = oracle._Filter(fn.query(q), vs, fn, 1, None,
+                       oracle._row_norms(vs, fn, None))
+    return f.err, f.e_d if kind == "reciprocal-euclidean" else f.e64
+
+
+@pytest.mark.parametrize("kind, times", [("dot-product", 85),
+                                         ("one-plus-cosine", 30)])
+def test_safe_slack_outweighs_e64(monkeypatch, kind, times):
+    # a non-survivor ranks below every row with key >= tau while the two
+    # rows' float64 errors, at most 2 e64 in key units, stay below
+    # 2 (err - err*), err* being err without _SAFE's slack
+    for d in (1, 2, 3, 32, 96, 4096, 2 ** 20):
+        err, e64 = filter_terms(monkeypatch, kind, d, 1.0)
+        bare, _ = filter_terms(monkeypatch, kind, d, 1.0, safe=1.0)
+        assert 2.0 * (err - bare) >= times * 4.0 * e64, d
+
+
+@pytest.mark.parametrize("d", [1, 2, 96, 4096])
+def test_safe_slack_or_distance_term_outweighs_e_d(monkeypatch, d):
+    # reciprocal-euclidean, |q| = 1: a row that could outrank one with key
+    # >= tau lies within the threshold distance r of q, r^2 >= 2 err, so
+    # both rows' norms lie in [1 - r, min(xmax, 1 + r)]; their float64
+    # errors in key units, each half the e_d of that norm (a squared
+    # distance moves twice as much as the key) plus 4 u64 r^2 for the root
+    # and the division, stay below 2 (err - err*) + 4 2^-40 r^2
+    e_d = {}
+    for lx in range(-40, 41, 2):
+        xmax = 2.0 ** lx
+        err, _ = filter_terms(monkeypatch, "reciprocal-euclidean", d, xmax)
+        bare, _ = filter_terms(monkeypatch, "reciprocal-euclidean", d, xmax,
+                               safe=1.0)
+        for lr in np.arange(-40.0, 41.0, 0.5):
+            r = 2.0 ** lr
+            if r * r < 2.0 * err or not 1.0 - xmax <= r <= 1.0 + xmax:
+                continue
+            a = min(xmax, 1.0 + r)
+            if a not in e_d:
+                e_d[a] = filter_terms(monkeypatch, "reciprocal-euclidean", d,
+                                      a)[1]
+            need = e_d[a] + 8.0 * 2.0 ** -53 * r * r
+            assert 2.0 * (err - bare) + 4.0 * 2.0 ** -40 * r * r \
+                >= 100.0 * need, (lx, lr)
+
+
 def test_filter_rescores_few_rows(monkeypatch):
     # on Gaussian bases the filter certifies and re-scores L plus a few rows
     rescored = []

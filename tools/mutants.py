@@ -18,9 +18,10 @@ RUN_TIMEOUT_S, and ``error`` when pytest fails otherwise (a collection or
 usage error). The exit status is 1 when any outcome differs from the
 expected one, else 0.
 
-A survivor is a check that no test makes: it is expected only where
-CHANGES.md records it as found. Remove a mutant only when its code is
-gone, and add one for each check a change relies on.
+A survivor is expected only where CHANGES.md records it: as found, a
+check that no test makes, or as a term that no input can reach alone.
+Remove a mutant only when its code is gone, and add one for each check a
+change relies on.
 """
 
 from __future__ import annotations
@@ -84,17 +85,18 @@ MUTANTS = (
         "self.e64 = _gamma(d + 8, _U64) * xmax * nq * _SAFE",
         "self.e64 = 0.0",
         ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
-        "the float64 rounding term of the dot-product filter's threshold; "
-        "no test reaches a near-tie within a few float64 ulps of it",
+        "the float64 rounding term of the dot-product filter; no input "
+        "reaches it alone, since _SAFE's slack on err outweighs it (see "
+        "_Filter's docstring and test_safe_slack_outweighs_e64)",
         "survived"),
     Mutant(
         "filter-no-e64-one-plus-cosine", "oracle.py",
         "self.e64 = (_gamma(d, _U64) * nq + 16.0 * _U64 * self.qn) * _SAFE",
         "self.e64 = 0.0",
         ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
-        "the float64 rounding term of the one-plus-cosine filter's "
-        "threshold; no test reaches a near-tie within a few float64 ulps "
-        "of it",
+        "the float64 rounding term of the one-plus-cosine filter; no input "
+        "reaches it alone, since _SAFE's slack on err outweighs it (see "
+        "_Filter's docstring and test_safe_slack_outweighs_e64)",
         "survived"),
     Mutant(
         "filter-no-e_d-reciprocal-euclidean", "oracle.py",
@@ -104,8 +106,77 @@ MUTANTS = (
         "self.e_d = 0.0",
         ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
         "the float64 error of the reciprocal-euclidean squared distance; "
-        "no test reaches a near-tie within a few float64 ulps of it",
+        "no input reaches it alone, since _SAFE's slack on err or theta's "
+        "2^-40 r (r + delta) outweighs it (see _Filter's docstring and "
+        "test_safe_slack_or_distance_term_outweighs_e_d)",
         "survived"),
+    Mutant(
+        "filter-safe-slack-below-float64-terms", "oracle.py",
+        "_SAFE = 1.0 + 2.0 ** -20",
+        "_SAFE = 1.0 + 2.0 ** -28",
+        ("tests/test_filtered_scan.py",),
+        "the slack _SAFE puts on err outweighs the float64 terms, which is "
+        "why no input reaches them alone",
+        "killed"),
+    Mutant(
+        "filter-threshold-without-margin", "oracle.py",
+        "        self.t = theta\n",
+        "        self.t = tau\n",
+        ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
+        "a row survives when its float64 key reaches tau - 2 err - 4 e64, "
+        "not tau",
+        "killed"),
+    Mutant(
+        "filter-take-keeps-partitioned-keys", "oracle.py",
+        "                self._lift(tau)\n"
+        "            key = self.keys(g, lo, out)\n",
+        "                self._lift(tau)\n",
+        ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
+        "a streamed block's keys, partitioned in place for its first "
+        "threshold, are made again before its rows are kept",
+        "killed"),
+    Mutant(
+        "filter-no-query-rounding-term", "oracle.py",
+        "per_norm = (np.linalg.norm(v - q32) + _gamma(d, _U32) * nq32)"
+        " * _SAFE",
+        "per_norm = _gamma(d, _U32) * nq32 * _SAFE",
+        ("tests/test_filtered_scan.py",),
+        "the filter's margin covers the query's own float32 rounding "
+        "|q - q32|",
+        "killed"),
+    Mutant(
+        "share-join-drops-later-shares", "oracle.py",
+        "        f.pos = np.concatenate([f.pos] + [o.pos for o in others])\n"
+        "        f.key = np.concatenate([f.key] + [o.key for o in others])\n",
+        "        pass\n",
+        ("tests/test_filtered_scan.py",),
+        "each query's kept rows of every share are joined before its pool "
+        "is ranked",
+        "killed"),
+    Mutant(
+        "rank-no-lexsort-tie-branch", "oracle.py",
+        "if (ranked[1:] == ranked[:-1]).any():",
+        "if False:",
+        ("tests/test_oracle.py",),
+        "equal similarities are ranked by ascending id, which the unstable "
+        "sort alone does not give",
+        "killed"),
+    Mutant(
+        "rank-threshold-strict", "oracle.py",
+        "above = sims >= sims[part[n - limit]]",
+        "above = sims > sims[part[n - limit]]",
+        ("tests/test_oracle.py",),
+        "every candidate tied with the limit-th best joins the candidates "
+        "before the id order decides",
+        "killed"),
+    Mutant(
+        "run-checks-raw-query", "cli.py",
+        "q = qs.row(i)",
+        "q = queries.data[qi]",
+        ("tests/test_cli.py",),
+        "divknn run hands the solver, the reference and the report the "
+        "query its block checked, so no query is checked twice",
+        "killed"),
     Mutant(
         "run-reference-skips-attribute-0", "cli.py",
         "        def reference(q, lists):\n",
