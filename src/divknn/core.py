@@ -42,7 +42,8 @@ _NORM_BLOCK = 4096
 # BLAS kernel's row group (a BLAS may still round a row by another kernel;
 # the filter's bound holds for any summation order). Above 50k rows, a base
 # one call scans faster than blocks do (16384-row blocks: 1.47x slower).
-# A scan of at least twice this many rows splits them across the CPUs.
+# A scan, and the set-up pass, of at least twice this many rows split them
+# across the CPUs.
 _STREAM_ROWS = 65536
 
 
@@ -109,7 +110,10 @@ class VectorSet:
     gathers rows either way. The per-row squared norms are float64, taken
     at construction from float64 upcasts of blocks of rows in the same pass
     that rejects NaN and Inf entries, and equal ``np.einsum("ij,ij->i")``
-    on a float64 copy of the matrix. The norms are their square roots,
+    on a float64 copy of the matrix. Like a scan, the set-up pass splits
+    its blocks into the shares of :func:`_shares`, one per worker thread
+    (from twice ``_STREAM_ROWS`` rows on), each upcasting into one float64
+    block of its own. The norms are their square roots,
     ``np.sqrt(sqnorms)``.
     """
 
@@ -135,22 +139,38 @@ class VectorSet:
             raise ValueError("dimension must be >= 1")
         n = arr.shape[0]
         sqnorms = np.empty(n, dtype=np.float64)
-        # float32 rows are upcast into one reused float64 block
-        wide = (np.empty((min(n, _NORM_BLOCK), arr.shape[1]))
-                if arr.dtype == np.float32 else None)
-        # a NaN or Inf entry makes its row's squared norm non-finite; a
-        # non-finite squared norm of finite entries (an overflow) is told
-        # apart by the exact test
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, _NORM_BLOCK):
-                block = arr[lo:lo + _NORM_BLOCK]
-                if wide is not None:
-                    block = wide[:len(block)]
-                    np.copyto(block, arr[lo:lo + len(block)])
-                sq = np.einsum("ij,ij->i", block, block,
-                               out=sqnorms[lo:lo + len(block)])
-                if not np.isfinite(sq).all() and not np.isfinite(block).all():
-                    raise ValueError("vector payload contains NaN or Inf")
+        # every share's float64 block is freed only when the constructor
+        # returns, as one thread's block was: freed before norms is
+        # allocated, it can leave glibc a free heap top to trim, and later
+        # set-ups fault those pages in again (a loop of 50k-row set-ups
+        # took about 2100 more minor faults in each of set-ups 2 to 5)
+        blocks = []
+
+        def fill(lo: int, hi: int) -> bool:
+            """The squared norms of rows [lo, hi); False at a row with a
+            NaN or Inf entry, after which the share stops."""
+            # float32 rows are upcast into one reused float64 block
+            wide = (np.empty((min(hi - lo, _NORM_BLOCK), arr.shape[1]))
+                    if arr.dtype == np.float32 else None)
+            blocks.append(wide)
+            # a NaN or Inf entry makes its row's squared norm non-finite; a
+            # non-finite squared norm of finite entries (an overflow) is
+            # told apart by the exact test
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a in range(lo, hi, _NORM_BLOCK):
+                    block = arr[a:min(a + _NORM_BLOCK, hi)]
+                    if wide is not None:
+                        block = wide[:len(block)]
+                        np.copyto(block, arr[a:a + len(block)])
+                    sq = np.einsum("ij,ij->i", block, block,
+                                   out=sqnorms[a:a + len(block)])
+                    if not (np.isfinite(sq).all()
+                            or np.isfinite(block).all()):
+                        return False
+            return True
+
+        if not all(_on_shares(fill, _shares(n, _STREAM_ROWS))):
+            raise ValueError("vector payload contains NaN or Inf")
         norms = np.sqrt(sqnorms)
         for a in (arr, norms, sqnorms):
             a.setflags(write=False)

@@ -105,13 +105,16 @@ def rank(sims: np.ndarray, ids: np.ndarray | None = None,
 _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
 # relative slack on every bound: it covers the float64 rounding of the
-# stored norms and of computing the bound itself, for any d below 2^30
+# stored norms and of computing the bound itself, for any d below 2^30;
+# the float32 terms need d u32 < 1/2, so _filters takes d below 2^23
 _SAFE = 1.0 + 2.0 ** -20
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _gamma(m: int, u: float) -> float:
-    """Higham's gamma_m = m u / (1 - m u)."""
+    """Higham's gamma_m = m u / (1 - m u), a bound only for m u < 1."""
+    if m * u >= 1.0:
+        raise ValueError(f"gamma_{m} has no bound at unit roundoff {u}")
     return m * u / (1.0 - m * u)
 
 
@@ -136,10 +139,12 @@ def _filters(data: VectorSet, limit: int | None, n: int,
     """Whether the top-``limit`` of n rows of ``data``, the whole base or
     an inverted list (``listed``), is ranked through the float32 filter.
     Below about 2000-4000 rows (d = 32) the filter costs a list more than
-    it saves."""
+    it saves. A base of d >= 2^23 (d u32 >= 1/2) is ranked in float64:
+    near there the filter's float32 rounding bound, gamma_d, stops being
+    one."""
     return not (listed and n <= _SURVIVOR_FLOOR) and \
-        data.data.dtype == np.float32 and limit is not None and \
-        limit < n and limit <= _max_survivors(n)
+        data.data.dtype == np.float32 and data.d * _U32 < 0.5 and \
+        limit is not None and limit < n and limit <= _max_survivors(n)
 
 
 def exact_topk(q, attribute: int, k: int, data: VectorSet,

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from divknn import core
+from divknn import core, data as data_io
 from divknn.core import (AttributeTable, Selection, SimilarityFn, VectorSet,
                          WelfareParams, log_nsw, utilities, welfare)
 from divknn.reference import _weight_matrix
@@ -112,6 +114,98 @@ def test_vectorset_float32_setup_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * (core._NORM_BLOCK * d * 8 + 2 * n * 8)
+
+
+# the set-up pass split into 1, 2 or 3 shares: a share ends on a bound of
+# one thread's 4096-row blocks, so every row is summed as one thread sums it
+SPLIT_ROWS = (0, 3 * 4096, 3 * 4096 + 5, 5 * 4096 + 17)
+
+
+def split_into(monkeypatch, workers):
+    monkeypatch.setattr(core, "_workers", lambda n, rows: workers)
+
+
+def setup_pass_at_each_split(monkeypatch, make):
+    """The sqnorms and norms bytes of ``make()`` at 1, 2 and 3 shares."""
+    seen = []
+    for workers in (1, 2, 3):
+        split_into(monkeypatch, workers)
+        vs = make()
+        seen.append((vs.sqnorms.tobytes(), vs.norms.tobytes()))
+    return seen
+
+
+@pytest.mark.parametrize("n", SPLIT_ROWS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+def test_split_setup_pass_equals_one_thread_pass(monkeypatch, n, dtype):
+    rng = np.random.default_rng(n)
+    x = (rng.integers(0, 256, size=(n, 24)) if dtype == np.uint8
+         else rng.normal(size=(n, 24)) * 1e3).astype(dtype)
+    seen = setup_pass_at_each_split(monkeypatch, lambda: VectorSet(x))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+    wide = x.astype(np.float64)
+    sqnorms = np.einsum("ij,ij->i", wide, wide)
+    assert seen[0] == (sqnorms.tobytes(), np.sqrt(sqnorms).tobytes())
+
+
+@pytest.mark.parametrize("n", SPLIT_ROWS[1:])   # an empty file has no map
+def test_split_setup_pass_over_a_mapped_record_matrix(monkeypatch, tmp_path,
+                                                      n):
+    x = np.random.default_rng(n).standard_normal((n, 24), dtype=np.float32)
+    path = str(tmp_path / "x.fvecs")
+    data_io.write_fvecs(path, x)
+    copied = data_io.read_fvecs(path)
+    monkeypatch.setattr(data_io, "_MAP_BYTES", 0)
+    seen = setup_pass_at_each_split(monkeypatch,
+                                    lambda: data_io.read_fvecs(path))
+    assert data_io.read_fvecs(path)._records is not None
+    assert seen == [(copied.sqnorms.tobytes(), copied.norms.tobytes())] * 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_split_setup_pass_finds_a_bad_entry_in_any_share(monkeypatch,
+                                                         tmp_path, bad):
+    # at 3 workers the shares are rows [0, 4096), [4096, 8192), [8192, n);
+    # at 2, [0, 4096) and [4096, n): each share's verdict counts
+    n, d = 3 * 4096 + 5, 8
+    x = np.random.default_rng(86).standard_normal((n, d), dtype=np.float32)
+    path = str(tmp_path / "bad.fvecs")
+    monkeypatch.setattr(data_io, "_MAP_BYTES", 0)
+    for row in (0, n // 2, n - 1):
+        y = x.copy()
+        y[row, row % d] = bad
+        data_io.write_fvecs(path, y)
+        for workers in (1, 2, 3):
+            split_into(monkeypatch, workers)
+            for data in (y, y.astype(np.float64)):
+                with pytest.raises(ValueError, match="^vector payload "
+                                   "contains NaN or Inf$"):
+                    VectorSet(data)
+            with pytest.raises(ValueError, match="^" + re.escape(path)
+                               + ": payload contains NaN or Inf$"):
+                data_io.read_fvecs(path)
+
+
+def test_setup_pass_splits_as_a_scan_does(monkeypatch):
+    # by the real worker rule: from twice _STREAM_ROWS rows on, one share
+    # per CPU at hand, at most one per _STREAM_ROWS rows
+    monkeypatch.setattr(core, "_STREAM_ROWS", 2 * 4096)
+    split = []
+    real = core._on_shares
+
+    def on_shares(work, shares):
+        split.append(len(shares))
+        return real(work, shares)
+
+    monkeypatch.setattr(core, "_on_shares", on_shares)
+    x = np.random.default_rng(87).standard_normal((8 * 4096, 8),
+                                                  dtype=np.float32)
+    whole = VectorSet(x)
+    assert split == [min(len(os.sched_getaffinity(0)), 2)]
+    split.clear()
+    head = VectorSet(x[:4 * 4096 - 1])
+    assert split == [1]
+    assert head.sqnorms.tobytes() == whole.sqnorms[:4 * 4096 - 1].tobytes()
 
 
 def test_vectorset_shape_checks():

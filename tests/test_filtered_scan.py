@@ -231,6 +231,21 @@ def test_safe_slack_or_distance_term_outweighs_e_d(monkeypatch, d):
                 >= 100.0 * need, (lx, lr)
 
 
+def test_a_float32_base_from_d_2_23_on_is_ranked_in_float64():
+    # gamma_d of float32, the filter's rounding bound, has no value from
+    # d = 2^24 on; from 2^23 (d u32 >= 1/2) a base never reaches it. Empty
+    # sets of these widths allocate nothing
+    for d, filters in ((2 ** 23 - 1, True), (2 ** 23, False),
+                       (2 ** 24, False)):
+        vs = VectorSet(np.empty((0, d), np.float32))
+        for listed in (False, True):
+            assert oracle._filters(vs, 10, 10 ** 6, listed) == filters, d
+    assert 0.0 < oracle._gamma(2 ** 24 - 1, oracle._U32) < math.inf
+    for m in (2 ** 24, 2 ** 24 + 1):
+        with pytest.raises(ValueError, match="no bound"):
+            oracle._gamma(m, oracle._U32)
+
+
 def test_filter_rescores_few_rows(monkeypatch):
     # on Gaussian bases the filter certifies and re-scores L plus a few rows
     rescored = []

@@ -81,6 +81,39 @@ MUTANTS = (
         "every row's float32 score has the same bits at any worker count",
         "killed"),
     Mutant(
+        "setup-share-writes-at-share-offset", "core.py",
+        "out=sqnorms[a:a + len(block)])",
+        "out=sqnorms[a - lo:a - lo + len(block)])",
+        ("tests/test_core.py",),
+        "each share of the set-up pass writes its rows' squared norms at "
+        "their own places",
+        "killed"),
+    Mutant(
+        "setup-share-finite-check-passes", "core.py",
+        "                            or np.isfinite(block).all()):\n"
+        "                        return False\n",
+        "                            or np.isfinite(block).all()):\n"
+        "                        pass\n",
+        ("tests/test_core.py",),
+        "a share of the set-up pass reports a row with a NaN or Inf entry",
+        "killed"),
+    Mutant(
+        "setup-reads-first-share-only", "core.py",
+        "if not all(_on_shares(fill, _shares(n, _STREAM_ROWS))):",
+        "if not _on_shares(fill, _shares(n, _STREAM_ROWS))[0]:",
+        ("tests/test_core.py",),
+        "the set-up pass rejects a NaN or Inf entry in any share, not only "
+        "in the first",
+        "killed"),
+    Mutant(
+        "filter-any-width", "oracle.py",
+        "data.data.dtype == np.float32 and data.d * _U32 < 0.5 and \\",
+        "data.data.dtype == np.float32 and \\",
+        ("tests/test_filtered_scan.py",),
+        "a float32 base of d >= 2^23, where the filter's float32 rounding "
+        "bound fails, is ranked in float64",
+        "killed"),
+    Mutant(
         "filter-no-e64-dot-product", "oracle.py",
         "self.e64 = _gamma(d + 8, _U64) * xmax * nq * _SAFE",
         "self.e64 = 0.0",
