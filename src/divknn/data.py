@@ -223,15 +223,16 @@ def cluster_attrs(data: VectorSet, c: int, seed: int,
     if c > data.n:
         raise ValueError("more clusters than vectors")
     if chunks is None:
-        labels = _lloyd(np.asarray(data.data, dtype=np.float64), c,
-                        np.random.default_rng(seed))
-        return AttributeTable.from_labels(labels, c)
+        # narrowed labels: the table's intp conversion is their only copy
+        return AttributeTable.from_labels(_lloyd(
+            np.asarray(data.data, dtype=np.float64), c,
+            np.random.default_rng(seed)).astype(np.min_scalar_type(c - 1)), c)
     m = int(chunks)
     if m < 1 or data.d % m != 0:
         raise ValueError("d must be divisible by chunks")
     width = data.d // m
-    # entry v * m + i is vector v's cluster in slice i
-    flat = np.empty(data.n * m, dtype=np.intp)
+    # entry v * m + i is vector v's cluster in slice i, narrow as above
+    flat = np.empty(data.n * m, dtype=np.min_scalar_type(c * m - 1))
     for i in range(m):
         sl = np.ascontiguousarray(data.data[:, i * width:(i + 1) * width],
                                   dtype=np.float64)
@@ -251,9 +252,12 @@ def prob_attrs(n: int, seed: int) -> AttributeTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    head = rng.random(n) < PROB_HEAD_MASS
-    labels = np.where(head, rng.integers(0, PROB_HEAD, size=n),
-                      rng.integers(PROB_HEAD, PROB_ATTR_COUNT, size=n))
+    # the draws stay int64, which fixes their stream, and are narrowed at
+    # once, so the table's intp conversion is the labels' only copy
+    labels = np.where(
+        rng.random(n) < PROB_HEAD_MASS,
+        rng.integers(0, PROB_HEAD, size=n).astype(np.uint8),
+        rng.integers(PROB_HEAD, PROB_ATTR_COUNT, size=n).astype(np.uint8))
     return AttributeTable.from_labels(labels, PROB_ATTR_COUNT)
 
 

@@ -15,7 +15,10 @@ Over a float32 base, pools of at most an eighth of the base and inverted
 lists above 4096 rows go through :func:`block_pools` and its certified
 float32 filter :class:`_Filter`, which re-scores in float64 only the rows
 above a proven threshold; where it cannot certify, it ranks all its rows
-in float64 itself (:func:`_exact_rank`), so no caller has a fallback. More
+in float64 itself (:func:`_exact_rank`), so no caller has a fallback. The
+threshold follows the ``limit``-th best float32 key, tau, which is
+selected only among the keys at or above a lower bound on it that a
+1-in-16 sample of the keys proves (:meth:`_Filter._floor`). More
 than ``_STREAM_ROWS`` rows stream through it by row blocks, so no query
 holds a row of n scores, nor a list its whole gathered rows. The rows of
 a stream are split into W contiguous shares, one per worker thread
@@ -34,6 +37,7 @@ not depend on thread count or call order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -415,6 +419,13 @@ class _Filter:
     similarity itself stops separating rows: a threshold among dot
     products clamped to 0, or reciprocal-euclidean distances rounded to 0.
 
+    tau itself is selected from few keys. :meth:`_floor` bounds it from
+    below by a key of a 1-in-16 sample that at least ``limit`` keys reach
+    (else it is tau). theta grows with tau, so the keys at or above the
+    bound's theta hold every survivor, and tau is their ``limit``-th best:
+    :meth:`pool` partitions only those. A streamed scan's first block sets
+    its running threshold from its own keys' bound.
+
     No input reaches e64 (dot-product, one-plus-cosine) or e_d
     (reciprocal-euclidean) alone: a non-survivor ranks below each row with
     key >= tau unless both rows' float64 errors, in key units, exceed
@@ -521,22 +532,35 @@ class _Filter:
         d2 = max(self.qq - 2.0 * k - 2.0 * self.e_d, 0.0)
         return (1.0 + 16.0 * _U64) / (np.sqrt(d2) + self.fn.delta)
 
-    def _tau(self, key: np.ndarray, in_place: bool = False) -> float | None:
+    def _tau(self, key: np.ndarray) -> float | None:
         """The ``limit``-th best key, of the finite ones where scores may
-        overflow; None when fewer keys are. ``in_place`` lets the partition
-        reorder key in place."""
+        overflow; None when fewer keys are."""
         if self.overflow:
             finite = np.isfinite(key)
             if np.count_nonzero(finite) < self.limit:
                 return None
-            key, in_place = np.where(finite, key, -np.inf), True
+            key = np.where(finite, key, -np.inf)
         elif len(key) < self.limit:
             return None
         m = len(key) - self.limit
-        if in_place:
-            key.partition(m)
-            return float(key[m])
         return float(np.partition(key, m)[m])
+
+    def _floor(self, key: np.ndarray) -> float | None:
+        """A lower bound on :meth:`_tau` of ``key``, from the r-th best of
+        every 16th key, r = limit / 16 plus twice its square root plus 2:
+        when at least ``limit`` keys reach it, it is at most tau. Where
+        that count fails, the sample is short or scores may overflow, it
+        is tau itself (Floyd and Rivest, "Expected time bounds for
+        selection", CACM 1975, select from a sample the same way)."""
+        if not self.overflow:
+            s = self.limit // 16
+            sample = key[::16]
+            m = len(sample) - (s + 2 * math.isqrt(s) + 2)
+            if m >= 0:
+                t = float(np.partition(sample, m)[m])
+                if np.count_nonzero(key >= t) >= self.limit:
+                    return t
+        return self._tau(key)
 
     def _kept(self, key: np.ndarray) -> np.ndarray:
         """The positions of the keys at or above the threshold, and of the
@@ -554,17 +578,16 @@ class _Filter:
         The running threshold is that of the ``limit``-th best key seen so
         far, which is at most the final tau: theta grows with tau, so
         every row that survives the final threshold is kept. Until there
-        is one, a block sets it from its own keys.
+        is one, a block sets it from the :meth:`_floor` of its own keys,
+        at most their tau.
         """
         if self.exact:
             return
         key = self.keys(g, lo, out)
         if self.t == -np.inf:
-            # the keys are partitioned in place, then made again
-            tau = self._tau(key, in_place=True)
-            if tau is not None:
-                self._lift(tau)
-            key = self.keys(g, lo, out)
+            floor = self._floor(key)
+            if floor is not None:
+                self._lift(floor)
         keep = self._kept(key)
         if not keep.size:
             return
@@ -584,16 +607,26 @@ class _Filter:
             self.ids
         if self.exact:
             return _exact_rank(q, data, fn, limit, ids)
-        key, pos = (self.key, self.pos) if g is None else (self.keys(g), None)
+        if g is None:
+            key, pos = self.key, self.pos
+        else:
+            # the rows at or above the threshold of a lower bound on tau
+            # hold every row the threshold of tau keeps, since theta grows
+            # with tau, and tau is the limit-th best of their keys
+            key = self.keys(g)
+            floor = self._floor(key)
+            if floor is None:   # fewer than limit finite keys
+                return _exact_rank(q, data, fn, limit, ids)
+            self._lift(floor)
+            pos = self._kept(key)
+            key = key[pos]
         tau = self._tau(key)
         if tau is None:   # fewer than limit finite keys
             return _exact_rank(q, data, fn, limit, ids)
         theta = self._lift(tau)
-        keep = self._kept(key)
+        keep = pos[self._kept(key)]
         if keep.size > _max_survivors(self.n):
             return _exact_rank(q, data, fn, limit, ids)
-        if pos is not None:
-            keep = pos[keep]
         if ids is not None:
             keep = ids[keep]
         pool = _exact_rank(q, data, fn, limit, keep)   # the survivors alone

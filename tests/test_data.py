@@ -484,6 +484,46 @@ def test_prob_attrs_deterministic():
     assert not np.array_equal(prob_attrs(500, seed=5).labels, a.labels)
 
 
+def test_prob_attrs_copies_its_labels_only_into_the_table():
+    # the labels reach the table narrow, so its intp conversion is their
+    # only copy: the peak is the table plus 4 bytes per row (the intp
+    # labels and their copy peaked at the table plus 9.3 MiB)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        attrs = prob_attrs(n, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = attrs.indices.nbytes + attrs.indptr.nbytes + sum(
+        lst.nbytes for lst in attrs.inverted)
+    assert peak < table + 4 * n
+    # the same int64 draws as ever, so the same labels
+    rng = np.random.default_rng(7)
+    head = rng.random(n) < 0.9
+    want = np.where(head, rng.integers(0, 3, size=n),
+                    rng.integers(3, 20, size=n))
+    assert attrs.indices.tobytes() == want.astype(np.intp).tobytes()
+
+
+@pytest.mark.parametrize("chunks", [None, 3])
+def test_cluster_attrs_hands_the_table_narrow_labels(monkeypatch, chunks):
+    # a label array of intp would be copied by the table; a narrow one is
+    # converted, which is its only copy
+    seen = []
+    real = AttributeTable.__init__
+
+    def init(self, lengths, indices, *args, **kwargs):
+        seen.append(np.asarray(indices).dtype)
+        real(self, lengths, indices, *args, **kwargs)
+
+    rng = np.random.default_rng(12)
+    vs = VectorSet(rng.standard_normal((300, 6)))
+    monkeypatch.setattr(AttributeTable, "__init__", init)
+    attrs = cluster_attrs(vs, c=4, seed=3, chunks=chunks)
+    assert seen == [np.uint8] and attrs.indices.dtype == np.intp
+
+
 def test_prob_attrs_single_vector():
     attrs = prob_attrs(1, seed=0)
     assert attrs.n == 1 and 0 <= attrs.labels[0] < 20

@@ -657,6 +657,99 @@ def test_streamed_scan_holds_no_score_row_of_the_base(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# tau from a 1-in-16 sample of the keys
+# ---------------------------------------------------------------------------
+
+def filter_and_keys(q, vs, fn, limit):
+    """The one-block filter of q over every row of vs, and its keys."""
+    qs = fn.query(q[None])
+    f = oracle._Filter(qs.row(0), vs, fn, limit, None,
+                       oracle._row_norms(vs, fn, None))
+    return f, f.keys(oracle._f32_scores(qs, vs)[0])
+
+
+def sampled_rows_best(n, rng, copies=None):
+    """(q, x): a base whose rows at positions 0, 16, 32, ... point along q
+    and all others away from it, so they hold the best keys under every
+    kind; with ``copies``, the first that many of them are q itself, the
+    best row under every kind."""
+    d = 8
+    q = np.ones(d) / math.sqrt(d)
+    x = -np.abs(rng.normal(size=(n, d))) * 0.05
+    x[::16] = (q + rng.normal(size=(len(x[::16]), d)) * 0.01) * 0.9
+    if copies:
+        x[:16 * copies:16] = q
+    return q.astype(np.float32).astype(np.float64), x.astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_floor_falls_back_to_tau_when_the_sample_holds_the_best_keys(
+        monkeypatch, kind):
+    # the sample's r-th best key is the r-th best of all, which fewer than
+    # limit keys reach, so the count fails and the floor is tau itself
+    n = 4 * BLOCK
+    q, x = sampled_rows_best(n, np.random.default_rng(64))
+    vs, fn = VectorSet(x), KINDS[kind]
+    for limit in (10, 200, n // 8):
+        f, key = filter_and_keys(q, vs, fn, limit)
+        s = limit // 16
+        t = np.sort(key[::16])[-(s + 2 * math.isqrt(s) + 2)]
+        assert np.count_nonzero(key >= t) < limit
+        assert f._floor(key) == f._tau(key)
+        pools = assert_same_pools(monkeypatch, np.stack([q, q * 3.0]), vs,
+                                  fn, limit)
+        ids, sims = float64_topk(q, x, fn, limit)
+        assert pools[0].ids.tobytes() == ids.tobytes()
+        np.testing.assert_allclose(pools[0].sims, sims, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_floor_equals_tau_on_duplicate_best_rows(monkeypatch, kind):
+    # 64 sampled rows are one best row: the sample's r-th best key is that
+    # row's, tau whenever 64 keys reach the limit, and the next key's tau
+    # from the count's fallback past it
+    n = 4 * BLOCK
+    q, x = sampled_rows_best(n, np.random.default_rng(65), copies=64)
+    vs, fn = VectorSet(x), KINDS[kind]
+    for limit in (10, 40, 64, 65):
+        f, key = filter_and_keys(q, vs, fn, limit)
+        tau = f._tau(key)
+        assert f._floor(key) == tau
+        assert (tau == key.max()) == (limit <= 64)
+        pools = assert_same_pools(monkeypatch, q[None], vs, fn, limit)
+        ids, sims = float64_topk(q, x, fn, limit)
+        assert pools[0].ids.tobytes() == ids.tobytes()
+        assert ids[:min(limit, 64)].tolist() == list(range(0, 16 * min(
+            limit, 64), 16))
+        np.testing.assert_allclose(pools[0].sims, sims, rtol=1e-12)
+
+
+def test_one_block_pool_partitions_a_few_keys(monkeypatch):
+    # n = 50k, limit 2000: a 1-in-16 sample and the keys at or above its
+    # bound are partitioned, never the n keys
+    sizes = []
+    real = np.partition
+
+    def partition(a, kth, *args, **kwargs):
+        sizes.append(len(a))
+        return real(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", partition)
+    rng = np.random.default_rng(66)
+    n, limit = 50_000, 2000
+    x = rng.standard_normal((n, 32), dtype=np.float32)
+    vs = VectorSet(x)
+    for fn in KINDS.values():
+        for _ in range(3):
+            q = rng.normal(size=32)
+            sizes.clear()
+            pool = full_scan_pool(q, vs, fn, limit)
+            assert sizes and max(sizes) < n // 4, fn.kind
+            ids, _ = float64_topk(q, x, fn, limit)
+            assert pool.ids.tobytes() == ids.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the filter over an inverted list
 # ---------------------------------------------------------------------------
 

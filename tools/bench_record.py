@@ -16,8 +16,9 @@ which side goes first, in a checkout of REV (``git archive REV | tar -x``
 into a temporary directory, whose ``perfbench/.cache`` links to this one's,
 so inputs are made once). Each side runs its own ``src/`` under its own
 harness. The parent's file is ``BENCH_<sha>.json``, named by REV's short
-commit id, and the printed pair tally says in how many pairs the change
-read better, ties counting for neither.
+commit id, and the two files are then compared as ``compare`` does. With
+``--parent HEAD`` on a clean tree both sides run the same sources: an A/A
+pair, whose comparison shows the noise of one session.
 
 A BENCH file holds the ``env`` line of the runs (nproc, BLAS and its thread
 count, numpy, ``git_commit``, ``source_sha``), the seeds, ``--seconds`` and
@@ -32,8 +33,15 @@ suffixed ``-dirty`` when a tracked file differs from it (as ``git describe
 --dirty`` marks it).
 
 ``compare`` prints each file's ``rev`` and ``source_sha``, then, per
-workload, seed and end-to-end metric, the new median over the old, and whether the new median lies outside the old
-interquartile range.
+workload, seed and end-to-end metric: the new median over the old; whether
+it lies outside the old interquartile range; the pair tally, in how many
+pairs of runs of the same index the new run read better, ties counting for
+neither (the runs of one recording, whose pairs alternate which side goes
+first); and whether the new median is worse than the old by more than the
+metric's ``bound`` in BENCHMARK.json, as a fraction of the old median.
+A change is accepted when no metric is worse beyond its bound; a claimed
+gain must read better in at least 9 of 10 pairs, with its median outside
+the old interquartile range.
 """
 
 from __future__ import annotations
@@ -109,7 +117,7 @@ class Side:
         self.runs: dict = {}     # (workload, seed) -> list of run_once dicts
         self.traced: dict = {}   # workload -> per-layer metrics
 
-    def run(self, workload: str, seed: int, seconds: float) -> dict:
+    def run(self, workload: str, seed: int, seconds: float) -> None:
         out = run_once(self.tree, workload, seed, seconds, trace=False)
         env = {k: v for k, v in out["env"].items() if k not in RUN_FIELDS}
         env["git_commit"] = self.rev
@@ -119,7 +127,6 @@ class Side:
             raise SystemExit(f"error: the environment of {self.tag} changed "
                              f"between runs: {self.env} -> {env}")
         self.runs.setdefault((workload, seed), []).append(out)
-        return out["result"]["metrics"]
 
     def trace(self, workload: str, seed: int, seconds: float) -> None:
         out = run_once(self.tree, workload, seed, seconds, trace=True)
@@ -194,44 +201,47 @@ def record(args) -> int:
         rev = git("rev-parse", "--verify", args.parent + "^{commit}")
         parent = Side(git("rev-parse", "--short=7", rev), checkout(rev), rev)
     sides = [change] if parent is None else [parent, change]
-    wins: dict = {}
     try:
         for workload in names:
             for seed in args.seeds:
                 for i in range(args.runs):
                     # pairs alternate which side runs first
-                    got = {s.tag: s.run(workload, seed, args.seconds)
-                           for s in (sides if i % 2 == 0 else sides[::-1])}
-                    for name in END_TO_END if parent else ():
-                        key = (workload, seed, name)
-                        wins[key] = wins.get(key, 0) + better(
-                            name, got[change.tag][name]["value"],
-                            got[parent.tag][name]["value"])
+                    for side in (sides if i % 2 == 0 else sides[::-1]):
+                        side.run(workload, seed, args.seconds)
                 print(f"{workload} seed {seed}: {args.runs} run(s) done",
                       flush=True)
             if args.trace:
                 for side in sides:
                     side.trace(workload, args.seeds[0], args.seconds)
-        for side in sides:
-            print(f"wrote {side.write(args, calibrated)}")
+        paths = [side.write(args, calibrated) for side in sides]
+        for path in paths:
+            print(f"wrote {path}")
     finally:
         if parent is not None:
             shutil.rmtree(parent.tree)
-    for (workload, seed, name), won in wins.items():
-        old = summary([r["result"]["metrics"][name]["value"]
-                       for r in parent.runs[(workload, seed)]])
-        new = summary([r["result"]["metrics"][name]["value"]
-                       for r in change.runs[(workload, seed)]])
-        print(f"{workload} seed {seed} {name}: {parent.tag} "
-              f"{old['median']:.6g} (IQR {old['iqr']:.3g}), {change.tag} "
-              f"{new['median']:.6g}; {change.tag} better in {won} of "
-              f"{args.runs} pairs")
+    if parent is not None:
+        compare(*paths)   # the parent's file, then the change's
     return 0
 
 
-def compare(args) -> int:
+def worse_by(name: str, new: float, old: float) -> float:
+    """How much worse the new value is than the old, as a fraction of
+    the old one (0 where it is no worse): what a metric's ``bound``
+    limits."""
+    loss = new - old if END_TO_END[name]["better"] == "lower" else old - new
+    if loss <= 0:
+        return 0.0
+    return loss / abs(old) if old else float("inf")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print, per workload, seed and end-to-end metric, the new median
+    over the old, whether it lies outside the old interquartile range, in
+    how many pairs of runs of the same index the new run read better, and
+    whether the new median is worse than the old by more than the metric's
+    bound."""
     docs = []
-    for path in (args.old, args.new):
+    for path in (old_path, new_path):
         with open(path, encoding="ascii") as f:
             docs.append(json.load(f))
         env = docs[-1]["env"] or {}
@@ -241,17 +251,24 @@ def compare(args) -> int:
     for r in docs[1]["results"]:
         base = old.get((r["workload"], r["seed"]))
         if base is None:
-            print(f"{r['workload']} seed {r['seed']}: not in {args.old}")
+            print(f"{r['workload']} seed {r['seed']}: not in {old_path}")
             continue
         for name, m in r["metrics"].items():
             o = base["metrics"][name]
             ratio = (m["median"] / o["median"] if o["median"]
                      else float("nan"))
             outside = abs(m["median"] - o["median"]) > o["iqr"]
+            pairs = list(zip(o["values"], m["values"]))
+            won = sum(better(name, b, a) for a, b in pairs)
+            bound = END_TO_END[name]["bound"]
+            worse = worse_by(name, m["median"], o["median"])
             print(f"{r['workload']} seed {r['seed']} {name}: "
                   f"{o['median']:.6g} -> {m['median']:.6g} {m['unit']} "
                   f"(x{ratio:.3f}; {'outside' if outside else 'inside'} "
-                  f"the old IQR {o['iqr']:.3g})")
+                  f"the old IQR {o['iqr']:.3g}; better in {won} of "
+                  f"{len(pairs)} pairs; "
+                  + (f"WORSE by {worse:.3g}, beyond its bound {bound:g})"
+                     if worse > bound else f"within its bound {bound:g})"))
     return 0
 
 
@@ -272,7 +289,7 @@ def main(argv=None) -> int:
     c.add_argument("new")
     args = ap.parse_args(argv)
     if args.cmd == "compare":
-        return compare(args)
+        return compare(args.old, args.new)
     if args.runs < 1 or args.seconds <= 0:
         ap.error("--runs must be >= 1 and --seconds > 0")
     return record(args)

@@ -160,13 +160,31 @@ MUTANTS = (
         "not tau",
         "killed"),
     Mutant(
-        "filter-take-keeps-partitioned-keys", "oracle.py",
-        "                self._lift(tau)\n"
-        "            key = self.keys(g, lo, out)\n",
-        "                self._lift(tau)\n",
+        "filter-floor-without-count", "oracle.py",
+        "                if np.count_nonzero(key >= t) >= self.limit:\n"
+        "                    return t\n",
+        "                return t\n",
         ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
-        "a streamed block's keys, partitioned in place for its first "
-        "threshold, are made again before its rows are kept",
+        "the sample's key bounds tau from below only when at least limit "
+        "keys reach it; else the floor is tau",
+        "killed"),
+    Mutant(
+        "filter-pool-narrows-at-the-floor", "oracle.py",
+        "            self._lift(floor)\n"
+        "            pos = self._kept(key)\n",
+        "            self.t = floor\n"
+        "            pos = self._kept(key)\n",
+        ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
+        "a one-block pool keeps the rows at or above the floor's theta, "
+        "which holds the rows within the margin below tau, not the floor",
+        "killed"),
+    Mutant(
+        "filter-pool-narrowing-drops-non-finite-keys", "oracle.py",
+        "            pos = self._kept(key)\n",
+        "            pos = (key >= self.t).nonzero()[0]\n",
+        ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
+        "a one-block pool's narrowing keeps the rows whose float32 scores "
+        "overflowed",
         "killed"),
     Mutant(
         "filter-no-query-rounding-term", "oracle.py",
