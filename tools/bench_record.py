@@ -2,7 +2,8 @@
 
     python3 tools/bench_record.py record --tag NAME [--workloads W ...]
         [--seeds 7 ...] [--seconds 3] [--runs 10] [--no-trace] [--parent REV]
-    python3 tools/bench_record.py compare BENCH_OLD.json BENCH_NEW.json
+    python3 tools/bench_record.py compare [--noise BENCH_AA.json]
+        BENCH_OLD.json BENCH_NEW.json
 
 ``record`` runs ``python3 perfbench/run.py --workload W --seed S --seconds
 T`` as a child process ``--runs`` times per workload and seed, and reads the
@@ -11,26 +12,35 @@ run per workload at the first seed gives the per-layer metrics. It writes
 ``BENCH_<NAME>.json`` at the root of this checkout. Nothing under
 ``perfbench/`` changes.
 
-With ``--parent REV`` the same runs are made, alternating pair by pair
-which side goes first, in a checkout of REV (``git archive REV | tar -x``
-into a temporary directory, whose ``perfbench/.cache`` links to this one's,
-so inputs are made once). Each side runs its own ``src/`` under its own
-harness. The parent's file is ``BENCH_<sha>.json``, named by REV's short
-commit id, and the two files are then compared as ``compare`` does. With
-``--parent HEAD`` on a clean tree both sides run the same sources: an A/A
-pair, whose comparison shows the noise of one session.
+The runs are made in a temporary copy of this checkout's files as they
+are on disk (``git ls-files --cached --others --exclude-standard``), so
+uncommitted edits count. With ``--parent REV`` the same runs are made,
+alternating pair by pair which side goes first, in a checkout of REV
+(``git archive REV | tar -x``). The two copies lie in directories named
+``bench-change-`` and ``bench-parent-`` plus the same number of random
+characters, so both paths have the same length, and the ``perfbench/.cache``
+of each links to this one's, so inputs are made once. Each side runs its
+own ``src/`` under its own harness. The parent's file is
+``BENCH_<sha>.json``, named by REV's short commit id, and the two files
+are then compared as ``compare`` does. With ``--parent HEAD`` on a clean
+tree both sides run the same sources: an A/A pair, whose comparison shows
+the noise of one session.
 
 A BENCH file holds the ``env`` line of the runs (nproc, BLAS and its thread
 count, numpy, ``git_commit``, ``source_sha``), the seeds, ``--seconds`` and
 the run count; per workload and seed, each end-to-end metric's median,
 quartiles, interquartile range, min, max and every value, each run's
-``info`` object and criterion-11 ratio line, and whether the workload is
-calibrated; and per workload, the traced run's per-layer metrics.
+``info`` object, criterion-11 ratio line and host load, and whether the
+workload is calibrated; and per workload, the traced run's per-layer
+metrics. A change recorded with ``--parent`` also holds, per metric, the
+parent's median of the same session (``parent_median``). The host load is
+read just before each run: ``os.getloadavg()`` and, where readable, the
+``avg10`` of each line of ``/proc/pressure/{cpu,memory,io}``.
 
 Both ``rev`` and the env's ``git_commit`` name the source a file measured:
 the archived commit for the parent; for this checkout, its HEAD commit,
-suffixed ``-dirty`` when a tracked file differs from it (as ``git describe
---dirty`` marks it).
+suffixed ``-dirty`` when a tracked file differs from it or an untracked
+file is not ignored. The env's ``source_sha`` hashes the ``src/`` that ran.
 
 ``compare`` prints each file's ``rev`` and ``source_sha``, then, per
 workload, seed and end-to-end metric: the new median over the old; whether
@@ -39,9 +49,15 @@ pairs of runs of the same index the new run read better, ties counting for
 neither (the runs of one recording, whose pairs alternate which side goes
 first); and whether the new median is worse than the old by more than the
 metric's ``bound`` in BENCHMARK.json, as a fraction of the old median.
+Per workload and seed it also prints the median host load before the
+runs of each side. With ``--noise``, each ratio is followed by the same
+metric's ratio in the A/A file (its median over ``parent_median``, at the
+same seed where the A/A file has it, else at its first), whose distance
+from 1 is the A/A band, and by whether the new median lies outside both
+the old interquartile range and that band.
 A change is accepted when no metric is worse beyond its bound; a claimed
 gain must read better in at least 9 of 10 pairs, with its median outside
-the old interquartile range.
+the old interquartile range and the A/A band.
 """
 
 from __future__ import annotations
@@ -65,10 +81,29 @@ END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 RUN_FIELDS = ("workload", "seed", "seconds", "trace")
 
 
+def host_load() -> dict:
+    """The host's load averages over 1, 5 and 15 minutes and the ``avg10``
+    of each line of ``/proc/pressure/{cpu,memory,io}`` that can be read,
+    as ``<file>_<line>_avg10`` (for example ``cpu_some_avg10``)."""
+    load = {"loadavg": list(os.getloadavg())}
+    for name in ("cpu", "memory", "io"):
+        try:
+            with open(f"/proc/pressure/{name}", encoding="ascii") as f:
+                for line in f:
+                    kind, *fields = line.split()
+                    avg10 = dict(x.split("=", 1) for x in fields)["avg10"]
+                    load[f"{name}_{kind}_avg10"] = float(avg10)
+        except (OSError, KeyError, ValueError):
+            pass
+    return load
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float,
              trace: bool) -> dict:
-    """One ``perfbench/run.py`` child in checkout ``tree``: its env line,
-    info object, criterion-11 line and final JSON object."""
+    """One ``perfbench/run.py`` child in checkout ``tree``: the host load
+    before it, its env line, info object, criterion-11 line and final JSON
+    object."""
+    host = host_load()
     argv = [sys.executable, os.path.join("perfbench", "run.py"),
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(int(trace))]
@@ -79,7 +114,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float,
         raise SystemExit(f"error: {' '.join(argv)} in {tree} exited "
                          f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     out = {"result": json.loads(lines[-1]), "env": None, "info": None,
-           "ratio": None}
+           "ratio": None, "host": host}
     for line in lines[:-1]:
         if line.startswith("env "):
             out["env"] = json.loads(line[4:])
@@ -132,18 +167,28 @@ class Side:
         out = run_once(self.tree, workload, seed, seconds, trace=True)
         self.traced[workload] = out["result"]["metrics"]
 
-    def write(self, args, calibrated: dict) -> str:
+    def medians(self, workload: str, seed: int) -> dict:
+        return {name: statistics.median(
+            r["result"]["metrics"][name]["value"]
+            for r in self.runs[workload, seed]) for name in END_TO_END}
+
+    def write(self, args, calibrated: dict,
+              parent: "Side | None" = None) -> str:
         results = []
         for (workload, seed), runs in self.runs.items():
+            metrics = {name: dict(unit=END_TO_END[name]["unit"],
+                                  **summary([r["result"]["metrics"][name]
+                                             ["value"] for r in runs]))
+                       for name in END_TO_END}
+            if parent is not None:
+                for name, median in parent.medians(workload, seed).items():
+                    metrics[name]["parent_median"] = median
             results.append({
                 "workload": workload, "seed": seed,
-                "calibrated": calibrated[workload],
-                "metrics": {name: dict(unit=END_TO_END[name]["unit"],
-                                       **summary([r["result"]["metrics"][name]
-                                                  ["value"] for r in runs]))
-                            for name in END_TO_END},
+                "calibrated": calibrated[workload], "metrics": metrics,
                 "info": [r["info"] for r in runs],
                 "criterion_11": [r["ratio"] for r in runs if r["ratio"]],
+                "host": [r["host"] for r in runs],
             })
         doc = {"tag": self.tag, "rev": self.rev, "env": self.env,
                "seeds": args.seeds, "seconds": args.seconds,
@@ -166,16 +211,36 @@ def git(*argv: str) -> str:
     return proc.stdout.strip()
 
 
+def _share_inputs(tree: str) -> str:
+    """Link the copy ``tree``'s ``perfbench/.cache`` to this checkout's."""
+    cache = os.path.join(ROOT, "perfbench", ".cache")
+    os.makedirs(cache, exist_ok=True)
+    os.symlink(cache, os.path.join(tree, "perfbench", ".cache"))
+    return tree
+
+
 def checkout(rev: str) -> str:
     """A temporary checkout of ``rev`` sharing this checkout's inputs."""
     tree = tempfile.mkdtemp(prefix="bench-parent-")
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-    cache = os.path.join(ROOT, "perfbench", ".cache")
-    os.makedirs(cache, exist_ok=True)
-    os.symlink(cache, os.path.join(tree, "perfbench", ".cache"))
-    return tree
+    return _share_inputs(tree)
+
+
+def working_copy() -> str:
+    """A temporary copy of this checkout's tracked files and its untracked
+    ones that are not ignored, as they are on disk, sharing its inputs."""
+    tree = tempfile.mkdtemp(prefix="bench-change-")
+    names = git("ls-files", "-z", "--cached", "--others",
+                "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        src = os.path.join(ROOT, name)
+        if os.path.lexists(src):   # a tracked file may be deleted
+            dst = os.path.join(tree, name)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
+    return _share_inputs(tree)
 
 
 def better(name: str, new: float, old: float) -> bool:
@@ -193,13 +258,12 @@ def record(args) -> int:
         raise SystemExit(f"error: unknown workload(s) {sorted(unknown)}")
     calibrated = {w: WORKLOADS[w].calibrated for w in names}
     head = git("rev-parse", "HEAD")
-    dirty = ("-dirty" if git("status", "--porcelain", "--untracked-files=no")
-             else "")
-    change = Side(args.tag, ROOT, head + dirty)
+    dirty = "-dirty" if git("status", "--porcelain") else ""
     parent = None
     if args.parent:
         rev = git("rev-parse", "--verify", args.parent + "^{commit}")
         parent = Side(git("rev-parse", "--short=7", rev), checkout(rev), rev)
+    change = Side(args.tag, working_copy(), head + dirty)
     sides = [change] if parent is None else [parent, change]
     try:
         for workload in names:
@@ -213,12 +277,14 @@ def record(args) -> int:
             if args.trace:
                 for side in sides:
                     side.trace(workload, args.seeds[0], args.seconds)
-        paths = [side.write(args, calibrated) for side in sides]
+        paths = [side.write(args, calibrated, parent)
+                 if side is change else side.write(args, calibrated)
+                 for side in sides]
         for path in paths:
             print(f"wrote {path}")
     finally:
-        if parent is not None:
-            shutil.rmtree(parent.tree)
+        for side in sides:
+            shutil.rmtree(side.tree)
     if parent is not None:
         compare(*paths)   # the parent's file, then the change's
     return 0
@@ -234,12 +300,43 @@ def worse_by(name: str, new: float, old: float) -> float:
     return loss / abs(old) if old else float("inf")
 
 
-def compare(old_path: str, new_path: str) -> int:
+def noise(path: str) -> dict:
+    """The A/A ratios of the file ``path``: (workload, seed) -> metric ->
+    median over ``parent_median``."""
+    with open(path, encoding="ascii") as f:
+        doc = json.load(f)
+    ratios = {(r["workload"], r["seed"]): {
+        name: m["median"] / m["parent_median"] if m["parent_median"]
+        else float("nan")
+        for name, m in r["metrics"].items() if "parent_median" in m}
+        for r in doc["results"]}
+    if not any(ratios.values()):
+        raise SystemExit(f"error: {path} holds no parent medians; record "
+                         f"it with --parent")
+    return ratios
+
+
+def host_medians(result: dict) -> dict:
+    """Per host-load field, its median over the runs of a result."""
+    fields: dict = {}
+    for load in result.get("host", []):
+        fields.setdefault("load1", []).append(load["loadavg"][0])
+        for key, value in load.items():
+            if key != "loadavg":
+                fields.setdefault(key, []).append(value)
+    return {k: statistics.median(v) for k, v in fields.items()}
+
+
+def compare(old_path: str, new_path: str, noise_path: str | None = None
+            ) -> int:
     """Print, per workload, seed and end-to-end metric, the new median
-    over the old, whether it lies outside the old interquartile range, in
-    how many pairs of runs of the same index the new run read better, and
-    whether the new median is worse than the old by more than the metric's
-    bound."""
+    over the old, whether it lies outside the old interquartile range
+    (and, with an A/A file, the A/A ratio and whether the new median lies
+    outside both that range and the A/A band), in how many pairs of runs
+    of the same index the new run read better, and whether the new median
+    is worse than the old by more than the metric's bound; per workload and
+    seed, the median host load of each side."""
+    aa = noise(noise_path) if noise_path else None
     docs = []
     for path in (old_path, new_path):
         with open(path, encoding="ascii") as f:
@@ -253,19 +350,38 @@ def compare(old_path: str, new_path: str) -> int:
         if base is None:
             print(f"{r['workload']} seed {r['seed']}: not in {old_path}")
             continue
+        loads = [host_medians(base), host_medians(r)]
+        print(f"{r['workload']} seed {r['seed']} host load, median before "
+              f"each run: " + ("; ".join(
+                  f"{k} {loads[0].get(k, float('nan')):.3g} -> "
+                  f"{loads[1].get(k, float('nan')):.3g}"
+                  for k in sorted(set(loads[0]) | set(loads[1])))
+                  or "not recorded"))
+        if aa is not None:
+            band = aa.get((r["workload"], r["seed"])) or next(
+                (v for (w, _), v in aa.items() if w == r["workload"]), {})
         for name, m in r["metrics"].items():
             o = base["metrics"][name]
             ratio = (m["median"] / o["median"] if o["median"]
                      else float("nan"))
             outside = abs(m["median"] - o["median"]) > o["iqr"]
+            iqr = (f"{'outside' if outside else 'inside'} the old IQR "
+                   f"{o['iqr']:.3g}")
+            if aa is not None:
+                if name in band:
+                    beyond = abs(ratio - 1.0) > abs(band[name] - 1.0)
+                    iqr += (f"; A/A x{band[name]:.3f}: "
+                            + ("outside both" if outside and beyond
+                               else "not outside both"))
+                else:
+                    iqr += "; no A/A ratio"
             pairs = list(zip(o["values"], m["values"]))
             won = sum(better(name, b, a) for a, b in pairs)
             bound = END_TO_END[name]["bound"]
             worse = worse_by(name, m["median"], o["median"])
             print(f"{r['workload']} seed {r['seed']} {name}: "
                   f"{o['median']:.6g} -> {m['median']:.6g} {m['unit']} "
-                  f"(x{ratio:.3f}; {'outside' if outside else 'inside'} "
-                  f"the old IQR {o['iqr']:.3g}; better in {won} of "
+                  f"(x{ratio:.3f}; {iqr}; better in {won} of "
                   f"{len(pairs)} pairs; "
                   + (f"WORSE by {worse:.3g}, beyond its bound {bound:g})"
                      if worse > bound else f"within its bound {bound:g})"))
@@ -285,11 +401,13 @@ def main(argv=None) -> int:
     r.add_argument("--no-trace", dest="trace", action="store_false")
     r.add_argument("--parent")
     c = sub.add_parser("compare")
+    c.add_argument("--noise", metavar="AA.json",
+                   help="an A/A change file recorded with --parent")
     c.add_argument("old")
     c.add_argument("new")
     args = ap.parse_args(argv)
     if args.cmd == "compare":
-        return compare(args.old, args.new)
+        return compare(args.old, args.new, args.noise)
     if args.runs < 1 or args.seconds <= 0:
         ap.error("--runs must be >= 1 and --seconds > 0")
     return record(args)
