@@ -10,22 +10,22 @@ pool a solver is handed. ``exact_topk`` is the exact oracle over one
 inverted list: the true top-min(k, |D_l|) vectors of the attribute.
 ``alpha_topk`` is a degraded oracle for tests: its i-th best similarity is
 at least ``alpha`` times the i-th best exact one, for every rank i.
+Each input is checked once, where it enters or by the code that made it:
+``SimilarityFn.query`` checks a query, :func:`_one_query` a single query's
+shape, :func:`block_pools` a caller's block and ids, and the attribute
+table the inverted lists that ``exact_topk`` hands on unchecked.
 
 Over a float32 base, pools of at most an eighth of the base and inverted
-lists above 4096 rows go through :func:`block_pools` and its certified
-float32 filter :class:`_Filter`, which re-scores in float64 only the rows
-above a proven threshold; where it cannot certify, it ranks all its rows
-in float64 itself (:func:`_exact_rank`), so no caller has a fallback. The
-threshold follows the ``limit``-th best float32 key, tau, which is
-selected only among the keys at or above a lower bound on it that a
-1-in-16 sample of the keys proves (:meth:`_Filter._floor`). More
-than ``_STREAM_ROWS`` rows stream through it by row blocks, so no query
-holds a row of n scores, nor a list its whole gathered rows. The rows of
-a stream are split into W contiguous shares, one per worker thread
-(``core._workers``: the CPUs the process may run on, at most one per
-``_STREAM_ROWS`` rows and 16 in all), each streaming blocks of
-``_STREAM_ROWS`` / W rows into its own filters, so the blocks in flight
-still hold ``_STREAM_ROWS`` rows in all; the output does not depend on W.
+lists above 4096 rows go through the certified float32 filter
+:class:`_Filter` (:func:`_filter_pools`), which re-scores in float64 only
+the rows above a proven threshold; where it cannot certify, it ranks all
+its rows in float64 itself (:func:`_exact_rank`), so no caller has a
+fallback. The threshold follows the ``limit``-th best float32 key, tau,
+which is selected only among the keys at or above a lower bound on it
+that a 1-in-16 sample of the keys proves (:meth:`_Filter._floor`). More
+than ``_STREAM_ROWS`` rows stream through it by row blocks, split across
+worker threads as :func:`block_pools` states, so no query holds a row of
+n scores, nor a list its whole gathered rows.
 
 A solver takes its oracle as a plain callable ``(q, attribute, k) ->
 RankedList``, such as ``functools.partial(exact_topk, data=data,
@@ -156,27 +156,29 @@ def exact_topk(q, attribute: int, k: int, data: VectorSet,
     """True top-min(k, |D_l|) of attribute l by sigma(q, .); an empty
     inverted list yields an empty list.
 
-    The list's rows are gathered and scored in float64, except where
-    :func:`block_pools` would filter the list (over a float32 base, a list
-    above 4096 rows), which it ranks as a block of one query through the
-    certified filter, with the same ids and order.
+    The query is checked by :func:`_one_query`; the list, the table's own,
+    is not. Where :func:`_filters` says so (a float32 base, a list above
+    4096 rows), the certified filter ranks it as :func:`block_pools` ranks
+    a block of one; else its rows are gathered and scored in float64.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (0 <= attribute < attrs.c):
         raise ValueError(f"attribute id {attribute} outside [0, {attrs.c})")
-    q = _one_query(q, fn)
+    q = _one_query(q, fn, data)
     members = attrs.inverted[attribute]
     if _filters(data, k, len(members), listed=True):
-        return block_pools(_block_of_one(q), data, fn, k, members)[0]
+        return _filter_pools(_block_of_one(q), data, fn, k, members)[0]
     return _exact_rank(q, data, fn, k, members)
 
 
-def _one_query(q, fn: SimilarityFn) -> Query:
-    """q checked and normed as a single query, not a block of them."""
+def _one_query(q, fn: SimilarityFn, data: VectorSet) -> Query:
+    """q checked and normed as one vector of ``data``'s dimension."""
     q = fn.query(q)
     if q.vec.ndim != 1:
         raise ValueError("a single query must be one vector")
+    if q.vec.shape[0] != data.d:
+        raise ValueError("dimension mismatch between query and vectors")
     return q
 
 
@@ -220,7 +222,8 @@ def full_scan_pool(q, data: VectorSet, fn: SimilarityFn,
                    limit: int | None = None) -> RankedList:
     """The pool of the ``limit`` most similar vectors to ``q`` (all of
     them by default): ``block_pools`` of the block that holds q alone."""
-    return block_pools(_block_of_one(_one_query(q, fn)), data, fn, limit)[0]
+    return block_pools(_block_of_one(_one_query(q, fn, data)), data, fn,
+                       limit)[0]
 
 
 def block_pools(qs, data: VectorSet, fn: SimilarityFn,
@@ -257,10 +260,9 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
     The call returns once every share has ended, and raises the error of
     any share. The blocks in flight hold their scores once (the sgemm
     outputs, 256 KB per query in all, read by each query in place) plus,
-    per share, one query's float64 keys (512 KB in all),
-    about 2.5 MB for 8 queries at any row count; ``ids`` add 4096 gathered
-    rows per share (1.5 MB at d = 96) and, per filter, the float64 norms
-    of the list.
+    per share, one query's float64 keys (512 KB in all), about 2.5 MB for
+    8 queries at any row count; ``ids`` add 4096 gathered rows per share
+    (1.5 MB at d = 96) and, per filter, the float64 norms of the list.
     Both give the same ids and order, up to rows whose float64
     similarities differ only in the last place: the filter scores its
     survivors by a gather's GEMV, whose last bits may differ from those of
@@ -290,10 +292,9 @@ def block_pools(qs, data: VectorSet, fn: SimilarityFn,
 
 def _filter_pools(qs: Query, data: VectorSet, fn: SimilarityFn, limit: int,
                   ids: np.ndarray | None = None) -> list[RankedList]:
-    """:func:`block_pools` of the checked block ``qs`` through each query's
-    certified :class:`_Filter`, for a float32 base, valid ``ids`` and a
-    limit below their count and within :func:`_max_survivors` of it,
-    whatever the count."""
+    """:func:`block_pools` of the checked block ``qs`` (and valid ``ids``)
+    through each query's certified :class:`_Filter`, for a float32 base
+    and a limit below the row count, within :func:`_max_survivors` of it."""
     n = data.n if ids is None else len(ids)
     # each query was checked and normed with the block, and the rows' norms
     # are gathered once for all its filters
@@ -352,13 +353,12 @@ def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
     of the base: one similarity per id, distinct ids in [0, n), and
     similarities best first. One that :func:`rank` made has distinct ids
     and its similarities best first already, so only its id range is
-    checked: it may rank another base. The query is checked as the scan
-    would check it, though only the pool is read. When the caller handed
-    in none, the ``limit``-row pool of :func:`full_scan_pool`."""
+    checked: it may rank another base. The query is checked by
+    :func:`_one_query`, though only the pool is read. Without a pool, the
+    ``limit``-row pool of :func:`full_scan_pool`."""
     if pool is None:
         return full_scan_pool(q, data, fn, limit)
-    if _one_query(q, fn).vec.shape[0] != data.d:
-        raise ValueError("dimension mismatch between query and vectors")
+    _one_query(q, fn, data)
     if len(pool.ids) != len(pool.sims):
         raise ValueError("pool ids and sims must have the same length")
     ordered = pool.ids if pool._ranked else np.sort(pool.ids)
@@ -376,9 +376,11 @@ def _caller_pool(q, data: VectorSet, fn: SimilarityFn, limit: int | None,
 class _Filter:
     """The certified float32 filter of one query q for the top-``limit``
     of the rows ``ids`` of a float32 base (every row for None), whose
-    :func:`_row_norms` are ``rows``, from their float32 scores.
-    :meth:`pool` takes the scores of every row at once; a streamed scan
-    hands them to :meth:`take` by blocks first.
+    :func:`_row_norms` are ``rows``, from their float32 scores. q is a
+    row of a checked block: |q| is the norm it took under one-plus-cosine,
+    and otherwise, like |q32| and |q - q32|, the root of a dot product, as
+    ``np.linalg.norm`` takes it. :meth:`pool` takes the scores of every
+    row at once; a streamed scan hands them to :meth:`take` by blocks first.
 
     When q is beyond float32's range, when more rows survive than
     :func:`_max_survivors` allows (ties at the threshold) or when the
@@ -453,11 +455,12 @@ class _Filter:
         if fn.kind == "one-plus-cosine":
             _reject_zero_norms(xmin)
         q32 = v.astype(np.float32).astype(np.float64)
-        nq32 = np.linalg.norm(q32)
-        nq = np.linalg.norm(v) * _SAFE
+        nq32 = math.sqrt(q32 @ q32)
+        nq = (q.norms[0] if q.norms else math.sqrt(v @ v)) * _SAFE
         under = d * 2.0 ** -149
         # bound on |g - P| per unit of |x|, q's rounding first
-        per_norm = (np.linalg.norm(v - q32) + _gamma(d, _U32) * nq32) * _SAFE
+        dq = v - q32
+        per_norm = (math.sqrt(dq @ dq) + _gamma(d, _U32) * nq32) * _SAFE
         # some partial sum may overflow: non-finite keys are set aside
         self.overflow = xmax * nq32 * (1.0 + _gamma(d, _U32)) >= _F32_MAX
         xmax *= _SAFE

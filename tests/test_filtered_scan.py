@@ -231,6 +231,63 @@ def test_safe_slack_or_distance_term_outweighs_e_d(monkeypatch, d):
                 >= 100.0 * need, (lx, lr)
 
 
+def linalg_norm_terms(q, vs, fn, ids):
+    """_Filter's (exact, overflow, err, e64 or e_d) for the checked query
+    q of ``vs``'s rows ``ids``, by its formulas with every norm of the
+    query taken by ``np.linalg.norm``."""
+    v, d = q.vec, vs.d
+    if abs(v).max() > oracle._F32_MAX:
+        return (True,)
+    safe, gamma, u32, u64 = oracle._SAFE, oracle._gamma, 2.0 ** -24, 2.0 ** -53
+    _, _, xmin, xmax = oracle._row_norms(vs, fn, ids)
+    q32 = v.astype(np.float32).astype(np.float64)
+    nq32 = np.linalg.norm(q32)
+    nq = np.linalg.norm(v) * safe
+    under = d * 2.0 ** -149
+    per_norm = (np.linalg.norm(v - q32) + gamma(d, u32) * nq32) * safe
+    overflow = xmax * nq32 * (1.0 + gamma(d, u32)) >= oracle._F32_MAX
+    xmax *= safe
+    if fn.kind == "dot-product":
+        return (False, overflow, (xmax * per_norm + under) * safe,
+                gamma(d + 8, u64) * xmax * nq * safe)
+    if fn.kind == "one-plus-cosine":
+        err = (per_norm + 2.0 * u64 * nq32 + 2.0 * under / xmin) * safe
+        return (False, overflow, err, (gamma(d, u64) * nq + 16.0 * u64
+                                       * np.linalg.norm(v)) * safe)
+    xsq = xmax * xmax * safe
+    err = (xmax * per_norm + under + 2.0 * u64 * (xmax * nq32 + xsq)) * safe
+    return (False, overflow, err,
+            (2.0 * gamma(d + 2, u64) * xmax * nq
+             + 4.0 * u64 * (xsq + v @ v + xmax * nq)) * safe)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_filter_terms_equal_the_linalg_norm_formulas(kind):
+    # _Filter roots one dot product per norm of the query (or reads the
+    # block's norm), which is what np.linalg.norm computes for a
+    # contiguous vector: every term, and so every survivor set, is the
+    # same to the bit, for single queries and for each row of a block
+    fn, rng = KINDS[kind], np.random.default_rng(sorted(KINDS).index(kind))
+    for d in list(range(1, 33)) + [47, 96, 128, 199, 200]:
+        x = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-20, 20)
+        vs = VectorSet(x.astype(np.float32))
+        for ids in (None, np.arange(3, 40, 3)):
+            rows = oracle._row_norms(vs, fn, ids)
+            scales = 10.0 ** rng.uniform(-20, 20, size=3)
+            block = rng.standard_normal((3, d)) * scales[:, None]
+            if rng.integers(2):
+                block[2] *= 1e40   # beyond float32's range: exact
+            qs = fn.query(block)
+            for q in [fn.query(v) for v in block] + [qs.row(i)
+                                                     for i in range(3)]:
+                f = oracle._Filter(q, vs, fn, 5, ids, rows)
+                got = (f.exact,) if f.exact else (
+                    f.exact, f.overflow, f.err,
+                    f.e_d if kind == "reciprocal-euclidean" else f.e64)
+                want = linalg_norm_terms(q, vs, fn, ids)
+                assert got == want, (d, ids is None)
+
+
 def test_a_float32_base_from_d_2_23_on_is_ranked_in_float64():
     # gamma_d of float32, the filter's rounding bound, has no value from
     # d = 2^24 on; from 2^23 (d u32 >= 1/2) a base never reaches it. Empty
@@ -815,6 +872,32 @@ def test_exact_topk_ranks_a_large_float32_list_exactly(kind, flavour):
             assert_list_is_exact(q, vs, attrs, KINDS[kind], k)
 
 
+def test_exact_topk_hands_a_large_list_straight_to_the_filter(monkeypatch):
+    # the list is the table's own and the query was checked once: a list
+    # the filter takes goes to _filter_pools once, never via block_pools
+    calls = []
+    real = oracle._filter_pools
+
+    def filter_pools(qs, data, fn, limit, ids=None):
+        calls.append(len(ids))
+        return real(qs, data, fn, limit, ids)
+
+    def block_pools(*args, **kwargs):
+        raise AssertionError("exact_topk called block_pools")
+
+    monkeypatch.setattr(oracle, "_filter_pools", filter_pools)
+    monkeypatch.setattr(oracle, "block_pools", block_pools)
+    rng = np.random.default_rng(54)
+    q, x = list_instance("gaussian", 8, rng)
+    vs, attrs = with_other_list(x, rng.standard_normal((300, 8)), rng)
+    for fn in KINDS.values():
+        for attribute, filtered in ((0, [LIST_ROWS]), (1, [])):
+            calls.clear()
+            assert len(exact_topk(q, attribute, 10, vs, attrs, fn)) == 10
+            assert calls == filtered
+        assert_list_is_exact(q, vs, attrs, fn, 10)
+
+
 def large_list_with_extreme_rows_elsewhere(rng, d=16):
     """A Gaussian list of LIST_ROWS rows, and another list holding a zero
     row, a row of norm about 1e-30 and one of about 1e30."""
@@ -928,6 +1011,12 @@ def test_query_of_the_wrong_length_is_rejected(float32):
             for attribute in (0, 1):
                 with pytest.raises(ValueError, match=message):
                     exact_topk(q, attribute, 10, vs, attrs, fn)
+            # with a pool handed in, ranked by rank or not, the query is
+            # checked though only the pool is read
+            for pool in (full_scan_pool(np.ones(8), vs, fn, 10),
+                         oracle.RankedList(np.arange(3), np.zeros(3))):
+                with pytest.raises(ValueError, match=message):
+                    oracle._caller_pool(q, vs, fn, 10, pool)
 
 
 def test_query_beyond_float32_range_ranks_a_large_list_exactly():

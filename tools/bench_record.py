@@ -277,8 +277,8 @@ def record(args) -> int:
             if args.trace:
                 for side in sides:
                     side.trace(workload, args.seeds[0], args.seconds)
-        paths = [side.write(args, calibrated, parent)
-                 if side is change else side.write(args, calibrated)
+        paths = [side.write(args, calibrated,
+                            parent if side is change else None)
                  for side in sides]
         for path in paths:
             print(f"wrote {path}")

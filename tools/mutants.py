@@ -118,19 +118,21 @@ MUTANTS = (
         "self.e64 = _gamma(d + 8, _U64) * xmax * nq * _SAFE",
         "self.e64 = 0.0",
         ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
-        "the float64 rounding term of the dot-product filter; no input "
+        "the float64 rounding term of the dot-product filter, which "
+        "test_filter_terms_equal_the_linalg_norm_formulas pins; no input "
         "reaches it alone, since _SAFE's slack on err outweighs it (see "
         "_Filter's docstring and test_safe_slack_outweighs_e64)",
-        "survived"),
+        "killed"),
     Mutant(
         "filter-no-e64-one-plus-cosine", "oracle.py",
         "self.e64 = (_gamma(d, _U64) * nq + 16.0 * _U64 * self.qn) * _SAFE",
         "self.e64 = 0.0",
         ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
-        "the float64 rounding term of the one-plus-cosine filter; no input "
+        "the float64 rounding term of the one-plus-cosine filter, which "
+        "test_filter_terms_equal_the_linalg_norm_formulas pins; no input "
         "reaches it alone, since _SAFE's slack on err outweighs it (see "
         "_Filter's docstring and test_safe_slack_outweighs_e64)",
-        "survived"),
+        "killed"),
     Mutant(
         "filter-no-e_d-reciprocal-euclidean", "oracle.py",
         "self.e_d = (2.0 * _gamma(d + 2, _U64) * xmax * nq\n"
@@ -138,11 +140,12 @@ MUTANTS = (
         " * _SAFE",
         "self.e_d = 0.0",
         ("tests/test_filtered_scan.py", "tests/test_oracle.py"),
-        "the float64 error of the reciprocal-euclidean squared distance; "
-        "no input reaches it alone, since _SAFE's slack on err or theta's "
+        "the float64 error of the reciprocal-euclidean squared distance, "
+        "which test_filter_terms_equal_the_linalg_norm_formulas pins; no "
+        "input reaches it alone, since _SAFE's slack on err or theta's "
         "2^-40 r (r + delta) outweighs it (see _Filter's docstring and "
         "test_safe_slack_or_distance_term_outweighs_e_d)",
-        "survived"),
+        "killed"),
     Mutant(
         "filter-safe-slack-below-float64-terms", "oracle.py",
         "_SAFE = 1.0 + 2.0 ** -20",
@@ -188,12 +191,52 @@ MUTANTS = (
         "killed"),
     Mutant(
         "filter-no-query-rounding-term", "oracle.py",
-        "per_norm = (np.linalg.norm(v - q32) + _gamma(d, _U32) * nq32)"
-        " * _SAFE",
+        "per_norm = (math.sqrt(dq @ dq) + _gamma(d, _U32) * nq32) * _SAFE",
         "per_norm = _gamma(d, _U32) * nq32 * _SAFE",
         ("tests/test_filtered_scan.py",),
         "the filter's margin covers the query's own float32 rounding "
         "|q - q32|",
+        "killed"),
+    Mutant(
+        "filter-query-norm-without-root", "oracle.py",
+        "nq = (q.norms[0] if q.norms else math.sqrt(v @ v)) * _SAFE",
+        "nq = (q.norms[0] if q.norms else v @ v) * _SAFE",
+        ("tests/test_filtered_scan.py",),
+        "the filter's |q| is the root of v @ v where the kind took no norm, "
+        "the value np.linalg.norm gives",
+        "killed"),
+    Mutant(
+        "filter-list-bounds-from-base-norms", "oracle.py",
+        "return norms, sqnorms, float(norms.min()), float(norms.max())",
+        "return norms, sqnorms, data.min_norm, data.max_norm",
+        ("tests/test_filtered_scan.py",),
+        "a list's filter reads the least and largest norm of the list, not "
+        "of the base",
+        "killed"),
+    Mutant(
+        # a local _exact_rank that swaps the filter's own rows for None
+        "filter-fallbacks-rank-every-base-row", "oracle.py",
+        "        q, data, fn, limit, ids = self.q, self.data, self.fn, "
+        "self.limit, \\\n            self.ids\n",
+        "        q, data, fn, limit, ids = self.q, self.data, self.fn, "
+        "self.limit, \\\n            self.ids\n"
+        "        every = globals()['_exact_rank']\n\n"
+        "        def _exact_rank(q, data, fn, limit, rows):\n"
+        "            return every(q, data, fn, limit,\n"
+        "                         None if rows is ids else rows)\n",
+        ("tests/test_filtered_scan.py",),
+        "where it cannot certify, a list's filter ranks the list's rows in "
+        "float64, not every row of the base",
+        "killed"),
+    Mutant(
+        "one-query-no-dimension-check", "oracle.py",
+        "    if q.vec.shape[0] != data.d:\n"
+        "        raise ValueError(\"dimension mismatch between query and "
+        "vectors\")\n",
+        "",
+        ("tests/test_filtered_scan.py",),
+        "a single query of the wrong length is rejected with the float64 "
+        "path's message where exact_topk hands a list straight to the filter",
         "killed"),
     Mutant(
         "share-join-drops-later-shares", "oracle.py",
@@ -219,6 +262,70 @@ MUTANTS = (
         ("tests/test_oracle.py",),
         "every candidate tied with the limit-th best joins the candidates "
         "before the id order decides",
+        "killed"),
+    Mutant(
+        "multi-greedy-no-nan-mask", "multi.py",
+        "        np.fmax(key, -np.inf, out=key)\n",
+        "",
+        ("tests/test_multi.py",),
+        "a taken candidate's NaN key never wins a later round",
+        "killed"),
+    Mutant(
+        "multi-greedy-no-first-remaining-fallback", "multi.py",
+        "        if key[i] == -np.inf:\n"
+        "            i = int(np.isnan(weight).argmin())\n",
+        "",
+        ("tests/test_multi.py",),
+        "when no candidate left scores above -inf, the first one left is "
+        "taken, never a taken one",
+        "killed"),
+    Mutant(
+        "multi-greedy-last-of-equal-keys", "multi.py",
+        "        i = int(key.argmax())\n",
+        "        i = m - 1 - int(key[::-1].argmax())\n",
+        ("tests/test_multi.py",),
+        "equal keys go to the earliest candidate in pool order",
+        "killed"),
+    Mutant(
+        "multi-greedy-pads-keep-first-round-marginal", "multi.py",
+        "g = np.where(slots < attrs.c, f(ue[0] + pool.sims) - f(ue)[0], 0.0)",
+        "g = np.where(slots <= attrs.c, f(ue[0] + pool.sims) - f(ue)[0], "
+        "0.0)",
+        ("tests/test_multi.py",),
+        "a pad slot past a candidate's last attribute holds 0.0, never a "
+        "marginal",
+        "killed"),
+    Mutant(
+        "multi-greedy-recomputes-first-attribute-only", "multi.py",
+        "        for a in row.tolist():\n",
+        "        for a in row.tolist()[:1]:\n",
+        ("tests/test_multi.py",),
+        "a pick recomputes the marginals of every attribute it carries",
+        "killed"),
+    Mutant(
+        "run-config-over-flags", "cli.py",
+        "layers = (vars(args), cfg, vars(preset) if preset else {}, "
+        "_DEFAULTS)",
+        "layers = (cfg, vars(args), vars(preset) if preset else {}, "
+        "_DEFAULTS)",
+        ("tests/test_cli.py",),
+        "a flag beats the config file",
+        "killed"),
+    Mutant(
+        "run-preset-over-config", "cli.py",
+        "layers = (vars(args), cfg, vars(preset) if preset else {}, "
+        "_DEFAULTS)",
+        "layers = (vars(args), vars(preset) if preset else {}, cfg, "
+        "_DEFAULTS)",
+        ("tests/test_cli.py",),
+        "the config file beats the preset",
+        "killed"),
+    Mutant(
+        "run-nash-takes-pool-l", "cli.py",
+        '"ann": (), "div": ("--kprime",), "nash": (),',
+        '"ann": (), "div": ("--kprime",), "nash": ("--pool-L",),',
+        ("tests/test_cli.py",),
+        "--pool-L is a usage error with --algo nash, which reads no pool",
         "killed"),
     Mutant(
         "run-checks-raw-query", "cli.py",
